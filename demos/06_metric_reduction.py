@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from votedist import expected_distortion
-from votedist.metric import MetricElection, metric_report, reduce_to_line, swap_labels
+from votedist.metric import MetricElection, reduce_to_line, swap_labels
 
 rng = np.random.default_rng(5)
 points = np.column_stack([rng.uniform(-0.8, 1.8, 9), rng.uniform(-1.2, 1.2, 9)])
@@ -28,7 +28,7 @@ for pair, pos in zip(working.pairs, reduction.election.positions):
 if reduction.swapped:
     print("  (candidate labels were swapped so the right candidate is optimal)")
 
-before = metric_report(working, BETA)
+before = expected_distortion(working, BETA)  # metric elections go in directly
 after = expected_distortion(reduction.election, BETA)
 print(f"\n{'':>22} {'metric':>12} {'line image':>12}")
 print(f"{'P(left wins)':>22} {before.win_prob_left:12.9f} {after.win_prob_left:12.9f}")

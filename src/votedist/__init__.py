@@ -40,7 +40,6 @@ from .metric import (
     LineReduction,
     MetricElection,
     distance_ratio,
-    metric_report,
     reduce_to_line,
 )
 from .model import (
@@ -58,9 +57,10 @@ from .model import (
     profile,
     region_of,
     social_costs,
+    voter_arrays,
     winner_distortion,
 )
-from .montecarlo import McConfig, McEstimate, sample_outcome, simulate
+from .montecarlo import McConfig, McEstimate, simulate
 from .worstcase import (
     BoundCheck,
     VoteMoments,

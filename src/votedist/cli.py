@@ -99,10 +99,8 @@ def cmd_eval(election_file, beta, fmt, out) -> None:
     try:
         doc = _load(election_file)
         b = doc.beta if beta is None else model.check_beta(beta)
-        if doc.kind == "line":
-            report = exact.expected_distortion(doc.to_line(), b)
-        else:
-            report = metric.metric_report(doc.to_metric(), b)
+        election = doc.to_line() if doc.kind == "line" else doc.to_metric()
+        report = exact.expected_distortion(election, b)
     except (DocumentError, ValueError) as err:
         _fail_validation(err)
     _emit(_report_lines(report, fmt), out)
@@ -113,18 +111,17 @@ def cmd_eval(election_file, beta, fmt, out) -> None:
 @click.option("--samples", type=int, required=True, help="Number of simulated outcomes.")
 @click.option("--seed", type=int, required=True, help="Generator seed.")
 @click.option("--confidence", type=float, default=0.95, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
 @beta_option
 @format_option
 @out_option
-def cmd_simulate(election_file, samples, seed, confidence, workers, beta, fmt, out) -> None:
+def cmd_simulate(election_file, samples, seed, confidence, beta, fmt, out) -> None:
     """Estimate win probability and expected distortion by sampling."""
     try:
         doc = _load(election_file)
         if doc.kind != "line":
             raise DocumentError("simulate supports line elections only")
         b = doc.beta if beta is None else model.check_beta(beta)
-        cfg = montecarlo.McConfig(samples, seed, confidence, workers)
+        cfg = montecarlo.McConfig(samples, seed, confidence)
         est = montecarlo.simulate(doc.to_line(), b, cfg)
     except (DocumentError, ValueError) as err:
         _fail_validation(err)

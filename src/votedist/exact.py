@@ -14,18 +14,20 @@ small elections.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
 from . import model
-from .model import LEFT, RIGHT, DistortionReport, LineElection, VoterProfile
+from .model import LEFT, RIGHT, DistortionReport, LineElection
+
+if TYPE_CHECKING:
+    from .metric import MetricElection
 
 __all__ = [
     "WinProbabilities",
     "vote_pmf",
     "win_probabilities",
-    "win_probabilities_from_profiles",
     "expected_distortion",
     "enumerate_oracle",
 ]
@@ -75,27 +77,20 @@ def _win_probs(pmf_left: np.ndarray, pmf_right: np.ndarray) -> "WinProbabilities
     return WinProbabilities(p_left, p_right)
 
 
-def win_probabilities_from_profiles(
-    profiles: Sequence[VoterProfile],
+def win_probabilities(
+    e: LineElection | MetricElection, beta: float
 ) -> WinProbabilities:
-    """Win probabilities for any collection of voter profiles.
+    """Exact probability that each candidate wins the majority contest.
 
-    Works for voters described by arbitrary distance pairs, not just line
-    positions; indifferent voters never vote and only dilute nothing.
+    ``e`` is a line or a metric election; indifferent voters never vote.
     """
-    pmf_left = vote_pmf([p.participation for p in profiles if p.preferred == LEFT])
-    pmf_right = vote_pmf([p.participation for p in profiles if p.preferred == RIGHT])
-    return _win_probs(pmf_left, pmf_right)
+    side, p = model.voter_arrays(*e.distances(), beta)
+    return _win_probs(vote_pmf(p[side < 0]), vote_pmf(p[side > 0]))
 
 
-def win_probabilities(e: LineElection, beta: float) -> WinProbabilities:
-    """Exact probability that each candidate wins the majority contest."""
-    beta = model.check_beta(beta)
-    profiles = [model.profile(x, beta) for x in e.positions]
-    return win_probabilities_from_profiles(profiles)
-
-
-def expected_distortion(e: LineElection, beta: float) -> DistortionReport:
+def expected_distortion(
+    e: LineElection | MetricElection, beta: float
+) -> DistortionReport:
     """Full report with exact win probabilities and expected distortion."""
     return model.distortion_report(e, beta, win_probabilities(e, beta))
 

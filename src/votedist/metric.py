@@ -3,7 +3,9 @@
 A metric election keeps only what the analysis ever uses: each voter's
 distance pair to the two candidates, with the candidate separation
 normalized to 1 (so ``d_left + d_right >= 1`` by the triangle inequality).
-Any such pair list is realizable in some metric space.
+Any such pair list is realizable in some metric space.  Through
+``MetricElection.distances`` a metric election goes straight into the
+engines, e.g. ``exact.expected_distortion(m, beta)``.
 
 ``reduce_to_line`` builds a line election in which every voter keeps her
 preferred candidate and her exact participation probability, while both the
@@ -19,16 +21,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from . import exact, model
-from .model import DistortionReport, LineElection, VoterProfile
+import numpy as np
+
+from . import model
+from .model import LineElection
 
 __all__ = [
     "MetricElection",
     "LineReduction",
     "distance_ratio",
-    "metric_profiles",
-    "metric_social_costs",
-    "metric_report",
     "reduce_to_line",
     "swap_labels",
 ]
@@ -64,6 +65,11 @@ class MetricElection:
     def __len__(self) -> int:
         return len(self.pairs)
 
+    def distances(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every voter's distance to the left and to the right candidate."""
+        pairs = np.array(self.pairs)
+        return pairs[:, 0], pairs[:, 1]
+
 
 class LineReduction(NamedTuple):
     """Line image of a metric election.
@@ -87,63 +93,6 @@ def distance_ratio(pair: tuple[float, float]) -> float:
     return d_left / d_right
 
 
-def metric_profiles(m: MetricElection, beta: float) -> list[VoterProfile]:
-    """Preference and participation probability of each voter."""
-    beta = model.check_beta(beta)
-    profiles = []
-    for d_left, d_right in m.pairs:
-        if d_left == d_right:
-            profiles.append(VoterProfile(model.INDIFFERENT, 0.0))
-            continue
-        preferred = model.LEFT if d_left < d_right else model.RIGHT
-        p = model.participation_probability(
-            min(d_left, d_right), max(d_left, d_right), beta
-        )
-        profiles.append(VoterProfile(preferred, p))
-    return profiles
-
-
-def metric_social_costs(m: MetricElection) -> tuple[float, float]:
-    """Summed distances to each candidate."""
-    return (
-        sum(d_left for d_left, _ in m.pairs),
-        sum(d_right for _, d_right in m.pairs),
-    )
-
-
-def metric_report(m: MetricElection, beta: float) -> DistortionReport:
-    """Full evaluation of a metric election, with exact win probabilities."""
-    beta = model.check_beta(beta)
-    profiles = metric_profiles(m, beta)
-    sc_left, sc_right = metric_social_costs(m)
-    optimal, dist_left, dist_right = model.distortion_pair(sc_left, sc_right)
-    win = exact.win_probabilities_from_profiles(profiles)
-    ev_left = sum(p.participation for p in profiles if p.preferred == model.LEFT)
-    ev_right = sum(p.participation for p in profiles if p.preferred == model.RIGHT)
-    if abs(ev_left - ev_right) <= model.WINNER_TIE_TOL:
-        winner = model.TIE
-    else:
-        winner = model.LEFT if ev_left > ev_right else model.RIGHT
-    dbar = 0.0
-    if win.p_left > 0.0:
-        dbar += win.p_left * dist_left
-    if win.p_right > 0.0:
-        dbar += win.p_right * dist_right
-    return DistortionReport(
-        sc_left=sc_left,
-        sc_right=sc_right,
-        optimal=optimal,
-        dist_left=dist_left,
-        dist_right=dist_right,
-        expected_votes_left=ev_left,
-        expected_votes_right=ev_right,
-        expected_winner=winner,
-        win_prob_left=win.p_left,
-        win_prob_right=win.p_right,
-        expected_distortion=dbar,
-    )
-
-
 def swap_labels(m: MetricElection) -> MetricElection:
     """Exchange the two candidates by swapping every distance pair."""
     return MetricElection((d_right, d_left) for d_left, d_right in m.pairs)
@@ -158,7 +107,7 @@ def reduce_to_line(m: MetricElection, beta: float) -> LineReduction:
     computed from the full social costs, which abstention does not affect.
     """
     beta = model.check_beta(beta)
-    sc_left, sc_right = metric_social_costs(m)
+    sc_left, sc_right = model.social_costs(m)
     swapped = sc_left < sc_right
     if swapped:
         m = swap_labels(m)

@@ -18,6 +18,12 @@ expected winner maximizes the expected number of cast votes, and the expected
 distortion weights each candidate's distortion by its probability of winning
 the majority contest (ties broken by a fair coin).
 
+A voter is fully described by her distance pair to the two candidates.
+:func:`voter_arrays` turns the pairs of a whole election into numpy arrays
+of preferred sides and participation probabilities; a line election's pairs
+are ``(|x|, |x - 1|)``, and metric elections (:mod:`votedist.metric`) list
+theirs directly, so both kinds share every evaluation path.
+
 Everything here is an immutable value or a pure function; all types are safe
 to share across threads.
 """
@@ -26,7 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from .metric import MetricElection
 
 __all__ = [
     "LEFT",
@@ -40,6 +51,7 @@ __all__ = [
     "check_beta",
     "participation_probability",
     "profile",
+    "voter_arrays",
     "region_of",
     "social_costs",
     "expected_votes",
@@ -88,6 +100,11 @@ class LineElection:
 
     def __len__(self) -> int:
         return len(self.positions)
+
+    def distances(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every voter's distance to the left and to the right candidate."""
+        x = np.array(self.positions)
+        return np.abs(x), np.abs(x - 1.0)
 
     def replace(self, assignments: dict[int, float]) -> "LineElection":
         """Copy of the election with the given voters moved to new positions."""
@@ -161,7 +178,10 @@ def participation_probability(d_near: float, d_far: float, beta: float) -> float
 
 
 def profile(x: float, beta: float) -> VoterProfile:
-    """Preference and participation of a voter at position ``x``."""
+    """Preference and participation of a voter at position ``x``.
+
+    The scalar reference for :func:`voter_arrays`, which the engines use.
+    """
     if not math.isfinite(x):
         raise ValueError(f"position must be finite, got {x!r}")
     d_left = abs(x)
@@ -171,6 +191,35 @@ def profile(x: float, beta: float) -> VoterProfile:
     preferred = LEFT if x < 0.5 else RIGHT
     p = participation_probability(min(d_left, d_right), max(d_left, d_right), beta)
     return VoterProfile(preferred, p)
+
+
+def voter_arrays(d_left, d_right, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Preferred side and participation probability of every voter.
+
+    Takes the voters' distances to the left and the right candidate, as from
+    ``election.distances()``.  ``side`` is -1 (left), +1 (right) or 0
+    (indifferent); ``p`` is :func:`participation_probability`, so an
+    indifferent voter gets 0 for every ``beta``, including 0.  Line voters
+    so far out that both distances round to the same float (``|x| >= 2**53``)
+    come out indifferent; :func:`profile` gives them a side, also with p = 0.
+    """
+    beta = check_beta(beta)
+    d_left = np.asarray(d_left, dtype=float)
+    d_right = np.asarray(d_right, dtype=float)
+    total = d_left + d_right
+    # Plain ufunc reductions: np.all or ndarray.min would cost more than the
+    # rest of the call on a small election.
+    lowest = np.minimum.reduce
+    near = lowest(np.minimum(d_left, d_right), axis=None, initial=np.inf)
+    if not (near >= 0.0 and lowest(total, axis=None, initial=np.inf) > 0.0):
+        raise ValueError("distances must be nonnegative and not both zero")
+    diff = d_left - d_right
+    side = np.sign(diff).astype(int)
+    if beta == 0.0:
+        p = np.abs(side).astype(float)
+    else:
+        p = (np.abs(diff) / total) ** beta
+    return side, p
 
 
 def region_of(x: float) -> str:
@@ -191,37 +240,37 @@ def region_of(x: float) -> str:
     return "D"
 
 
-def social_costs(e: LineElection) -> tuple[float, float]:
+# Line and metric elections both expose ``distances()``; the functions below
+# take either.  Sums use ``math.fsum``, which rounds the exact sum once, so no
+# result or verdict depends on the order of the voters.  It is fed lists,
+# which it reads faster than arrays.
+
+
+def social_costs(e: LineElection | MetricElection) -> tuple[float, float]:
     """Summed voter distances to the left and right candidate."""
-    sc_left = sum(abs(x) for x in e.positions)
-    sc_right = sum(abs(x - 1.0) for x in e.positions)
-    return sc_left, sc_right
+    d_left, d_right = e.distances()
+    return math.fsum(d_left.tolist()), math.fsum(d_right.tolist())
 
 
-def expected_votes(e: LineElection, beta: float) -> tuple[float, float]:
+def expected_votes(e: LineElection | MetricElection, beta: float) -> tuple[float, float]:
     """Expected number of cast votes for each candidate."""
-    beta = check_beta(beta)
-    left = 0.0
-    right = 0.0
-    for x in e.positions:
-        prof = profile(x, beta)
-        if prof.preferred == LEFT:
-            left += prof.participation
-        elif prof.preferred == RIGHT:
-            right += prof.participation
-    return left, right
+    side, p = voter_arrays(*e.distances(), beta)
+    return math.fsum(p[side < 0].tolist()), math.fsum(p[side > 0].tolist())
 
 
-def expected_winner(e: LineElection, beta: float) -> str:
+def _winner(votes_left: float, votes_right: float) -> str:
+    if abs(votes_left - votes_right) <= WINNER_TIE_TOL:
+        return TIE
+    return LEFT if votes_left > votes_right else RIGHT
+
+
+def expected_winner(e: LineElection | MetricElection, beta: float) -> str:
     """Candidate with the larger expected vote count, or ``tie``.
 
     Counts within ``WINNER_TIE_TOL`` of each other are reported as a tie
     rather than broken silently; callers pick their own tie policy.
     """
-    left, right = expected_votes(e, beta)
-    if abs(left - right) <= WINNER_TIE_TOL:
-        return TIE
-    return LEFT if left > right else RIGHT
+    return _winner(*expected_votes(e, beta))
 
 
 def distortion_pair(sc_left: float, sc_right: float) -> tuple[str, float, float]:
@@ -246,14 +295,16 @@ def distortion_pair(sc_left: float, sc_right: float) -> tuple[str, float, float]
 
 
 def distortion_report(
-    e: LineElection, beta: float, win_probs: Sequence[float]
+    e: LineElection | MetricElection, beta: float, win_probs: Sequence[float]
 ) -> DistortionReport:
     """Assemble the full report from an election and supplied win probabilities.
 
-    ``win_probs`` is the pair (P(left wins), P(right wins)); it must sum to 1.
-    The expected distortion weights each candidate's distortion by its win
-    probability, with zero-probability candidates contributing nothing even
-    when their distortion is infinite.
+    ``e`` is a line or a metric election.  ``win_probs`` is the pair
+    (P(left wins), P(right wins)); it must sum to 1.  The expected distortion
+    weights each candidate's distortion by its win probability, with
+    zero-probability candidates contributing nothing even when their
+    distortion is infinite.  The expected winner comes from the same expected
+    vote counts the report lists.
     """
     beta = check_beta(beta)
     p_left, p_right = float(win_probs[0]), float(win_probs[1])
@@ -275,14 +326,14 @@ def distortion_report(
         dist_right=dist_right,
         expected_votes_left=ev_left,
         expected_votes_right=ev_right,
-        expected_winner=expected_winner(e, beta),
+        expected_winner=_winner(ev_left, ev_right),
         win_prob_left=p_left,
         win_prob_right=p_right,
         expected_distortion=dbar,
     )
 
 
-def winner_distortion(e: LineElection, beta: float) -> float:
+def winner_distortion(e: LineElection | MetricElection, beta: float) -> float:
     """Distortion of the expected winner.
 
     Raises if the expected vote counts tie; there is then no single winner to

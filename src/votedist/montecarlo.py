@@ -7,9 +7,8 @@ the exponential tail bound for bounded variables:
     t = sqrt(ln(2 / (1 - confidence)) / (2 * samples))
 
 for the probability estimate, scaled by the distortion range for the
-distortion estimate.  Streams come from counter-based generators spawned per
-worker, so results are bit-reproducible given (seed, workers) regardless of
-scheduling.
+distortion estimate.  Draws come from one counter-based Philox stream
+spawned from the seed, so results are bit-reproducible given the seed.
 """
 
 from __future__ import annotations
@@ -20,33 +19,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .model import LEFT, RIGHT, LineElection
+from .model import LineElection
 
 __all__ = [
     "McConfig",
     "McEstimate",
     "hoeffding_half_width",
     "simulate",
-    "sample_outcome",
 ]
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling plan: sample count, seed, confidence level, worker count."""
+    """Sampling plan: sample count, seed, confidence level."""
 
     samples: int
     seed: int
     confidence: float = 0.95
-    workers: int = 1
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -64,17 +59,17 @@ def hoeffding_half_width(samples: int, confidence: float) -> float:
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
 
 
-def _groups(e: LineElection, beta: float):
-    # Voters sharing (preference, participation) are exchangeable, so their
-    # joint vote count can be drawn as one binomial.
-    counts: dict[tuple[str, float], int] = {}
-    for x in e.positions:
-        prof = model.profile(x, beta)
-        if prof.preferred == model.INDIFFERENT:
-            continue
-        key = (prof.preferred, prof.participation)
-        counts[key] = counts.get(key, 0) + 1
-    return sorted(counts.items())
+def _groups(e: LineElection, beta: float) -> list[tuple[int, float, int]]:
+    # Voters sharing (side, participation) are exchangeable, so their joint
+    # vote count can be drawn as one binomial.  The rows come sorted, left
+    # side before right and participation ascending, which fixes the order
+    # of the draws.
+    side, p = model.voter_arrays(*e.distances(), beta)
+    voting = side != 0
+    keys, counts = np.unique(
+        np.column_stack([side[voting], p[voting]]), axis=0, return_counts=True
+    )
+    return [(int(s), float(q), int(m)) for (s, q), m in zip(keys, counts)]
 
 
 def simulate(e: LineElection, beta: float, cfg: McConfig) -> McEstimate:
@@ -91,34 +86,21 @@ def simulate(e: LineElection, beta: float, cfg: McConfig) -> McEstimate:
     if math.isinf(dist_left) or math.isinf(dist_right):
         raise ValueError("cannot simulate an election with infinite distortion")
 
-    groups = _groups(e, beta)
-    chunk_sizes = [
-        cfg.samples // cfg.workers + (1 if i < cfg.samples % cfg.workers else 0)
-        for i in range(cfg.workers)
-    ]
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.workers)
+    stream = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    rng = np.random.Generator(np.random.Philox(stream))
+    count_left = np.zeros(cfg.samples, dtype=np.int64)
+    count_right = np.zeros(cfg.samples, dtype=np.int64)
+    for side, p, m in _groups(e, beta):
+        drawn = rng.binomial(m, p, size=cfg.samples)
+        if side < 0:
+            count_left += drawn
+        else:
+            count_right += drawn
+    coin = rng.integers(0, 2, size=cfg.samples).astype(bool)
+    left_won = (count_left > count_right) | ((count_left == count_right) & coin)
 
-    wins_left = 0.0
-    dist_total = 0.0
-    for size, stream in zip(chunk_sizes, streams):
-        if size == 0:
-            continue
-        rng = np.random.Generator(np.random.Philox(stream))
-        count_left = np.zeros(size, dtype=np.int64)
-        count_right = np.zeros(size, dtype=np.int64)
-        for (preferred, p), m in groups:
-            drawn = rng.binomial(m, p, size=size)
-            if preferred == LEFT:
-                count_left += drawn
-            else:
-                count_right += drawn
-        coin = rng.integers(0, 2, size=size).astype(bool)
-        left_won = (count_left > count_right) | ((count_left == count_right) & coin)
-        wins_left += float(np.count_nonzero(left_won))
-        dist_total += float(np.where(left_won, dist_left, dist_right).sum())
-
-    p_left_hat = wins_left / cfg.samples
-    dbar_hat = dist_total / cfg.samples
+    p_left_hat = np.count_nonzero(left_won) / cfg.samples
+    dbar_hat = float(np.where(left_won, dist_left, dist_right).sum()) / cfg.samples
     t = hoeffding_half_width(cfg.samples, cfg.confidence)
     return McEstimate(
         p_left_hat=p_left_hat,
@@ -126,22 +108,3 @@ def simulate(e: LineElection, beta: float, cfg: McConfig) -> McEstimate:
         half_width_p=t,
         half_width_d=t * (max(dist_left, dist_right) - 1.0),
     )
-
-
-def sample_outcome(e: LineElection, beta: float, rng: np.random.Generator) -> str:
-    """Realize one election outcome, advancing ``rng``; returns the winner."""
-    beta = model.check_beta(beta)
-    count_left = 0
-    count_right = 0
-    for x in e.positions:
-        prof = model.profile(x, beta)
-        if prof.preferred == model.INDIFFERENT:
-            continue
-        if rng.random() < prof.participation:
-            if prof.preferred == LEFT:
-                count_left += 1
-            else:
-                count_right += 1
-    if count_left != count_right:
-        return LEFT if count_left > count_right else RIGHT
-    return LEFT if rng.integers(0, 2) == 0 else RIGHT

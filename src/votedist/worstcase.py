@@ -263,20 +263,14 @@ def vote_count_threshold(alpha: float) -> float:
 
 def vote_moments(e: LineElection, beta: float) -> VoteMoments:
     """Bernoulli-sum mean and variance of each candidate's vote count."""
-    beta = model.check_beta(beta)
-    mean = {model.LEFT: 0.0, model.RIGHT: 0.0}
-    var = {model.LEFT: 0.0, model.RIGHT: 0.0}
-    for x in e.positions:
-        prof = model.profile(x, beta)
-        if prof.preferred == model.INDIFFERENT:
-            continue
-        mean[prof.preferred] += prof.participation
-        var[prof.preferred] += prof.participation * (1.0 - prof.participation)
+    side, p = model.voter_arrays(*e.distances(), beta)
+    left, right = side < 0, side > 0
+    var = p * (1.0 - p)
     return VoteMoments(
-        mean_left=mean[model.LEFT],
-        mean_right=mean[model.RIGHT],
-        var_left=var[model.LEFT],
-        var_right=var[model.RIGHT],
+        mean_left=math.fsum(p[left].tolist()),
+        mean_right=math.fsum(p[right].tolist()),
+        var_left=math.fsum(var[left].tolist()),
+        var_right=math.fsum(var[right].tolist()),
     )
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from votedist import exact, model, montecarlo, worstcase
-from votedist.metric import metric_profiles, metric_report, reduce_to_line, swap_labels
+from votedist.metric import reduce_to_line, swap_labels
 from votedist.model import LineElection
 from votedist.verification import (
     canonicalization_suites,
@@ -25,6 +25,7 @@ from conftest import two_block_election
 
 SQRT2 = math.sqrt(2.0)
 TIGHT_VALUE = (1.0 + SQRT2) ** 2 / (1.0 + 2.0 * SQRT2)
+SIDE_NAMES = {-1: model.LEFT, 0: model.INDIFFERENT, 1: model.RIGHT}
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -165,18 +166,19 @@ def test_10_metric_reduction():
         m = random_euclidean_election(rng, max_voters=12)
         red = reduce_to_line(m, beta)
         working = swap_labels(m) if red.swapped else m
-        for prof, x in zip(metric_profiles(working, beta), red.election.positions):
+        side, p = model.voter_arrays(*working.distances(), beta)
+        for s, q, x in zip(side, p, red.election.positions):
             line_prof = model.profile(x, beta)
-            if line_prof.preferred != prof.preferred:
+            if line_prof.preferred != SIDE_NAMES[s]:
                 monotone = False
             worst_participation = max(
                 worst_participation,
-                abs(line_prof.participation - prof.participation),
+                abs(line_prof.participation - q),
             )
-        win_m = exact.win_probabilities_from_profiles(metric_profiles(working, beta))
+        win_m = exact.win_probabilities(working, beta)
         win_l = exact.win_probabilities(red.election, beta)
         worst_win = max(worst_win, abs(win_m.p_left - win_l.p_left))
-        rep_m = metric_report(working, beta)
+        rep_m = exact.expected_distortion(working, beta)
         rep_l = exact.expected_distortion(red.election, beta)
         if rep_l.dist_left < rep_m.dist_left - 1e-9:
             monotone = False

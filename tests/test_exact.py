@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from votedist import exact, model
 from votedist.exact import enumerate_oracle, expected_distortion, vote_pmf, win_probabilities
+from votedist.metric import MetricElection
 from votedist.model import LineElection, mirror
 from votedist.verification import random_beta, random_election
 
@@ -98,6 +99,19 @@ class TestExpectedDistortion:
             e = random_election(rng)
             report = expected_distortion(e, random_beta(rng))
             assert report.expected_distortion >= 1.0 - 1e-15
+
+    def test_never_calls_the_scalar_profile(self, monkeypatch):
+        # The scalar profile is only a reference; both election kinds must be
+        # evaluated through the voter arrays.
+        line = LineElection([-0.4, 0.1, 0.5, 0.7, 1.5])
+        metric = MetricElection([(0.4, 0.8), (1.5, 0.6), (1.0, 1.0)])
+        expected = [expected_distortion(e, 0.6) for e in (line, metric)]
+
+        def forbidden(x, beta):
+            raise AssertionError("model.profile called")
+
+        monkeypatch.setattr(model, "profile", forbidden)
+        assert [expected_distortion(e, 0.6) for e in (line, metric)] == expected
 
 
 class TestEnumerateOracle:

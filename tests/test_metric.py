@@ -1,15 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from votedist import exact, model
+from votedist.exact import expected_distortion
 from votedist.metric import (
     MetricElection,
     distance_ratio,
-    metric_profiles,
-    metric_report,
-    metric_social_costs,
     reduce_to_line,
     swap_labels,
 )
@@ -48,28 +47,36 @@ class TestDistanceRatio:
 
 class TestMetricReport:
     def test_unanimous_at_left(self):
-        report = metric_report(MetricElection([(0.0, 1.0)] * 4), 1.0)
+        report = expected_distortion(MetricElection([(0.0, 1.0)] * 4), 1.0)
         assert report.dist_left == 1.0
         assert report.win_prob_left == 1.0
         assert report.expected_distortion == 1.0
 
     def test_single_equidistant_voter(self):
-        report = metric_report(MetricElection([(1.0, 1.0)]), 1.0)
+        report = expected_distortion(MetricElection([(1.0, 1.0)]), 1.0)
         assert report.win_prob_left == pytest.approx(0.5)
         assert report.expected_distortion == pytest.approx(1.0)
         assert report.expected_winner == model.TIE
 
     def test_matches_direct_geometry(self, rng):
         # Distances computed from actual plane coordinates feed both the
-        # report and a by-hand evaluation.
+        # report and a by-hand evaluation over all 2**6 turnout outcomes.
         pts = rng.uniform(-1.0, 2.0, size=(6, 2))
         pairs = [(math.hypot(x, y), math.hypot(x - 1.0, y)) for x, y in pts]
         m = MetricElection(pairs)
-        report = metric_report(m, 0.8)
+        report = expected_distortion(m, 0.8)
         assert report.sc_left == pytest.approx(sum(p[0] for p in pairs), abs=1e-12)
         assert report.sc_right == pytest.approx(sum(p[1] for p in pairs), abs=1e-12)
-        win = exact.win_probabilities_from_profiles(metric_profiles(m, 0.8))
-        assert report.win_prob_left == win.p_left
+        p = [
+            model.participation_probability(min(pair), max(pair), 0.8) for pair in pairs
+        ]
+        lean = [1 if d_left < d_right else -1 for d_left, d_right in pairs]
+        p_left = 0.0
+        for voted in itertools.product((False, True), repeat=len(pairs)):
+            prob = math.prod(q if v else 1.0 - q for q, v in zip(p, voted))
+            lead = sum(s for s, v in zip(lean, voted) if v)
+            p_left += prob * (1.0 if lead > 0 else 0.5 if lead == 0 else 0.0)
+        assert report.win_prob_left == pytest.approx(p_left, abs=1e-12)
 
 
 class TestReduceToLine:
@@ -79,7 +86,7 @@ class TestReduceToLine:
 
     def test_voter_at_left_stays_at_left(self):
         m = MetricElection([(0.0, 1.0), (1.3, 0.3), (1.2, 0.45)])
-        sc_left, sc_right = metric_social_costs(m)
+        sc_left, sc_right = model.social_costs(m)
         assert sc_right < sc_left
         red = reduce_to_line(m, 1.0)
         assert not red.swapped
@@ -89,7 +96,7 @@ class TestReduceToLine:
         # Ratio 3 exceeds the distortion bar, so the voter lands at 3/2 with
         # its participation intact.
         m = MetricElection([(3.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.1, 1.05)])
-        sc_left, sc_right = metric_social_costs(m)
+        sc_left, sc_right = model.social_costs(m)
         assert sc_left / sc_right < 3.0 and sc_left < sc_right  # swap will fire
         red = reduce_to_line(m, 1.0)
         assert red.swapped
@@ -113,14 +120,11 @@ class TestReduceToLine:
             m = random_euclidean_election(rng)
             red = reduce_to_line(m, beta)
             working = swap_labels(m) if red.swapped else m
-            metric_prof = metric_profiles(working, beta)
-            for pair_prof, x in zip(metric_prof, red.election.positions):
-                line_prof = model.profile(x, beta)
-                assert line_prof.preferred == pair_prof.preferred
-                assert line_prof.participation == pytest.approx(
-                    pair_prof.participation, abs=1e-12
-                )
-            win_m = exact.win_probabilities_from_profiles(metric_prof)
+            side, p = model.voter_arrays(*working.distances(), beta)
+            line_side, line_p = model.voter_arrays(*red.election.distances(), beta)
+            np.testing.assert_array_equal(line_side, side)
+            np.testing.assert_allclose(line_p, p, rtol=0.0, atol=1e-12)
+            win_m = exact.win_probabilities(working, beta)
             win_l = exact.win_probabilities(red.election, beta)
             assert win_l.p_left == pytest.approx(win_m.p_left, abs=1e-12)
 
@@ -130,7 +134,7 @@ class TestReduceToLine:
             m = random_euclidean_election(rng)
             red = reduce_to_line(m, beta)
             working = swap_labels(m) if red.swapped else m
-            report_m = metric_report(working, beta)
+            report_m = expected_distortion(working, beta)
             report_l = exact.expected_distortion(red.election, beta)
             assert report_l.dist_left >= report_m.dist_left - 1e-9
             assert (

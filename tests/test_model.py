@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from votedist.model import (
     profile,
     region_of,
     social_costs,
+    voter_arrays,
     winner_distortion,
 )
 
@@ -29,6 +31,32 @@ finite_positions = st.floats(
     min_value=-50, max_value=50, allow_nan=False, allow_infinity=False
 )
 betas = st.floats(min_value=0.0, max_value=1.0)
+edge_betas = st.one_of(st.sampled_from([0.0, 1.0]), betas)
+special = st.sampled_from([0.0, 0.5, 1.0])
+# Past 2**53 both line distances round to the same float (see voter_arrays).
+array_positions = st.lists(
+    st.one_of(special, st.floats(min_value=-1e6, max_value=1e6)), min_size=1, max_size=20
+)
+distance = st.one_of(special, st.floats(min_value=0.0, max_value=1e6))
+distance_pairs = st.lists(
+    st.tuples(distance, distance).filter(lambda pair: pair != (0.0, 0.0)),
+    min_size=1,
+    max_size=20,
+)
+SIDES = {LEFT: -1, INDIFFERENT: 0, RIGHT: 1}
+
+
+def assert_matches_reference(side, p, reference, beta):
+    """Sides exactly; participation bit-equal at beta 0 and 1, else within 1 ulp.
+
+    numpy's ``**`` and Python's ``pow`` may round apart by one ulp.
+    """
+    assert side.tolist() == [s for s, _ in reference]
+    for got, (_, want) in zip(p.tolist(), reference):
+        if beta in (0.0, 1.0):
+            assert got == want
+        else:
+            assert abs(got - want) <= math.ulp(want)
 
 
 class TestParticipationProbability:
@@ -123,6 +151,71 @@ class TestProfile:
         assert profile(x, beta).participation == participation_probability(
             d_near, d_far, beta
         )
+
+
+class TestVoterArrays:
+    @given(array_positions, edge_betas)
+    def test_line_matches_profile(self, positions, beta):
+        side, p = voter_arrays(*LineElection(positions).distances(), beta)
+        reference = [profile(x, beta) for x in positions]
+        assert_matches_reference(
+            side, p, [(SIDES[r.preferred], r.participation) for r in reference], beta
+        )
+
+    @given(distance_pairs, edge_betas)
+    def test_pairs_match_participation_probability(self, pairs, beta):
+        d_left, d_right = np.array(pairs).T
+        side, p = voter_arrays(d_left, d_right, beta)
+        reference = [
+            (
+                (a > b) - (a < b),
+                participation_probability(min(a, b), max(a, b), beta),
+            )
+            for a, b in pairs
+        ]
+        assert_matches_reference(side, p, reference, beta)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0])
+    def test_indifferent_never_votes(self, beta):
+        side, p = voter_arrays([0.5, 2.0], [0.5, 2.0], beta)
+        assert side.tolist() == [0, 0] and p.tolist() == [0.0, 0.0]
+
+    def test_far_line_voter_has_no_turnout(self):
+        side, p = voter_arrays(*LineElection([-1e20]).distances(), 0.0)
+        assert (side[0], p[0]) == (0, 0.0)
+        assert profile(-1e20, 0.0).participation == 0.0
+
+    @pytest.mark.parametrize(
+        "d_left,d_right,beta",
+        [
+            ([-0.1], [1.0], 1.0),
+            ([0.0], [0.0], 1.0),
+            ([np.nan], [1.0], 1.0),
+            ([0.2], [0.9], 1.5),
+        ],
+    )
+    def test_rejects_bad_input(self, d_left, d_right, beta):
+        with pytest.raises(ValueError):
+            voter_arrays(d_left, d_right, beta)
+
+
+class TestOrderIndependence:
+    def test_mirrored_halves_tie_in_any_order(self):
+        # Each voter's mirror image 1 - x, added in shuffled order: an exact
+        # tie, which order-dependent summation misses by more than the
+        # tie tolerance.
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 0.49, size=100_000)
+        e = LineElection(np.concatenate([x, rng.permutation(1.0 - x)]))
+        assert expected_winner(e, 1.0) == TIE
+
+    @given(st.lists(finite_positions, min_size=1, max_size=30), betas, st.randoms())
+    def test_shuffling_keeps_sums_bit_identical(self, positions, beta, random):
+        shuffled = list(positions)
+        random.shuffle(shuffled)
+        e, s = LineElection(positions), LineElection(shuffled)
+        assert expected_votes(s, beta) == expected_votes(e, beta)
+        assert social_costs(s) == social_costs(e)
 
 
 class TestRegions:

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from votedist import exact
-from votedist.model import LEFT, RIGHT, LineElection
-from votedist.montecarlo import (
-    McConfig,
-    hoeffding_half_width,
-    sample_outcome,
-    simulate,
-)
+from votedist import exact, model
+from votedist.model import LineElection
+from votedist.montecarlo import McConfig, _groups, hoeffding_half_width, simulate
 
 
 class TestConfig:
@@ -20,7 +15,6 @@ class TestConfig:
             dict(samples=0, seed=1),
             dict(samples=10, seed=1, confidence=0.0),
             dict(samples=10, seed=1, confidence=1.0),
-            dict(samples=10, seed=1, workers=0),
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -47,14 +41,31 @@ class TestSimulate:
         cfg = McConfig(samples=5000, seed=123)
         assert simulate(e, 0.7, cfg) == simulate(e, 0.7, cfg)
 
-    def test_deterministic_given_seed_and_workers(self):
-        e = LineElection([-0.5, 0.3, 0.8, 1.4])
-        cfg = McConfig(samples=5000, seed=123, workers=3)
-        first = simulate(e, 0.7, cfg)
-        assert first == simulate(e, 0.7, cfg)
-        # A different worker count partitions the streams differently.
-        other = simulate(e, 0.7, McConfig(samples=5000, seed=123, workers=2))
-        assert other != first
+    def test_draws_from_one_stream_per_seed(self):
+        # One right voter with p = 1/2: one binomial draw per sample, then
+        # the tie coins, all from the first stream spawned from the seed.
+        stream = np.random.SeedSequence(123).spawn(1)[0]
+        rng = np.random.Generator(np.random.Philox(stream))
+        right = rng.binomial(1, 0.5, size=5000)
+        coin = rng.integers(0, 2, size=5000).astype(bool)
+        wins = np.count_nonzero((right == 0) & coin)
+        est = simulate(LineElection([1.5]), 1.0, McConfig(samples=5000, seed=123))
+        assert est.p_left_hat == wins / 5000
+        other = simulate(LineElection([1.5]), 1.0, McConfig(samples=5000, seed=124))
+        assert other != est
+
+    def test_groups_left_first_participation_ascending(self):
+        # The draw order of simulate; the scalar profile is the reference.
+        e = LineElection([1.5, 0.2, -0.5, 0.5, 0.2, 3.0, 0.0, 1.5, -0.5])
+        for beta in (0.0, 1.0):
+            counts = {}
+            for x in e.positions:
+                prof = model.profile(x, beta)
+                if prof.preferred != model.INDIFFERENT:
+                    key = (-1 if prof.preferred == model.LEFT else 1, prof.participation)
+                    counts[key] = counts.get(key, 0) + 1
+            expected = [(side, p, m) for (side, p), m in sorted(counts.items())]
+            assert _groups(e, beta) == expected
 
     def test_single_far_voter_hits_exact_value(self):
         est = simulate(LineElection([1.5]), 1.0, McConfig(samples=200_000, seed=7))
@@ -81,6 +92,22 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(LineElection([0.0, 0.0]), 1.0, McConfig(samples=10, seed=1))
 
+    def test_unanimous_left(self):
+        # The voter at 0 always votes and nobody prefers the right candidate.
+        e = LineElection([-0.5, 0.0, 0.1])
+        est = simulate(e, 1.0, McConfig(samples=2000, seed=0))
+        assert est.p_left_hat == 1.0
+        assert est.expected_distortion_hat == 1.0
+
+    def test_all_indifferent_is_a_coin_flip(self):
+        est = simulate(LineElection([0.5, 0.5]), 1.0, McConfig(samples=2000, seed=0))
+        assert 0.0 < est.p_left_hat < 1.0
+        assert abs(est.p_left_hat - 0.5) <= est.half_width_p
+
+    def test_single_deterministic_right_voter(self):
+        est = simulate(LineElection([0.51]), 0.0, McConfig(samples=2000, seed=0))
+        assert est.p_left_hat == 0.0
+
     def test_coverage_sane(self):
         # Smoke-sized version of the coverage guarantee; the acceptance suite
         # runs the full 100-seed check.
@@ -93,21 +120,3 @@ class TestSimulate:
             if abs(est.p_left_hat - p_exact) <= est.half_width_p:
                 hits += 1
         assert hits >= 17
-
-
-class TestSampleOutcome:
-    def test_unanimous_left(self):
-        rng = np.random.default_rng(0)
-        e = LineElection([0.0, 0.0, 0.0])
-        assert all(sample_outcome(e, 1.0, rng) == LEFT for _ in range(20))
-
-    def test_all_indifferent_is_a_coin_flip(self):
-        rng = np.random.default_rng(0)
-        e = LineElection([0.5, 0.5])
-        outcomes = {sample_outcome(e, 1.0, rng) for _ in range(200)}
-        assert outcomes == {LEFT, RIGHT}
-
-    def test_single_deterministic_right_voter(self):
-        rng = np.random.default_rng(0)
-        e = LineElection([0.51])
-        assert all(sample_outcome(e, 0.0, rng) == RIGHT for _ in range(20))
