@@ -292,7 +292,9 @@ def cmd_curve(betas, zmin, zmax, points, out) -> None:
 @click.option("--bound-count", type=int, default=25, show_default=True,
               help="Gate elections for the expected-distortion bound audit.")
 @click.option("--samples", type=int, default=100_000, show_default=True,
-              help="Simulation samples per bound check.")
+              help="Simulation samples per bound check, used only for gate "
+                   f"elections above {exact.EXACT_LIMIT:,} voters; smaller ones "
+                   "are evaluated exactly.")
 def cmd_verify(seed, trials, alpha, beta, bound_count, samples) -> None:
     """Re-run the certified randomized audits; nonzero exit on any failure."""
     try:

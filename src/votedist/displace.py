@@ -127,9 +127,9 @@ def certify_winner_displacement(
     return ValidityCertificate(
         winner_before=w_before,
         winner_after=w_after,
-        metric_before=model.winner_distortion(before, beta),
+        metric_before=model._candidate_distortion(before, w_before),
         metric_after=(
-            model.winner_distortion(after, beta) if w_after != TIE else math.nan
+            model._candidate_distortion(after, w_after) if w_after != TIE else math.nan
         ),
         winner_preserving=True,
     )
@@ -139,7 +139,7 @@ def certify_expected_displacement(
     before: LineElection,
     after: LineElection,
     beta: float,
-    exact_limit: int = 512,
+    exact_limit: int = exact.EXACT_LIMIT,
     mc: Optional[montecarlo.McConfig] = None,
 ) -> ValidityCertificate:
     """Certificate that a move did not decrease the expected distortion.
@@ -151,8 +151,12 @@ def certify_expected_displacement(
     """
     allowance = CERTIFICATE_TOL
     if max(len(before), len(after)) <= exact_limit:
-        d_before = exact.expected_distortion(before, beta).expected_distortion
-        d_after = exact.expected_distortion(after, beta).expected_distortion
+        report_before = exact.expected_distortion(before, beta)
+        report_after = exact.expected_distortion(after, beta)
+        d_before = report_before.expected_distortion
+        d_after = report_after.expected_distortion
+        w_before = report_before.expected_winner
+        w_after = report_after.expected_winner
     else:
         if mc is None:
             raise ValueError("election too large for exact certification; pass mc")
@@ -161,9 +165,11 @@ def certify_expected_displacement(
         d_before = est_before.expected_distortion_hat
         d_after = est_after.expected_distortion_hat
         allowance += est_before.half_width_d + est_after.half_width_d
+        w_before = model.expected_winner(before, beta)
+        w_after = model.expected_winner(after, beta)
     return ValidityCertificate(
-        winner_before=model.expected_winner(before, beta),
-        winner_after=model.expected_winner(after, beta),
+        winner_before=w_before,
+        winner_after=w_after,
         metric_before=d_before,
         metric_after=d_after,
         winner_preserving=False,
@@ -377,7 +383,7 @@ def canonicalize_expected_distortion(
     e: LineElection,
     beta: float,
     certify: bool = True,
-    exact_limit: int = 512,
+    exact_limit: int = exact.EXACT_LIMIT,
     mc: Optional[montecarlo.McConfig] = None,
 ) -> CanonicalForm:
     """Empty region A, drain C where valid, fuse D; never lowering D-bar.

@@ -1,11 +1,47 @@
 """Exact win probabilities via the vote-count distribution.
 
 Each candidate's vote count is a sum of independent Bernoulli indicators
-(one per voter preferring it), i.e. a Poisson-binomial variable.  The PMF is
-built by iterative convolution, which is exact in double precision and fast
-enough for tens of thousands of voters.  Majority ties resolve by a fair
-coin, folded into the win probability as half the tie mass rather than
-simulated.
+(one per voter preferring it), i.e. a Poisson-binomial variable, whose PMF
+is the coefficient vector of the product of the voters' polynomials
+``(1 - p) + p z``.  Majority ties resolve by a fair coin, folded into the
+win probability as half the tie mass rather than simulated.
+
+Method.  :func:`vote_pmf` sorts the probabilities and multiplies the
+factors in a balanced product tree (the DC-FFT method of Biscarri, Zhao and
+Brunner, CSDA 2018): level k holds the PMFs of runs of ``2**k`` neighbouring
+voters and multiplies neighbouring rows pairwise by batched real FFTs, one
+numpy call per level; the FFT's small negative noise is clipped to 0.  Sure
+voters (p = 0 or 1) only shift the PMF and stay out of the tree, so the
+entries they rule out are exactly 0.  Up to ``SCALAR_LIMIT`` voters the
+factors are multiplied one at a time in Python floats instead.  Sorting
+makes the result bit-identical under any order of the voters.
+
+Complexity.  Level k costs O(n k), so the whole tree is O(n log^2 n) time
+and O(n) memory; the sequential product it replaces was O(n^2).  Measured
+on 2 shared cores (Python 3.11, numpy 2.4.6): 0.05-0.08 s at n = 1e5 and
+0.75-0.95 s at n = 1e6.
+
+Error.  An FFT level of length N adds an absolute error of order
+``eps * log2(N)`` to each entry; later products with rows that are
+nonnegative and sum to 1 do not enlarge that error, and clipping only moves
+an entry toward its true, nonnegative value.  The PMF is thus accurate to
+O(eps log^2 n) per entry in absolute terms, while entries far out in the
+tails lose their relative accuracy.  Measured: within 3e-15 of the
+sequential product for n <= 2000, and within 1e-16 of 50-digit arithmetic
+at n = 200.  So :func:`win_probabilities` recomputes a win
+probability below ``TILT_BELOW`` from an exponentially tilted PMF, which
+keeps it accurate in relative terms down to underflow, and takes the other
+as its complement.
+
+Crossover.  There is none inside the tree: on the same machine, shifted
+multiply-adds for the narrow levels timed within the run-to-run noise
+(about 15%) of the FFT at every width from 3 to 33, at n = 1e3 to 1e5, so
+every level uses the FFT.  The scalar product beats the tree up to about
+40 voters (14 us against 45 us at n = 8).
+
+``EXACT_LIMIT`` is the largest election the audits evaluate exactly by
+default (:func:`votedist.worstcase.verify_distortion_bound`,
+:mod:`votedist.displace` certificates); above it they simulate.
 
 ``enumerate_oracle`` recomputes the same quantities by brute force over all
 2**n participation outcomes; it exists purely as an independent check for
@@ -14,6 +50,7 @@ small elections.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
@@ -30,9 +67,27 @@ __all__ = [
     "win_probabilities",
     "expected_distortion",
     "enumerate_oracle",
+    "EXACT_LIMIT",
 ]
 
 ENUMERATION_LIMIT = 20
+
+#: Up to this many voters the PMF is built one factor at a time.
+SCALAR_LIMIT = 40
+
+#: Below this, a win probability from the product tree is recomputed under
+#: an exponential tilt.  Above it the tree's absolute error, 1.4e-14 on
+#: 10**4 voters a side, is at most about 1e-11 of the value.
+TILT_BELOW = 1e-3
+
+#: Bracket cap and bisection steps of the tilt's saddle-point search.
+_MAX_TILT = 512.0
+_TILT_STEPS = 24
+
+#: Largest election the audits evaluate exactly by default.  At 10**6 voters
+#: ``expected_distortion`` takes 1-1.4 s and peaks at 160 MB of RSS, of
+#: which the PMF tree takes about 100 MB.
+EXACT_LIMIT = 1_000_000
 
 
 class WinProbabilities(NamedTuple):
@@ -45,18 +100,70 @@ def vote_pmf(probabilities: Iterable[float]) -> np.ndarray:
 
     Returns an array of length ``len(probabilities) + 1`` whose k-th entry is
     the probability of exactly k votes.  Zero-probability voters are kept;
-    they just contribute a deterministic zero.
+    they just contribute a deterministic zero.  The probabilities are sorted
+    first, so the result does not depend on their order, bit for bit.
     """
-    pmf = np.array([1.0])
-    for i, p in enumerate(probabilities):
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"probability {i} out of range: {p!r}")
-        nxt = np.zeros(len(pmf) + 1)
-        nxt[:-1] = pmf * (1.0 - p)
-        nxt[1:] += pmf * p
-        pmf = nxt
+    if not isinstance(probabilities, np.ndarray):
+        probabilities = np.fromiter(probabilities, float)
+    p = np.sort(probabilities, axis=None).astype(float, copy=False)
+    # Sorting puts NaN last, so the two ends check every entry.
+    if len(p) and not (p[0] >= 0.0 and p[-1] <= 1.0):
+        flat = np.ravel(probabilities)
+        i = int(np.flatnonzero(~((flat >= 0.0) & (flat <= 1.0)))[0])
+        raise ValueError(f"probability {i} out of range: {flat[i]!r}")
+    n = len(p)
+    if n <= SCALAR_LIMIT:
+        return _scalar_product(p.tolist())
+    # Sure voters (p = 0 or 1, sorted to the two ends) only shift the PMF;
+    # keeping them out of the tree keeps the entries they rule out exactly 0.
+    start = int(np.searchsorted(p, 0.0, side="right"))
+    stop = int(np.searchsorted(p, 1.0, side="left"))
+    unsure = p[start:stop]
+    pmf = np.zeros(n + 1)
+    pmf[n - stop : n - start + 1] = (
+        _scalar_product(unsure.tolist())
+        if len(unsure) <= SCALAR_LIMIT
+        else _tree_product(unsure)
+    )
     return pmf
+
+
+def _scalar_product(p: list[float]) -> np.ndarray:
+    # One factor at a time in Python floats: below SCALAR_LIMIT voters
+    # numpy's per-call cost would exceed the arithmetic.
+    pmf = [1.0]
+    for x in p:
+        q = 1.0 - x
+        pmf = [a * q + b * x for a, b in zip(pmf + [0.0], [0.0] + pmf)]
+    return np.array(pmf)
+
+
+def _tree_product(p: np.ndarray) -> np.ndarray:
+    # Level k holds the PMFs of runs of 2**k neighbouring voters, as rows of
+    # width 2**k + 1; each level multiplies rows 2i and 2i + 1 in one batch.
+    from numpy import fft
+
+    n = len(p)
+    rows = np.empty((n, 2))
+    rows[:, 0] = 1.0 - p
+    rows[:, 1] = p
+    while len(rows) > 1:
+        m, w = rows.shape
+        if m % 2:
+            # An odd row out is paired with the constant polynomial 1.
+            one = np.zeros((1, w))
+            one[0, 0] = 1.0
+            rows = np.concatenate([rows, one])
+        # A cyclic product of length 2w - 2 (a power of two) folds the top
+        # coefficient, a product of two leading entries, onto the constant one.
+        size = 2 * (w - 1)
+        spectra = fft.rfft(rows, size, axis=1)
+        cyclic = fft.irfft(spectra[0::2] * spectra[1::2], size, axis=1)
+        top = rows[0::2, -1] * rows[1::2, -1]
+        cyclic[:, 0] -= top
+        rows = np.concatenate([cyclic, top[:, None]], axis=1)
+        np.maximum(rows, 0.0, out=rows)
+    return rows[0, : n + 1]
 
 
 def _win_probs(pmf_left: np.ndarray, pmf_right: np.ndarray) -> "WinProbabilities":
@@ -85,7 +192,67 @@ def win_probabilities(
     ``e`` is a line or a metric election; indifferent voters never vote.
     """
     side, p = model.voter_arrays(*e.distances(), beta)
-    return _win_probs(vote_pmf(p[side < 0]), vote_pmf(p[side > 0]))
+    left, right = p[side < 0], p[side > 0]
+    win = _win_probs(vote_pmf(left), vote_pmf(right))
+    if max(len(left), len(right)) > SCALAR_LIMIT:
+        # The product tree is accurate in absolute terms only: a small win
+        # probability is recomputed to full relative accuracy, and the other
+        # one is its complement.
+        if win.p_left < min(win.p_right, TILT_BELOW):
+            p_left = _trailing_win(left, right)
+            win = WinProbabilities(p_left, 1.0 - p_left)
+        elif win.p_right < min(win.p_left, TILT_BELOW):
+            p_right = _trailing_win(right, left)
+            win = WinProbabilities(1.0 - p_right, p_right)
+    return win
+
+
+def _trailing_win(trail: np.ndarray, lead: np.ndarray) -> float:
+    """P(T > L) + P(T = L) / 2 for the vote counts of two voter groups.
+
+    Exact, and accurate in relative terms however small.  Tilting the joint
+    law by ``exp(theta (T - L))`` keeps the voters independent: a trailing
+    voter's p becomes ``p e^theta / (1 - p + p e^theta)``, a leading voter's
+    the same with ``-theta``, and
+
+        P(T - L = d) = M(theta) e^(-theta d) P_theta(T - L = d),
+
+    with ``log M(theta) = sum log(1 - p + p e^(+-theta))``.  At the theta
+    where both tilted means agree (the saddle point, found by bisection) the
+    terms d >= 0 sit at the centre of the tilted law, where the tree's
+    absolute error is small against them.  ``T - L + len(lead)`` counts the
+    trailing votes and the leading abstentions, so one PMF gives the tilted
+    law of ``T - L``.
+    """
+    # The bisection compares sums in the order of the voters; sorting them
+    # first keeps theta, and so the result, the same under any voter order.
+    trail, lead = np.sort(trail), np.sort(lead)
+
+    def tilted(theta: float) -> tuple[np.ndarray, np.ndarray]:
+        up = trail * math.exp(theta)
+        down = lead * math.exp(-theta)
+        return up / (1.0 - trail + up), (1.0 - lead) / (1.0 - lead + down)
+
+    def trails(theta: float) -> bool:
+        votes, abstains = tilted(theta)
+        return votes.sum() + abstains.sum() < len(lead)
+
+    lo, hi = 0.0, 1.0
+    while hi < _MAX_TILT and trails(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(_TILT_STEPS):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if trails(mid) else (lo, mid)
+    theta = hi
+    votes, abstains = tilted(theta)
+    tilted_pmf = vote_pmf(np.concatenate([votes, abstains]))[len(lead) :]
+    weights = np.exp(-theta * np.arange(len(tilted_pmf)))
+    weights[0] = 0.5
+    with np.errstate(divide="ignore"):  # log(0) = -inf at p = 0 or 1
+        log_m = math.fsum(
+            np.logaddexp(np.log1p(-trail), np.log(trail) + theta).tolist()
+        ) + math.fsum(np.logaddexp(np.log1p(-lead), np.log(lead) - theta).tolist())
+    return math.exp(log_m) * float(np.dot(weights, tilted_pmf))
 
 
 def expected_distortion(

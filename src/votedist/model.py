@@ -31,6 +31,7 @@ to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -45,6 +46,7 @@ __all__ = [
     "TIE",
     "INDIFFERENT",
     "WINNER_TIE_TOL",
+    "WINNER_TIE_EPS",
     "LineElection",
     "VoterProfile",
     "DistortionReport",
@@ -67,8 +69,22 @@ RIGHT = "right"
 TIE = "tie"
 INDIFFERENT = "indifferent"
 
+_EPS = sys.float_info.epsilon
+
 #: Absolute tolerance below which expected vote counts are reported as a tie.
 WINNER_TIE_TOL = 1e-12
+
+#: Tie tolerance relative to the total expected votes, in machine epsilons.
+#: A participation probability comes from its distance pair through three
+#: rounded operations (difference, sum, quotient; 1.5 eps of relative error)
+#: and a power within one ulp (1 eps), and ``fsum`` rounds each total once
+#: (0.5 eps).  Two totals equal in real arithmetic thus differ by at most
+#: 3 eps times their sum once computed; 4 leaves room for second-order terms.
+#: The bound takes the distance pairs as given: a distance that is itself
+#: rounded, such as a line voter's ``|x - 1|``, moves p further, and without
+#: bound in relative terms for voters near the midpoint, where the
+#: difference of the two distances cancels.
+WINNER_TIE_EPS = 4.0
 
 
 def check_beta(beta: float) -> float:
@@ -132,7 +148,8 @@ class DistortionReport:
 
     Distortions are at least 1, with ``inf`` when the optimal candidate has
     zero social cost and the other does not.  ``expected_winner`` is ``tie``
-    when the expected vote counts agree within ``WINNER_TIE_TOL``.
+    when the expected vote counts agree within the tie tolerance of
+    :func:`expected_winner`.
     """
 
     sc_left: float
@@ -259,7 +276,8 @@ def expected_votes(e: LineElection | MetricElection, beta: float) -> tuple[float
 
 
 def _winner(votes_left: float, votes_right: float) -> str:
-    if abs(votes_left - votes_right) <= WINNER_TIE_TOL:
+    tol = max(WINNER_TIE_TOL, WINNER_TIE_EPS * _EPS * (votes_left + votes_right))
+    if abs(votes_left - votes_right) <= tol:
         return TIE
     return LEFT if votes_left > votes_right else RIGHT
 
@@ -267,8 +285,10 @@ def _winner(votes_left: float, votes_right: float) -> str:
 def expected_winner(e: LineElection | MetricElection, beta: float) -> str:
     """Candidate with the larger expected vote count, or ``tie``.
 
-    Counts within ``WINNER_TIE_TOL`` of each other are reported as a tie
-    rather than broken silently; callers pick their own tie policy.
+    Counts within ``max(WINNER_TIE_TOL, WINNER_TIE_EPS * eps * (L + R))`` of
+    each other are reported as a tie rather than broken silently, so counts
+    that tie in real arithmetic, given the voters' distance pairs, read
+    ``tie`` at any size; callers pick their own tie policy.
     """
     return _winner(*expected_votes(e, beta))
 
@@ -342,8 +362,15 @@ def winner_distortion(e: LineElection | MetricElection, beta: float) -> float:
     w = expected_winner(e, beta)
     if w == TIE:
         raise ValueError("expected vote counts tie; no unique expected winner")
+    return _candidate_distortion(e, w)
+
+
+def _candidate_distortion(e: LineElection | MetricElection, candidate: str) -> float:
+    """Distortion of the ``left`` or the ``right`` candidate."""
+    if candidate not in (LEFT, RIGHT):
+        raise ValueError(f"candidate must be {LEFT!r} or {RIGHT!r}, got {candidate!r}")
     _, dist_left, dist_right = distortion_pair(*social_costs(e))
-    return dist_left if w == LEFT else dist_right
+    return dist_left if candidate == LEFT else dist_right
 
 
 def mirror(e: LineElection) -> LineElection:

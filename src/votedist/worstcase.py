@@ -298,7 +298,7 @@ def verify_distortion_bound(
     beta: float,
     elections: Sequence[LineElection],
     dstar: Optional[float] = None,
-    exact_limit: int = 15,
+    exact_limit: int = exact.EXACT_LIMIT,
     mc_samples: int = 100_000,
     seed: int = 0,
     confidence: float = 0.999,
@@ -307,9 +307,10 @@ def verify_distortion_bound(
 
     Elections whose expected vote counts fall below
     :func:`vote_count_threshold` or whose optimal candidate is not the right
-    one are reported as skipped, not failed.  Small elections are evaluated
-    exactly; larger ones by simulation, with the verdict read off the
-    confidence interval.
+    one are reported as skipped, not failed.  Elections of at most
+    ``exact_limit`` voters are evaluated exactly; larger ones by simulation
+    with ``mc_samples`` draws, with the verdict read off the confidence
+    interval.
     """
     beta = model.check_beta(beta)
     threshold = vote_count_threshold(alpha)

@@ -1,6 +1,9 @@
+import contextlib
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votedist import exact, model
@@ -12,6 +15,56 @@ from votedist.verification import random_beta, random_election
 probability_lists = st.lists(
     st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=12
 )
+# Long enough to reach the product tree, with sure and indifferent voters.
+long_probability_lists = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    min_size=0,
+    max_size=300,
+)
+
+EPS = np.finfo(float).eps
+
+#: Engine settings under test: as shipped, and the product tree for every size.
+ENGINES = {
+    "default": {},
+    "tree": {"SCALAR_LIMIT": 0},
+}
+
+
+@contextlib.contextmanager
+def engine(name):
+    saved = {k: getattr(exact, k) for k in ENGINES[name]}
+    for k, v in ENGINES[name].items():
+        setattr(exact, k, v)
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            setattr(exact, k, v)
+
+
+def reference_pmf(probabilities):
+    """The sequential product ``vote_pmf`` used before the product tree."""
+    pmf = np.array([1.0])
+    for p in probabilities:
+        p = float(p)
+        nxt = np.zeros(len(pmf) + 1)
+        nxt[:-1] = pmf * (1.0 - p)
+        nxt[1:] += pmf * p
+        pmf = nxt
+    return pmf
+
+
+def probability_mix(rng, n):
+    """Probabilities of several shapes: spread, tiny, near one, with sure voters."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return rng.uniform(0.0, 1.0, n)
+    if kind == 1:
+        return rng.uniform(0.0, 1e-3, n)
+    if kind == 2:
+        return 1.0 - rng.uniform(0.0, 1e-3, n)
+    return rng.choice([0.0, 1.0, 0.2, 0.7, 0.5], n)
 
 
 class TestVotePMF:
@@ -24,10 +77,14 @@ class TestVotePMF:
     def test_two_term_convolution(self):
         np.testing.assert_allclose(vote_pmf([1 / 3, 1.0]), [0.0, 2 / 3, 1 / 3], atol=1e-15)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.1])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            vote_pmf([0.5, bad])
+        # Below and above the scalar limit; the error names the voter.
+        for n in (2, 100):
+            probs = [0.5] * n
+            probs[n // 2] = bad
+            with pytest.raises(ValueError, match=f"probability {n // 2} out of range"):
+                vote_pmf(probs)
 
     @given(probability_lists)
     def test_mass_sums_to_one(self, probs):
@@ -41,6 +98,135 @@ class TestVotePMF:
         pmf = vote_pmf(probs)
         mean = float(np.dot(np.arange(len(pmf)), pmf))
         assert mean == pytest.approx(sum(probs), abs=1e-12)
+
+
+class TestProductTree:
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_agrees_with_oracle(self, name, rng):
+        elections = [random_election(rng, max_voters=14) for _ in range(40)]
+        elections.append(LineElection(rng.uniform(-2.0, 3.0, size=20)))
+        with engine(name):
+            for e in elections:
+                beta = random_beta(rng)
+                oracle_win, oracle_dbar = enumerate_oracle(e, beta)
+                win = win_probabilities(e, beta)
+                report = expected_distortion(e, beta)
+                assert win.p_left == pytest.approx(oracle_win.p_left, abs=1e-12)
+                assert report.expected_distortion == pytest.approx(oracle_dbar, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_agrees_with_sequential_product(self, name, rng):
+        sizes = list(range(0, 70)) + [100, 127, 128, 129, 257, 1000, 1500, 2000]
+        with engine(name):
+            for n in sizes:
+                probs = probability_mix(rng, n)
+                np.testing.assert_allclose(
+                    vote_pmf(probs), reference_pmf(probs), rtol=0.0, atol=1e-12
+                )
+
+    @pytest.mark.parametrize("name", ENGINES)
+    @settings(max_examples=60, deadline=None)
+    @given(probs=long_probability_lists, random=st.randoms())
+    def test_valid_pmf_and_order_free(self, name, probs, random):
+        shuffled = list(probs)
+        random.shuffle(shuffled)
+        with engine(name):
+            pmf = vote_pmf(probs)
+            assert np.array_equal(vote_pmf(shuffled), pmf)
+        assert len(pmf) == len(probs) + 1
+        assert np.all(pmf >= 0.0)
+        assert abs(math.fsum(pmf) - 1.0) <= max(1, len(probs)) * EPS
+
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    def test_mass_at_scale(self, n, rng):
+        pmf = vote_pmf(rng.uniform(0.0, 1.0, n))
+        assert np.all(pmf >= 0.0)
+        assert abs(math.fsum(pmf) - 1.0) <= n * EPS
+
+    def test_sure_voters_leave_exact_zeros(self):
+        # 30 sure votes, 20 sure abstentions and 60 coin flips: only the
+        # counts 30..90 are possible, and every other entry is exactly 0.
+        pmf = vote_pmf([1.0] * 30 + [0.0] * 20 + [0.5] * 60)
+        assert not pmf[:30].any() and not pmf[91:].any()
+        np.testing.assert_allclose(
+            pmf[30:91], [math.comb(60, k) / 2.0**60 for k in range(61)], atol=1e-15
+        )
+
+    def test_matches_high_precision(self, rng):
+        mpmath = pytest.importorskip("mpmath")
+        probs = rng.uniform(0.0, 1.0, 200)
+        with mpmath.workdps(50):
+            pmf = [mpmath.mpf(1)]
+            for p in map(mpmath.mpf, probs.tolist()):
+                q = 1 - p
+                pmf = [a * q + b * p for a, b in zip(pmf + [0], [0] + pmf)]
+            want = np.array([float(x) for x in pmf])
+        for name in ENGINES:
+            with engine(name):
+                np.testing.assert_allclose(vote_pmf(probs), want, rtol=0.0, atol=1e-14)
+
+
+def reference_win_right(left, right):
+    """P(right wins) from sequential PMFs, in nonnegative sums only."""
+    pmf_left, pmf_right = reference_pmf(left), reference_pmf(right)
+    m = max(len(pmf_left), len(pmf_right))
+    l = np.pad(pmf_left, (0, m - len(pmf_left)))
+    r = np.pad(pmf_right, (0, m - len(pmf_right)))
+    left_below = np.concatenate(([0.0], np.cumsum(l)[:-1]))  # P(L < k)
+    return float(np.dot(r, left_below + 0.5 * l))
+
+
+def lopsided_election(rng, n):
+    """Dyadic positions, n leaning left and fewer leaning right."""
+    left = rng.integers(-64, 26, size=n) / 64.0
+    right = rng.integers(38, 128, size=int(rng.integers(1, n // 2))) / 64.0
+    return LineElection(np.concatenate([left, right]))
+
+
+class TestSmallWinProbabilities:
+    def test_binomial_tail_to_full_relative_accuracy(self):
+        mpmath = pytest.importorskip("mpmath")
+        # 400 sure left votes against 600 right voters at p = 0.2 (demo 03).
+        e = LineElection([0.0] * 400 + [0.6] * 600)
+        side, p = model.voter_arrays(*e.distances(), 1.0)
+        with mpmath.workdps(60):
+            q = mpmath.mpf(float(p[side > 0][0]))
+            term = lambda k: mpmath.binomial(600, k) * q**k * (1 - q) ** (600 - k)
+            tail = mpmath.fsum(term(k) for k in range(401, 601)) + term(400) / 2
+        win = win_probabilities(e, 1.0)
+        assert win.p_right == pytest.approx(float(tail), rel=1e-11)
+        assert 1e-136 < win.p_right < 1e-134
+        assert win.p_left == 1.0
+
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_matches_sequential_product_in_relative_terms(self, name, rng):
+        smallest = 1.0
+        with engine(name):
+            for _ in range(15):
+                e = lopsided_election(rng, int(rng.integers(60, 300)))
+                beta = random_beta(rng)
+                side, p = model.voter_arrays(*e.distances(), beta)
+                want = reference_win_right(p[side < 0], p[side > 0])
+                win = win_probabilities(e, beta)
+                assert win.p_right == pytest.approx(want, rel=1e-10, abs=1e-300)
+                smallest = min(smallest, want)
+        assert smallest < 1e-12
+
+    def test_order_free(self, rng):
+        for _ in range(5):
+            e = lopsided_election(rng, 200)
+            win = win_probabilities(e, 0.8)
+            shuffled = LineElection(rng.permutation(np.array(e.positions)))
+            assert win.p_right < exact.TILT_BELOW
+            assert win_probabilities(shuffled, 0.8) == win
+
+    def test_mirror_swaps_exactly(self, rng):
+        for _ in range(5):
+            e = lopsided_election(rng, 200)
+            win = win_probabilities(e, 0.8)
+            win_m = win_probabilities(mirror(e), 0.8)
+            assert win.p_right < exact.TILT_BELOW
+            assert (win_m.p_left, win_m.p_right) == (win.p_right, win.p_left)
 
 
 class TestWinProbabilities:

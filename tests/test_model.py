@@ -218,6 +218,33 @@ class TestOrderIndependence:
         assert social_costs(s) == social_costs(e)
 
 
+class TestTieTolerance:
+    def test_tie_in_real_arithmetic_reads_tie_at_scale(self):
+        # 16,384 left voters at 0 vote surely.  16,661 right voters at
+        # x = 1 + 277/32768 vote with p = 16384/16661 each (both distances
+        # and their sum and difference are exact floats): 16,384 expected
+        # votes a side in real arithmetic.  The rounded p sum to one ulp
+        # less, 1.8e-12, which the absolute tolerance alone calls a win.
+        e = LineElection([0.0] * 16_384 + [1.0 + 277 / 32_768] * 16_661)
+        votes_left, votes_right = expected_votes(e, 1.0)
+        assert votes_left == 16_384.0
+        assert votes_left - votes_right > model.WINNER_TIE_TOL
+        assert expected_winner(e, 1.0) == TIE
+        assert expected_winner(mirror(e), 1.0) == TIE
+
+    def test_a_real_margin_still_decides(self):
+        # One more right voter: a lead of almost a whole vote.
+        e = LineElection([0.0] * 16_384 + [1.0 + 277 / 32_768] * 16_662)
+        assert expected_winner(e, 1.0) == RIGHT
+        assert expected_winner(mirror(e), 1.0) == LEFT
+
+    def test_tolerance_scales_with_the_total(self):
+        assert model._winner(1e6, 1e6 + 1e-9) == TIE
+        assert model._winner(1e6, 1e6 + 1e-8) == RIGHT
+        assert model._winner(1.0, 1.0 + 0.5e-12) == TIE
+        assert model._winner(1.0, 1.0 + 1e-11) == RIGHT
+
+
 class TestRegions:
     @pytest.mark.parametrize(
         "x,region",

@@ -298,7 +298,17 @@ class TestBoundVerifier:
             assert sc_right < sc_left
             assert len(set(e.positions)) <= 8
         checks = verify_distortion_bound(
-            0.1, 1.0, elections, dstar=TIGHT_VALUE, mc_samples=60_000, seed=1
+            0.1, 1.0, elections, dstar=TIGHT_VALUE, exact_limit=0,
+            mc_samples=60_000, seed=1,
         )
         assert all(c.status == "pass" for c in checks)
         assert all(c.method == "montecarlo" for c in checks)
+
+    def test_generated_gate_elections_are_checked_exactly(self):
+        elections = generate_gate_elections(0.1, 1.0, 8, seed=5)
+        checks = verify_distortion_bound(0.1, 1.0, elections, dstar=TIGHT_VALUE)
+        assert all(c.status == "pass" for c in checks)
+        assert all(c.method == "exact" for c in checks)
+        assert all(c.dbar_low == c.dbar_high for c in checks)
+        for c, e in zip(checks, elections):
+            assert c.dbar_high == exact.expected_distortion(e, 1.0).expected_distortion
