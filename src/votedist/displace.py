@@ -22,7 +22,8 @@ are the constructive ones:
 Every move can be certified numerically on a concrete election:
 ``certify_winner_displacement`` and ``certify_expected_displacement`` compare
 the relevant quantity before and after.  The two ``canonicalize_*``
-procedures chain the moves to crush an election into its extremal shape,
+procedures chain the moves to crush an election into its extremal shape
+(each region collapses in one step to the limit of its pairwise merges),
 certifying every step, and raise ``CertificateError`` on any certified
 regression (which would indicate a bug, not a property of the input).
 """
@@ -38,7 +39,6 @@ from .model import LEFT, RIGHT, TIE, LineElection
 
 __all__ = [
     "CERTIFICATE_TOL",
-    "SNAP_TOL",
     "CertificateError",
     "Displacement",
     "ValidityCertificate",
@@ -57,11 +57,6 @@ __all__ = [
 
 #: Certified quantities may drift below their predecessor by at most this.
 CERTIFICATE_TOL = 1e-9
-
-#: Positions closer than this are collapsed to a single point.
-SNAP_TOL = 1e-12
-
-_MAX_MERGE_ROUNDS = 100_000
 
 
 class CertificateError(RuntimeError):
@@ -209,7 +204,10 @@ def move_bc_pair(e: LineElection, i: int, j: int) -> LineElection:
 
 
 def merge_same_region(e: LineElection, i: int, j: int) -> LineElection:
-    """Move two voters of the same region (B or D) to their midpoint."""
+    """Move two voters of the same region (B or D) to their midpoint.
+
+    Canonicalization applies the k-voter limit of these merges, the mean.
+    """
     ri = model.region_of(e.positions[i])
     rj = model.region_of(e.positions[j])
     if ri != rj or ri not in ("B", "D"):
@@ -258,11 +256,24 @@ def merge_d_geometric(e: LineElection, i: int, j: int) -> LineElection:
     Both land at ``t = (sqrt((2 x_i - 1)(2 x_j - 1)) + 1) / 2``, which lies
     between them.  The probability that both vote is exactly preserved;
     probability mass moves only from "exactly one votes" to "neither votes".
+    Canonicalization applies the k-voter limit of these merges, which keep
+    the product of the odds factors: ``(1 + (prod (2 x - 1)) ** (1/k)) / 2``.
     """
     xi = _require_region(e, i, "D")
     xj = _require_region(e, j, "D")
     t = 0.5 * (math.sqrt((2.0 * xi - 1.0) * (2.0 * xj - 1.0)) + 1.0)
     return e.replace({i: t, j: t})
+
+
+def _midpoint_limit(xs: list[float]) -> float:
+    """Limit of repeated midpoint merges: the mean."""
+    return math.fsum(xs) / len(xs)
+
+
+def _geometric_limit(xs: list[float]) -> float:
+    """Limit of repeated geometric D merges: the geometric mean of the odds."""
+    log_odds = math.fsum(math.log(2.0 * x - 1.0) for x in xs)
+    return 0.5 * (1.0 + math.exp(log_odds / len(xs)))
 
 
 class _Chain:
@@ -296,24 +307,15 @@ class _Chain:
         self,
         member: Callable[[float], bool],
         kind: str,
-        meet: Callable[[float, float], float],
+        limit: Callable[[list[float]], float],
     ) -> None:
-        """Merge the two extreme members until all sit at one snapped point."""
-        for _ in range(_MAX_MERGE_ROUNDS):
-            members = [i for i, x in enumerate(self.current.positions) if member(x)]
-            if len(members) < 2:
-                return
-            lo = min(members, key=lambda i: self.current.positions[i])
-            hi = max(members, key=lambda i: self.current.positions[i])
-            x_lo = self.current.positions[lo]
-            x_hi = self.current.positions[hi]
-            if x_hi - x_lo <= SNAP_TOL:
-                point = 0.5 * (x_lo + x_hi)
-                self.current = self.current.replace({i: point for i in members})
-                return
-            t = meet(x_lo, x_hi)
-            self.apply(kind, {lo: t, hi: t})
-        raise CertificateError("merge loop failed to converge; this is a bug")
+        """Move all members to the limit of their pairwise merges in one step."""
+        members = [i for i, x in enumerate(self.current.positions) if member(x)]
+        xs = [self.current.positions[i] for i in members]
+        if len(set(xs)) < 2:
+            return
+        t = min(max(limit(xs), min(xs)), max(xs))  # rounding stays in the span
+        self.apply(kind, {i: t for i in members})
 
     def finish(self, origin: LineElection) -> CanonicalForm:
         if self.certifier is not None:
@@ -338,7 +340,7 @@ def canonicalize_expected_winner(
     the right candidate is strictly optimal; anything else passes through
     with ``applied=False``.  Region A empties onto 0, the interior of C onto
     {1/2, 1}, then everything in [0, 1/2] and everything in [1, inf) each
-    collapses to a single point, so the result has at most two distinct
+    collapses in one step to its mean, so the result has at most two distinct
     positions: one in B (or at 1/2) and one in D.
     """
     beta = model.check_beta(beta)
@@ -373,9 +375,8 @@ def canonicalize_expected_winner(
         else:
             chain.apply("BC_pair", {i: xi - 1.0 + xj, j: 1.0})
 
-    midpoint = lambda a, b: 0.5 * (a + b)
-    chain.collapse(lambda x: 0.0 <= x <= 0.5, "same_region_merge", midpoint)
-    chain.collapse(lambda x: x >= 1.0, "same_region_merge", midpoint)
+    chain.collapse(lambda x: 0.0 <= x <= 0.5, "same_region_merge", _midpoint_limit)
+    chain.collapse(lambda x: x >= 1.0, "same_region_merge", _midpoint_limit)
     return chain.finish(e)
 
 
@@ -396,8 +397,8 @@ def canonicalize_expected_distortion(
     crossing below that bar would lower the expected distortion (see
     :func:`map_c_to_d`), so such voters stay put.  Every applied move raises
     the bar, hence processing C in ascending position moves a maximal set
-    and no second pass could move more.  Finally the D mass contracts
-    pairwise to a single point.
+    and no second pass could move more.  Finally the D mass contracts in one
+    step to the limit of its geometric merges.
 
     On return, region A and the movable part of C are empty, D holds at most
     one distinct position, and any interior-C voter left behind sits strictly
@@ -429,8 +430,5 @@ def canonicalize_expected_distortion(
         if x / (1.0 - x) >= bar:
             chain.apply("C_to_D_map", {j: x / (2.0 * x - 1.0)})
 
-    def geometric(a: float, b: float) -> float:
-        return 0.5 * (math.sqrt((2.0 * a - 1.0) * (2.0 * b - 1.0)) + 1.0)
-
-    chain.collapse(lambda x: x >= 1.0, "D_geometric_merge", geometric)
+    chain.collapse(lambda x: x >= 1.0, "D_geometric_merge", _geometric_limit)
     return chain.finish(e)

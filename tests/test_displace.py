@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,6 +32,50 @@ from votedist.verification import (
 
 def participation(x, beta):
     return model.profile(x, beta).participation
+
+
+# The pairwise merges that the closed-form region collapse replaced, by move
+# kind, copied verbatim as the reference the one-step limits are checked
+# against.
+REFERENCE_MEETS = {
+    "same_region_merge": lambda a, b: 0.5 * (a + b),
+    "D_geometric_merge": lambda a, b: 0.5 * (
+        math.sqrt((2.0 * a - 1.0) * (2.0 * b - 1.0)) + 1.0
+    ),
+}
+
+
+def reference_collapse(chain, member, kind, limit):
+    """The old ``_Chain.collapse``: merge the two extreme members again and
+    again until they come within 1e-12, then snap all members to the
+    midpoint of the extremes (without a recorded step)."""
+    meet = REFERENCE_MEETS[kind]
+    for _ in range(100_000):
+        members = [i for i, x in enumerate(chain.current.positions) if member(x)]
+        if len(members) < 2:
+            return
+        lo = min(members, key=lambda i: chain.current.positions[i])
+        hi = max(members, key=lambda i: chain.current.positions[i])
+        x_lo = chain.current.positions[lo]
+        x_hi = chain.current.positions[hi]
+        if x_hi - x_lo <= 1e-12:
+            point = 0.5 * (x_lo + x_hi)
+            chain.current = chain.current.replace({i: point for i in members})
+            return
+        t = meet(x_lo, x_hi)
+        chain.apply(kind, {lo: t, hi: t})
+    raise AssertionError("reference merge loop did not converge")
+
+
+def suite_elections(trials, seed):
+    """The elections ``canonicalization_suites(trials, seed)`` reduces."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        beta = random_beta(rng)
+        yield canonicalize_expected_winner, random_left_leading_election(rng, beta), beta
+    for _ in range(trials):
+        beta = random_beta(rng)
+        yield canonicalize_expected_distortion, random_right_leading_election(rng, beta), beta
 
 
 class TestMoveAToZero:
@@ -303,6 +348,76 @@ class TestCanonicalizeExpectedDistortion:
         after = exact.expected_distortion(form.election, 1.0).expected_distortion
         before = exact.expected_distortion(e, 1.0).expected_distortion
         assert after >= before - 1e-9
+
+
+class TestClosedFormCollapse:
+    @pytest.mark.parametrize("seed", [2, 5, 9001])
+    def test_matches_pairwise_merge_loop(self, seed):
+        worst = 0.0
+        for canonicalize, e, beta in suite_elections(500, seed):
+            form = canonicalize(e, beta, certify=False)
+            assert len(form.steps) <= len(e) + 2
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(displace._Chain, "collapse", reference_collapse)
+                reference = canonicalize(e, beta, certify=False)
+            for x, y in zip(form.election.positions, reference.election.positions):
+                worst = max(worst, abs(x - y))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "canonicalize, sampler",
+        [
+            (canonicalize_expected_winner, random_left_leading_election),
+            (canonicalize_expected_distortion, random_right_leading_election),
+        ],
+    )
+    def test_voter_order_is_irrelevant(self, rng, canonicalize, sampler):
+        for _ in range(40):
+            beta = random_beta(rng)
+            single = sampler(rng, beta)
+            # Doubling every voter adds ties that an index-ordered merge
+            # would break by position in the list.
+            for e in (single, LineElection(single.positions * 2)):
+                form = canonicalize(e, beta)
+                perm = rng.permutation(len(e))
+                shuffled = LineElection([e.positions[k] for k in perm])
+                moved = canonicalize(shuffled, beta)
+                assert moved.applied and form.applied
+                assert moved.election.positions == tuple(
+                    form.election.positions[k] for k in perm
+                )
+
+    @pytest.mark.parametrize(
+        "canonicalize, e, kind",
+        [
+            (canonicalize_expected_winner, LineElection([0.1, 0.1 + 5e-13, 2.0, 2.0]),
+             "same_region_merge"),
+            (canonicalize_expected_distortion, LineElection([1.2, 1.2 + 5e-13]),
+             "D_geometric_merge"),
+        ],
+    )
+    def test_tiny_spread_is_one_certified_step(self, canonicalize, e, kind):
+        form = canonicalize(e, 1.0)
+        assert form.applied
+        assert [step.kind for step in form.steps] == [kind]
+        assert form.steps[0].voters == (0, 1)
+        assert len(form.certificates) == 2  # the step, then end to end
+        assert all(c.passed for c in form.certificates)
+        assert form.election.positions[0] == form.election.positions[1]
+
+    @pytest.mark.parametrize(
+        "canonicalize, e",
+        [
+            (canonicalize_expected_winner, LineElection([0.1, 0.1, 2.0, 2.0])),
+            (canonicalize_expected_distortion, LineElection([1.2, 1.2, 1.2])),
+        ],
+    )
+    def test_identical_voters_take_no_step(self, canonicalize, e):
+        form = canonicalize(e, 1.0)
+        assert form.applied
+        assert form.steps == ()
+        assert len(form.certificates) == 1
+        assert form.election.positions == e.positions
 
 
 class TestMediantIdentity:

@@ -196,6 +196,21 @@ class TestCli:
         assert reduced.metadata["applied"] in ("true", "false")
         assert reduced.metadata["reduced"] in ("winner", "distortion")
 
+    def test_reduce_collapses_each_region_in_one_step(self, tmp_path):
+        # Demo 05's election: 2 A moves, 2 BC pairs, then one merge for each
+        # of B and D.
+        doc = json.dumps(
+            {"schema": 1, "kind": "line", "beta": 0.9,
+             "voters": [-1.2, -0.3, 0.05, 0.1, 0.32, 0.6, 0.85, 2.0, 2.3, 2.8, 3.2]}
+        )
+        path = write(tmp_path, "e.json", doc)
+        result = self.runner.invoke(main, ["reduce", path])
+        assert result.exit_code == 0
+        reduced = parse_election(result.output)
+        assert reduced.metadata["reduced"] == "winner"
+        assert reduced.metadata["steps"] == "6"
+        assert sorted(set(reduced.voters)) == pytest.approx([1.92 / 7, 2.575], abs=1e-12)
+
     def test_reduce_writes_file(self, tmp_path):
         path = write(tmp_path, "e.json", MINIMAL_LINE)
         out = tmp_path / "reduced.json"
