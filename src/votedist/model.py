@@ -123,11 +123,20 @@ class LineElection:
         return np.abs(x), np.abs(x - 1.0)
 
     def replace(self, assignments: dict[int, float]) -> "LineElection":
-        """Copy of the election with the given voters moved to new positions."""
+        """Copy of the election with the given voters moved to new positions.
+
+        Only the moved voters are validated; the others were checked when
+        this election was built.
+        """
         pos = list(self.positions)
         for i, x in assignments.items():
+            x = float(x)
+            if not math.isfinite(x):
+                raise ValueError(f"voter {i} has non-finite position {x!r}")
             pos[i] = x
-        return LineElection(pos)
+        moved = object.__new__(LineElection)
+        object.__setattr__(moved, "positions", tuple(pos))
+        return moved
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,12 @@ candidate still leading on expected votes:
 Past the feasibility boundary the objective only falls as ``x_d`` grows (the
 ratio exceeds 1, and pushing equal mass into numerator and denominator drags
 it toward 1), so ``x_d`` is eliminated analytically at the binding value and
-the remaining 2-D box is searched by a refined grid.
+the remaining 2-D box is searched by a refined grid.  The binding value
+separates, ``x_d = max(1, (1 + A(q_b) / (1 - 2 x_b)) / 2)`` with
+``A(q) = ((1 - q) / q)^(1/beta)``, because ``(u / v^beta)^(1/beta) = u^(1/beta) / v``
+holds exactly in real arithmetic for ``v = 1 - 2 x_b > 0``.  A refinement
+round on a g x g grid therefore takes g powers, one per ``q_b``, and a few
+multiply-adds per point, instead of two powers per point.
 
 At ``beta = 0`` the constraint degenerates to ``q_b >= 1/2`` and the value 3
 is only approached (voters exactly at the midpoint never vote sincerely, so
@@ -52,8 +57,11 @@ __all__ = [
     "verify_distortion_bound",
 ]
 
-#: Refinement stops once both box spans fall below this.
+#: Refinement stops once both grid steps fall below this.
 REFINE_TOL = 1e-6
+
+#: Refinement rounds before the grid search gives up.
+_MAX_ROUNDS = 200
 
 #: How close the beta = 0 search may approach the unattainable x_b = 1/2 edge.
 _EDGE_GAP = 1e-6
@@ -136,11 +144,30 @@ def binding_xd(q_b: float, x_b: float, beta: float, margin: float = 0.0) -> floa
 
 
 def _positive_beta_values(q, x_b, beta, margin):
-    """Vectorized objective over a (q, x_b) grid with x_d eliminated."""
-    qq, xx = np.meshgrid(q, x_b, indexing="ij")
+    """Objective over the (q, x_b) grid with x_d eliminated at its binding value.
+
+    ``q`` and ``x_b`` are the axes; the grid is their broadcast outer
+    product, rows indexed by ``q``.  For ``x_b < 1/2`` the binding ``x_d``
+    separates: with ``A(q) = ((1 + margin)(1 - q) / q)^(1/beta)``,
+
+        (((1 + margin)(1 - q) / ((1 - 2 x_b)^beta q))^(1/beta) = A(q) / (1 - 2 x_b)
+
+    exactly in real arithmetic, because ``(u / v^beta)^(1/beta) = u^(1/beta) / v``
+    for ``u >= 0`` and ``v > 0``.  So a g x g round costs g powers and
+    O(g^2) multiply-adds instead of 2 g^2 powers.  The edges fall out as
+    with the unfactored form: ``x_b = 1/2`` divides by 0 and gives an
+    infinite ``x_d`` (masked), ``q = 1`` gives ``A = 0`` and ``x_d = 1``, both
+    at once give NaN (masked), and ``A`` overflows only where the unfactored
+    power does, since ``1 - 2 x_b <= 1``.  Points with a non-finite ``x_d`` or
+    value, or a zero denominator, read ``-inf``.  Rounding differs from the
+    unfactored form by a few ulps of the power's base, which the ``1/beta``
+    power scales by ``1/beta`` in both forms.
+    """
+    qq = q[:, None]
+    xx = x_b[None, :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        base = (1.0 + margin) * (1.0 - qq) / ((1.0 - 2.0 * xx) ** beta * qq)
-        xd = np.maximum(1.0, 0.5 * (1.0 + base ** (1.0 / beta)))
+        a = ((1.0 + margin) * (1.0 - q) / q) ** (1.0 / beta)
+        xd = np.maximum(1.0, 0.5 * (1.0 + a[:, None] / (1.0 - 2.0 * xx)))
         num = qq * xx + (1.0 - qq) * xd
         den = qq * (1.0 - xx) + (1.0 - qq) * (xd - 1.0)
         vals = num / den
@@ -150,7 +177,8 @@ def _positive_beta_values(q, x_b, beta, margin):
 
 def _zero_beta_values(q, x_b):
     """At beta = 0 everyone with a strict preference votes and x_d = 1."""
-    qq, xx = np.meshgrid(q, x_b, indexing="ij")
+    qq = q[:, None]
+    xx = x_b[None, :]
     num = qq * xx + (1.0 - qq)
     den = qq * (1.0 - xx)
     vals = np.where(den > 0, num / den, -np.inf)
@@ -158,25 +186,40 @@ def _zero_beta_values(q, x_b):
 
 
 def _grid_max(values_fn, q_box, x_box, grid):
-    """Shrinking grid search; returns (value, q, x_b, x_d)."""
+    """Shrinking grid search; returns (value, q, x_b, x_d).
+
+    Each round evaluates ``grid`` points per axis and recentres the box on
+    the best one, two steps either side, so a span shrinks by a factor of at
+    least ``4 / (grid - 1)`` per round.  The search stops once both steps are
+    at most :data:`REFINE_TOL`; from unit spans with ``grid >= 64`` that
+    takes at most 5 rounds.  Raises ``RuntimeError`` when no grid point is
+    feasible (every value ``-inf``) or the box fails to shrink to the
+    tolerance within :data:`_MAX_ROUNDS` rounds (``grid <= 5``).
+    """
     q_lo, q_hi = q_box
     x_lo, x_hi = x_box
-    best = None
-    for _ in range(200):
+    for _ in range(_MAX_ROUNDS):
         q = np.linspace(q_lo, q_hi, grid)
         x = np.linspace(x_lo, x_hi, grid)
         vals, xd = values_fn(q, x)
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         best = (float(vals[i, j]), float(q[i]), float(x[j]), float(xd[i, j]))
+        if best[0] == -math.inf:
+            raise RuntimeError(
+                f"no feasible grid point in q [{q_lo}, {q_hi}], x_b [{x_lo}, {x_hi}]"
+            )
         dq = (q_hi - q_lo) / (grid - 1)
         dx = (x_hi - x_lo) / (grid - 1)
         if max(dq, dx) <= REFINE_TOL:
-            break
+            return best
         q_lo = max(q_box[0], q[i] - 2.0 * dq)
         q_hi = min(q_box[1], q[i] + 2.0 * dq)
         x_lo = max(x_box[0], x[j] - 2.0 * dx)
         x_hi = min(x_box[1], x[j] + 2.0 * dx)
-    return best
+    raise RuntimeError(
+        f"grid search did not converge in {_MAX_ROUNDS} rounds: last steps "
+        f"{dq:.3g} (q) and {dx:.3g} (x_b) exceed {REFINE_TOL:g}"
+    )
 
 
 def solve_worst_case_margin(

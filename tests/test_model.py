@@ -368,3 +368,30 @@ class TestValidation:
             LineElection([0.2, math.nan])
         with pytest.raises(ValueError):
             LineElection([math.inf])
+
+
+class TestReplace:
+    @given(
+        st.lists(finite_positions, min_size=1, max_size=8),
+        st.dictionaries(st.integers(0, 7), finite_positions, max_size=4),
+    )
+    def test_equals_a_fresh_election(self, positions, moves):
+        e = LineElection(positions)
+        moves = {i: x for i, x in moves.items() if i < len(positions)}
+        want = list(positions)
+        for i, x in moves.items():
+            want[i] = x
+        moved = e.replace(moves)
+        assert moved == LineElection(want)
+        assert moved.positions == tuple(float(x) for x in want)
+        assert e.positions == tuple(float(x) for x in positions)
+
+    def test_moves_numpy_scalars_to_floats(self):
+        moved = LineElection([0.1, 0.2]).replace({1: np.float64(0.7)})
+        assert type(moved.positions[1]) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_by_index(self, bad):
+        e = LineElection([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="voter 2 has non-finite position"):
+            e.replace({0: 0.4, 2: bad})

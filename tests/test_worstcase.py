@@ -25,6 +25,20 @@ SQRT2 = math.sqrt(2.0)
 TIGHT_Q = 1.0 / (2.0 + SQRT2)
 TIGHT_XD = (2.0 + SQRT2) / 2.0
 TIGHT_VALUE = (1.0 + SQRT2) ** 2 / (1.0 + 2.0 * SQRT2)
+EPS = np.finfo(float).eps
+
+
+def reference_positive_beta_values(q, x_b, beta, margin):
+    """The objective with two powers per grid point, before factoring x_d."""
+    qq, xx = np.meshgrid(q, x_b, indexing="ij")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        base = (1.0 + margin) * (1.0 - qq) / ((1.0 - 2.0 * xx) ** beta * qq)
+        xd = np.maximum(1.0, 0.5 * (1.0 + base ** (1.0 / beta)))
+        num = qq * xx + (1.0 - qq) * xd
+        den = qq * (1.0 - xx) + (1.0 - qq) * (xd - 1.0)
+        vals = num / den
+    vals = np.where(np.isfinite(xd) & np.isfinite(vals) & (den > 0), vals, -np.inf)
+    return vals, xd
 
 
 class TestTwoPointDistortion:
@@ -137,6 +151,97 @@ class TestSolve:
         assert form.applied
         assert form.election.positions == witness.positions
         assert model.winner_distortion(witness, 1.0) <= sol.value + 1e-3
+
+
+class TestSeparableObjective:
+    """The factored objective against the per-point formula it replaced.
+
+    Both forms round the base of the ``1/beta`` power a few times, and the
+    power multiplies that relative error by ``1/beta``, so they agree to
+    ``4 eps`` relative at ``beta = 1`` and to ``4 eps / beta`` below.
+    """
+
+    @staticmethod
+    def assert_agree(q, x_b, beta, margin):
+        want, _ = reference_positive_beta_values(q, x_b, beta, margin)
+        got, xd = worstcase._positive_beta_values(q, x_b, beta, margin)
+        assert got.shape == xd.shape == (len(q), len(x_b))
+        feasible = np.isfinite(want)
+        assert np.array_equal(np.isfinite(got), feasible)
+        assert np.all(got[~feasible] == -np.inf)
+        err = np.abs(got[feasible] - want[feasible])
+        assert np.all(err <= 4.0 * EPS / beta * np.abs(want[feasible]))
+
+    @pytest.mark.parametrize("beta", [0.0025, 0.05, 0.37, 0.705, 1.0])
+    @pytest.mark.parametrize("margin", [0.0, 0.01, 1e9])
+    def test_random_grids(self, rng, beta, margin):
+        for _ in range(3):
+            q = np.sort(rng.uniform(1e-9, 1.0, 48))
+            x_b = np.sort(rng.uniform(0.0, 0.5, 48))
+            self.assert_agree(q, x_b, beta, margin)
+
+    @pytest.mark.parametrize("beta", [0.0025, 0.37, 1.0])
+    @pytest.mark.parametrize("margin", [0.0, 1e9])
+    def test_edge_grids(self, beta, margin):
+        q = np.array([1e-9, 1e-3, 0.5, 1.0 - 1e-9, 1.0])
+        x_b = np.array([0.0, 0.25, 0.5 - 1e-9, 0.5])
+        self.assert_agree(q, x_b, beta, margin)
+        self.assert_agree(np.linspace(1e-9, 1.0, 128), np.linspace(0.0, 0.5, 128), beta, margin)
+
+    def test_edges_masked_as_before(self):
+        q = np.array([1e-9, 1.0])
+        x_b = np.array([0.0, 0.5])
+        vals, xd = worstcase._positive_beta_values(q, x_b, 0.5, 0.0)
+        assert xd[1, 0] == 1.0
+        assert xd[0, 1] == np.inf
+        assert np.isnan(xd[1, 1])
+        assert vals[0, 1] == vals[1, 1] == -np.inf
+        assert vals[1, 0] == 0.0
+
+    def test_power_overflow_is_masked(self):
+        # At beta = 0.0025 the 400th power overflows for most q below 1.
+        q = np.linspace(1e-9, 1.0, 64)
+        x_b = np.linspace(0.0, 0.5, 64)
+        vals, xd = worstcase._positive_beta_values(q, x_b, 0.0025, 1e9)
+        assert np.all(vals[:-1] == -np.inf)
+        assert np.all(np.isfinite(vals[-1, :-1]))
+
+    def test_zero_beta_matches_meshgrid(self):
+        q = np.linspace(0.5, 1.0, 33)
+        x_b = np.linspace(0.0, 0.5, 17)
+        qq, xx = np.meshgrid(q, x_b, indexing="ij")
+        want = np.where(qq * (1.0 - xx) > 0, (qq * xx + (1.0 - qq)) / (qq * (1.0 - xx)), -np.inf)
+        vals, xd = worstcase._zero_beta_values(q, x_b)
+        assert np.array_equal(vals, want)
+        assert np.array_equal(xd, np.ones_like(want))
+
+    def test_sweep_csv_unchanged(self, monkeypatch):
+        betas = [k / 100 for k in range(101)]
+        fast = sweep_csv(sweep_beta(betas))
+        monkeypatch.setattr(
+            worstcase, "_positive_beta_values", reference_positive_beta_values
+        )
+        assert fast == sweep_csv(sweep_beta(betas))
+
+
+class TestGridMax:
+    def test_box_that_never_shrinks_raises(self):
+        # With 5 points the box is recentred 2 steps either side of an
+        # interior argmax: the same width, round after round.
+        def peak(q, x_b):
+            vals = -((q[:, None] - 0.5) ** 2) - (x_b[None, :] - 0.25) ** 2
+            return vals, np.ones_like(vals)
+
+        with pytest.raises(RuntimeError, match="did not converge"):
+            worstcase._grid_max(peak, (0.0, 1.0), (0.0, 0.5), 5)
+
+    def test_no_feasible_point_raises(self):
+        def infeasible(q, x_b):
+            vals = np.full((len(q), len(x_b)), -np.inf)
+            return vals, np.ones_like(vals)
+
+        with pytest.raises(RuntimeError, match="no feasible grid point"):
+            worstcase._grid_max(infeasible, (0.0, 1.0), (0.0, 0.5), 64)
 
 
 class TestMargin:
