@@ -48,12 +48,12 @@ def _emit(text: str, out) -> None:
             fh.write(text)
 
 
-def _report_lines(report, fmt: str) -> str:
-    values = [getattr(report, f) for f in _REPORT_FIELDS]
+def _report_lines(report, fmt: str, fields=_REPORT_FIELDS) -> str:
+    values = [getattr(report, f) for f in fields]
     if fmt == "csv":
-        return ",".join(_REPORT_FIELDS) + "\n" + ",".join(_fmt(v) for v in values) + "\n"
-    width = max(len(f) for f in _REPORT_FIELDS)
-    return "".join(f"{f:<{width}}  {_fmt(v)}\n" for f, v in zip(_REPORT_FIELDS, values))
+        return ",".join(fields) + "\n" + ",".join(_fmt(v) for v in values) + "\n"
+    width = max(len(f) for f in fields)
+    return "".join(f"{f:<{width}}  {_fmt(v)}\n" for f, v in zip(fields, values))
 
 
 def _load(path: str) -> ElectionDocument:
@@ -126,13 +126,7 @@ def cmd_simulate(election_file, samples, seed, confidence, beta, fmt, out) -> No
     except (DocumentError, ValueError) as err:
         _fail_validation(err)
     fields = ("p_left_hat", "half_width_p", "expected_distortion_hat", "half_width_d")
-    values = [getattr(est, f) for f in fields]
-    if fmt == "csv":
-        text = ",".join(fields) + "\n" + ",".join(_fmt(v) for v in values) + "\n"
-    else:
-        width = max(len(f) for f in fields)
-        text = "".join(f"{f:<{width}}  {_fmt(v)}\n" for f, v in zip(fields, values))
-    _emit(text, out)
+    _emit(_report_lines(est, fmt, fields), out)
 
 
 @main.command("reduce")

@@ -15,6 +15,11 @@ A document looks like::
 out-of-range beta and triangle-inequality violations are all rejected with
 the offending field named.  ``parse_election(serialize_election(doc))``
 returns an equal document.
+
+The voters are type-checked in one pass and converted into the election's
+array in one numpy call; the election is built once, validated by array
+reductions, and the document carries it.  Only when a check fails are the
+voters scanned one by one, to name the first faulty one.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .metric import MetricElection
 from .model import LineElection
@@ -43,32 +51,55 @@ class DocumentError(ValueError):
     """An election document failed to parse or validate."""
 
 
+_ELECTIONS = {"line": LineElection, "metric": MetricElection}
+
+
 @dataclass(frozen=True)
 class ElectionDocument:
-    """Parsed election file: kind, beta, voters and free-form metadata."""
+    """Parsed election file: kind, beta, voters and free-form metadata.
+
+    ``election`` is given as a line or metric election of the document's
+    kind, or as its voters, which are then validated into one.
+    ``to_line`` and ``to_metric`` return it as is, and ``voters`` is its
+    tuple view (``positions`` or ``pairs``), built on first access.
+    """
 
     kind: str
     beta: float
-    voters: tuple
+    election: LineElection | MetricElection
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise DocumentError(f"kind: must be one of {_KINDS}, got {self.kind!r}")
+        if not isinstance(self.election, _ELECTIONS[self.kind]):
+            object.__setattr__(self, "election", _ELECTIONS[self.kind](self.election))
+
+    @property
+    def voters(self) -> tuple:
+        e = self.election
+        return e.positions if self.kind == "line" else e.pairs
 
     def to_line(self) -> LineElection:
         if self.kind != "line":
             raise DocumentError(f"expected a line election, got kind {self.kind!r}")
-        return LineElection(self.voters)
+        return self.election
 
     def to_metric(self) -> MetricElection:
         if self.kind != "metric":
             raise DocumentError(f"expected a metric election, got kind {self.kind!r}")
-        return MetricElection(self.voters)
+        return self.election
 
     @classmethod
     def for_line(cls, e: LineElection, beta: float, metadata: dict | None = None):
-        return cls("line", beta, tuple(e.positions), dict(metadata or {}))
+        return cls("line", beta, e, dict(metadata or {}))
 
     @classmethod
     def for_metric(cls, m: MetricElection, beta: float, metadata: dict | None = None):
-        return cls("metric", beta, tuple(m.pairs), dict(metadata or {}))
+        return cls("metric", beta, m, dict(metadata or {}))
+
+
+_NUMBERS = {int, float}
 
 
 def _require_number(value, where: str) -> float:
@@ -78,6 +109,54 @@ def _require_number(value, where: str) -> float:
     if not math.isfinite(value):
         raise DocumentError(f"{where}: must be finite, got {value!r}")
     return value
+
+
+def _well_typed(kind: str, voters: list) -> bool:
+    # JSON gives each voter as int, float, bool, str, None, list or dict.
+    if kind == "line":
+        return set(map(type, voters)) <= _NUMBERS
+    return (
+        set(map(type, voters)) == {list}
+        and set(map(len, voters)) == {2}
+        and set(map(type, chain.from_iterable(voters))) <= _NUMBERS
+    )
+
+
+def _parse_voters(kind: str, voters: list) -> LineElection | MetricElection:
+    """The election of a document's voters, converted in one numpy call.
+
+    One pass over the types admits only numbers (for metric documents,
+    lists of two numbers); ints convert as ``float(int)`` does.  After any
+    failure, here or in the election's own checks,
+    :func:`_reject_first_malformed` reports the first voter in document
+    order that is malformed or not finite.  Only when there is none does
+    the election's own error (a negative distance or a triangle violation)
+    stand.
+    """
+    fault = None
+    if _well_typed(kind, voters):
+        try:
+            if kind == "line":
+                return LineElection(np.fromiter(voters, float, len(voters)))
+            flat = np.fromiter(chain.from_iterable(voters), float, 2 * len(voters))
+            return MetricElection(flat.reshape(-1, 2))
+        except (ValueError, OverflowError) as err:
+            fault = err
+    _reject_first_malformed(kind, voters)
+    raise DocumentError(f"voters: {fault}") from None
+
+
+def _reject_first_malformed(kind: str, voters: list) -> None:
+    for i, v in enumerate(voters):
+        if kind == "line":
+            _require_number(v, f"voters[{i}]")
+            continue
+        if not isinstance(v, list) or len(v) != 2:
+            raise DocumentError(
+                f"voters[{i}]: expected a [d_left, d_right] pair, got {v!r}"
+            )
+        _require_number(v[0], f"voters[{i}][0]")
+        _require_number(v[1], f"voters[{i}][1]")
 
 
 def parse_election(text: str) -> ElectionDocument:
@@ -112,29 +191,7 @@ def parse_election(text: str) -> ElectionDocument:
     voters = raw["voters"]
     if not isinstance(voters, list) or not voters:
         raise DocumentError("voters: expected a non-empty list")
-    if kind == "line":
-        parsed = tuple(
-            _require_number(v, f"voters[{i}]") for i, v in enumerate(voters)
-        )
-        LineElection(parsed)  # re-checks, raises only on internal inconsistency
-    else:
-        pairs = []
-        for i, v in enumerate(voters):
-            if not isinstance(v, list) or len(v) != 2:
-                raise DocumentError(
-                    f"voters[{i}]: expected a [d_left, d_right] pair, got {v!r}"
-                )
-            pairs.append(
-                (
-                    _require_number(v[0], f"voters[{i}][0]"),
-                    _require_number(v[1], f"voters[{i}][1]"),
-                )
-            )
-        try:
-            MetricElection(pairs)
-        except ValueError as err:
-            raise DocumentError(f"voters: {err}") from None
-        parsed = tuple(pairs)
+    election = _parse_voters(kind, voters)
 
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -143,7 +200,7 @@ def parse_election(text: str) -> ElectionDocument:
         if not isinstance(key, str) or not isinstance(value, str):
             raise DocumentError(f"metadata[{key!r}]: keys and values must be strings")
 
-    return ElectionDocument(kind, beta, parsed, dict(metadata))
+    return ElectionDocument(kind, beta, election, dict(metadata))
 
 
 def serialize_election(doc: ElectionDocument) -> str:
@@ -152,7 +209,7 @@ def serialize_election(doc: ElectionDocument) -> str:
         "schema": SCHEMA_VERSION,
         "kind": doc.kind,
         "beta": doc.beta,
-        "voters": [list(v) if isinstance(v, tuple) else v for v in doc.voters],
+        "voters": doc.election.array.tolist(),
     }
     if doc.metadata:
         payload["metadata"] = dict(doc.metadata)

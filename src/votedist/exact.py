@@ -191,7 +191,10 @@ def win_probabilities(
 
     ``e`` is a line or a metric election; indifferent voters never vote.
     """
-    side, p = model.voter_arrays(*e.distances(), beta)
+    return _win_from_voters(*model.voter_arrays(*e.distances(), beta))
+
+
+def _win_from_voters(side: np.ndarray, p: np.ndarray) -> WinProbabilities:
     left, right = p[side < 0], p[side > 0]
     win = _win_probs(vote_pmf(left), vote_pmf(right))
     if max(len(left), len(right)) > SCALAR_LIMIT:
@@ -259,7 +262,8 @@ def expected_distortion(
     e: LineElection | MetricElection, beta: float
 ) -> DistortionReport:
     """Full report with exact win probabilities and expected distortion."""
-    return model.distortion_report(e, beta, win_probabilities(e, beta))
+    side, p = model.voter_arrays(*e.distances(), beta)  # once for both uses
+    return model._report(e, model._votes(side, p), _win_from_voters(side, p))
 
 
 def enumerate_oracle(

@@ -18,7 +18,7 @@ distortion: ratios up to it land at ``ratio / (ratio + 1)``, larger ratios at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -38,16 +38,23 @@ __all__ = [
 TRIANGLE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MetricElection:
-    """Per-voter distance pairs (d_left, d_right), separation normalized to 1."""
+class MetricElection(model._VoterArray):
+    """Per-voter distance pairs (d_left, d_right), separation normalized to 1.
 
-    pairs: tuple[tuple[float, float], ...]
+    ``array`` has shape ``(n, 2)``; ``pairs`` is the tuple of float pairs,
+    built on first access.
+    """
 
-    def __init__(self, pairs: Iterable[tuple[float, float]]):
-        clean = []
-        for i, (d_left, d_right) in enumerate(pairs):
-            d_left, d_right = float(d_left), float(d_right)
+    _VIEW = "pairs"
+    _ROW = (2,)
+
+    @staticmethod
+    def _check(a: np.ndarray) -> None:
+        # min propagates NaN, so three reductions cover every check; only
+        # when one fails are the voters scanned, in order, for the first.
+        if a.min() >= 0.0 and a.max() < math.inf and a.sum(1).min() >= 1.0 - TRIANGLE_TOL:
+            return
+        for i, (d_left, d_right) in enumerate(a.tolist()):
             if not (math.isfinite(d_left) and math.isfinite(d_right)):
                 raise ValueError(f"voter {i} has non-finite distances")
             if d_left < 0 or d_right < 0:
@@ -57,18 +64,14 @@ class MetricElection:
                     f"voter {i} violates the triangle inequality: "
                     f"{d_left} + {d_right} < 1"
                 )
-            clean.append((d_left, d_right))
-        if not clean:
-            raise ValueError("an election needs at least one voter")
-        object.__setattr__(self, "pairs", tuple(clean))
 
-    def __len__(self) -> int:
-        return len(self.pairs)
+    @cached_property
+    def pairs(self) -> tuple[tuple[float, float], ...]:
+        return tuple(map(tuple, self.array.tolist()))
 
-    def distances(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every voter's distance to the left and to the right candidate."""
-        pairs = np.array(self.pairs)
-        return pairs[:, 0], pairs[:, 1]
+    @cached_property
+    def _distances(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.array[:, 0], self.array[:, 1]
 
 
 class LineReduction(NamedTuple):
@@ -95,7 +98,7 @@ def distance_ratio(pair: tuple[float, float]) -> float:
 
 def swap_labels(m: MetricElection) -> MetricElection:
     """Exchange the two candidates by swapping every distance pair."""
-    return MetricElection((d_right, d_left) for d_left, d_right in m.pairs)
+    return MetricElection._trusted(m.array[:, ::-1].copy())
 
 
 def reduce_to_line(m: MetricElection, beta: float) -> LineReduction:
@@ -105,6 +108,8 @@ def reduce_to_line(m: MetricElection, beta: float) -> LineReduction:
     construction always works against a right-optimal election (``swapped``
     reports this).  The split threshold is the left candidate's distortion
     computed from the full social costs, which abstention does not affect.
+    Each voter's position is :func:`distance_ratio` mapped as in the module
+    docstring, computed for all voters at once.
     """
     beta = model.check_beta(beta)
     sc_left, sc_right = model.social_costs(m)
@@ -114,13 +119,14 @@ def reduce_to_line(m: MetricElection, beta: float) -> LineReduction:
         sc_left, sc_right = sc_right, sc_left
     dist_left = math.inf if sc_right == 0.0 else sc_left / sc_right
 
-    positions = []
-    for pair in m.pairs:
-        ratio = distance_ratio(pair)
-        if math.isinf(ratio):
-            positions.append(1.0)
-        elif ratio <= dist_left:
-            positions.append(ratio / (ratio + 1.0))
-        else:
-            positions.append(ratio / (ratio - 1.0))
+    d_left, d_right = m.distances()
+    # Both branches are evaluated for every voter.  As with distance_ratio,
+    # the ratio is inf at the right candidate and where it overflows, and
+    # such voters land at 1; the pairs rule out 0 / 0.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = d_left / d_right
+        positions = np.where(
+            ratio <= dist_left, ratio / (ratio + 1.0), ratio / (ratio - 1.0)
+        )
+    positions[np.isinf(ratio)] = 1.0
     return LineReduction(LineElection(positions), swapped)

@@ -22,7 +22,10 @@ A voter is fully described by her distance pair to the two candidates.
 :func:`voter_arrays` turns the pairs of a whole election into numpy arrays
 of preferred sides and participation probabilities; a line election's pairs
 are ``(|x|, |x - 1|)``, and metric elections (:mod:`votedist.metric`) list
-theirs directly, so both kinds share every evaluation path.
+theirs directly, so both kinds share every evaluation path.  An election
+holds its voters as one validated, read-only float64 array (``array``) and
+computes its distance arrays once; the tuple views ``positions`` and
+``pairs`` are built only when read.
 
 Everything here is an immutable value or a pure function; all types are safe
 to share across threads.
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -95,32 +99,91 @@ def check_beta(beta: float) -> float:
     return beta
 
 
-@dataclass(frozen=True)
-class LineElection:
-    """Voter positions on the line, in units of the candidate gap.
+class _VoterArray:
+    """One read-only float64 array of voters (``array``), with value semantics.
 
-    Candidates are implicit: ``left`` at 0 and ``right`` at 1.  Positions may
-    be any finite reals; at least one voter is required.
+    Subclasses give the shape of one voter's row (``_ROW``), check the array
+    (``_check``) and name their tuple view of it (``_VIEW``), built on first
+    access; equality, hashing and ``repr`` match a frozen dataclass with that
+    one field.  ``distances()`` is computed once per election.
     """
 
-    positions: tuple[float, ...]
-
-    def __init__(self, positions: Iterable[float]):
-        pos = tuple(float(x) for x in positions)
-        if not pos:
+    def __init__(self, values: Iterable):
+        if not isinstance(values, (np.ndarray, list, tuple)):
+            values = list(values)
+        a = np.array(values, dtype=float)
+        if not len(a):
             raise ValueError("an election needs at least one voter")
-        for i, x in enumerate(pos):
-            if not math.isfinite(x):
-                raise ValueError(f"voter {i} has non-finite position {x!r}")
-        object.__setattr__(self, "positions", pos)
+        if a.shape[1:] != self._ROW:
+            raise ValueError(f"expected voter rows of shape {self._ROW}, got {a.shape}")
+        self._check(a)
+        self._store(a)
 
-    def __len__(self) -> int:
-        return len(self.positions)
+    def _store(self, values: np.ndarray) -> None:
+        values.flags.writeable = False
+        self.__dict__["array"] = values
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray):
+        """Election over an array its caller has already validated."""
+        e = object.__new__(cls)
+        e._store(values)
+        return e
 
     def distances(self) -> tuple[np.ndarray, np.ndarray]:
         """Every voter's distance to the left and to the right candidate."""
-        x = np.array(self.positions)
-        return np.abs(x), np.abs(x - 1.0)
+        return self._distances
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.array, other.array
+        return a.shape == b.shape and bool((a == b).all())
+
+    def __hash__(self) -> int:
+        return hash((getattr(self, self._VIEW),))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._VIEW}={getattr(self, self._VIEW)!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return type(self), (self.array,)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class LineElection(_VoterArray):
+    """Voter positions on the line, in units of the candidate gap.
+
+    Candidates are implicit: ``left`` at 0 and ``right`` at 1.  Positions may
+    be any finite reals; at least one voter is required.  ``array`` has shape
+    ``(n,)``; ``positions`` is the tuple of floats, built on first access.
+    """
+
+    _VIEW = "positions"
+    _ROW = ()
+
+    @staticmethod
+    def _check(x: np.ndarray) -> None:
+        if not np.isfinite(x).all():
+            i = int(np.flatnonzero(~np.isfinite(x))[0])
+            raise ValueError(f"voter {i} has non-finite position {float(x[i])!r}")
+
+    @cached_property
+    def positions(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
+
+    @cached_property
+    def _distances(self) -> tuple[np.ndarray, np.ndarray]:
+        d = np.abs(np.array([self.array, self.array - 1.0]))
+        d.flags.writeable = False
+        return d[0], d[1]
 
     def replace(self, assignments: dict[int, float]) -> "LineElection":
         """Copy of the election with the given voters moved to new positions.
@@ -128,15 +191,13 @@ class LineElection:
         Only the moved voters are validated; the others were checked when
         this election was built.
         """
-        pos = list(self.positions)
-        for i, x in assignments.items():
-            x = float(x)
-            if not math.isfinite(x):
-                raise ValueError(f"voter {i} has non-finite position {x!r}")
-            pos[i] = x
-        moved = object.__new__(LineElection)
-        object.__setattr__(moved, "positions", tuple(pos))
-        return moved
+        x = self.array.copy()
+        for i, v in assignments.items():
+            v = float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"voter {i} has non-finite position {v!r}")
+            x[i] = v
+        return LineElection._trusted(x)
 
 
 @dataclass(frozen=True)
@@ -280,7 +341,10 @@ def social_costs(e: LineElection | MetricElection) -> tuple[float, float]:
 
 def expected_votes(e: LineElection | MetricElection, beta: float) -> tuple[float, float]:
     """Expected number of cast votes for each candidate."""
-    side, p = voter_arrays(*e.distances(), beta)
+    return _votes(*voter_arrays(*e.distances(), beta))
+
+
+def _votes(side: np.ndarray, p: np.ndarray) -> tuple[float, float]:
     return math.fsum(p[side < 0].tolist()), math.fsum(p[side > 0].tolist())
 
 
@@ -335,13 +399,21 @@ def distortion_report(
     distortion is infinite.  The expected winner comes from the same expected
     vote counts the report lists.
     """
-    beta = check_beta(beta)
+    return _report(e, expected_votes(e, beta), win_probs)
+
+
+def _report(
+    e: LineElection | MetricElection,
+    votes: tuple[float, float],
+    win_probs: Sequence[float],
+) -> DistortionReport:
+    """:func:`distortion_report` given the election's expected votes."""
     p_left, p_right = float(win_probs[0]), float(win_probs[1])
     if min(p_left, p_right) < 0 or abs(p_left + p_right - 1.0) > 1e-9:
         raise ValueError(f"win probabilities must sum to 1, got {win_probs!r}")
     sc_left, sc_right = social_costs(e)
     optimal, dist_left, dist_right = distortion_pair(sc_left, sc_right)
-    ev_left, ev_right = expected_votes(e, beta)
+    ev_left, ev_right = votes
     dbar = 0.0
     if p_left > 0.0:
         dbar += p_left * dist_left
@@ -388,4 +460,4 @@ def mirror(e: LineElection) -> LineElection:
     Swaps the roles of the two candidates: social costs, expected vote counts
     and win probabilities all trade places under this map.
     """
-    return LineElection(1.0 - x for x in e.positions)
+    return LineElection(1.0 - e.array)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from votedist.displace import (
 )
 from votedist.model import LEFT, RIGHT, LineElection
 from votedist.verification import (
+    SuiteResult,
     canonicalization_suites,
     displacement_suites,
     random_beta,
@@ -277,6 +279,44 @@ class TestCanonicalizeExpectedWinner:
             assert result.ok, result
 
 
+class TestCanonicalizationSuites:
+    """The suites read both metrics off the end-to-end certificate."""
+
+    def test_certificate_holds_the_re_evaluated_metrics(self):
+        for seed in (1, 2, 9001):
+            for canonicalize, e, beta in suite_elections(50, seed):
+                form = canonicalize(e, beta)
+                cert = form.certificates[-1]
+                elections = (e, form.election)
+                if canonicalize is canonicalize_expected_winner:
+                    metrics = [model.winner_distortion(x, beta) for x in elections]
+                else:
+                    metrics = [
+                        exact.expected_distortion(x, beta).expected_distortion
+                        for x in elections
+                    ]
+                assert [cert.metric_before, cert.metric_after] == metrics
+
+    @pytest.mark.parametrize("seed", [1, 2, 9001])
+    def test_results(self, seed):
+        assert canonicalization_suites(50, seed) == [
+            SuiteResult("canonical_winner_form", 50, 0),
+            SuiteResult("canonical_expected_form", 50, 0),
+        ]
+
+    def test_no_re_evaluation(self, monkeypatch):
+        calls = {"expected_distortion": 0, "winner_distortion": 0}
+        for module, name in ((exact, "expected_distortion"), (model, "winner_distortion")):
+            def counted(*args, _f=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        canonicalization_suites(50, 1)
+        # 478 and 100 when each input and form was evaluated once more.
+        assert calls == {"expected_distortion": 378, "winner_distortion": 0}
+
+
 class TestCanonicalizeExpectedDistortion:
     def test_single_voter_already_canonical(self):
         e = LineElection([1.2])
@@ -429,7 +469,10 @@ class TestMediantIdentity:
     )
     def test_mediant_pulls_ratio_down(self, a, b, c, d):
         # Meta-check of the arithmetic the certificates lean on: a mediant
-        # lies strictly between its two parent ratios.
+        # lies strictly between its two parent ratios.  Exact rationals: in
+        # floats, a / b and c / d can differ while the mediant rounds onto
+        # one of them (a = 0.0010000000000000002, b = c = d = 0.001).
+        a, b, c, d = map(Fraction, (a, b, c, d))
         if a / b <= c / d:
             return
         mediant = (a + c) / (b + d)

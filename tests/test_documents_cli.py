@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from votedist.cli import main
 from votedist.documents import (
@@ -104,6 +106,154 @@ class TestParsing:
     )
     def test_round_trip(self, doc):
         assert parse_election(serialize_election(doc)) == doc
+
+
+N_FAULTY = 20_001
+FAULT_SITES = (0, N_FAULTY // 2, N_FAULTY - 1)
+GOOD_VOTERS = {
+    "line": ["0.25", "1.5", "-0.75", "3"],
+    "metric": ["[0.75, 0.5]", "[2, 1.5]", "[0.0, 1.0]"],
+}
+# The faulty voter as JSON text, and the message the parser has always given
+# for it at index {i}.
+FAULTS = {
+    "line": {
+        "bool": ("true", "voters[{i}]: expected a number, got True"),
+        "string": ('"1.5"', "voters[{i}]: expected a number, got '1.5'"),
+        "null": ("null", "voters[{i}]: expected a number, got None"),
+        "nested": ("[1.0]", "voters[{i}]: expected a number, got [1.0]"),
+        "nan": ("NaN", "voters[{i}]: must be finite, got nan"),
+        "overflow": ("1e400", "voters[{i}]: must be finite, got inf"),
+    },
+    "metric": {
+        "bool": ("[1.0, true]", "voters[{i}][1]: expected a number, got True"),
+        "string": ('["1.5", 1.0]', "voters[{i}][0]: expected a number, got '1.5'"),
+        "null": ("[1.0, null]", "voters[{i}][1]: expected a number, got None"),
+        "scalar": ("1.0", "voters[{i}]: expected a [d_left, d_right] pair, got 1.0"),
+        "nan": ("[NaN, 1.0]", "voters[{i}][0]: must be finite, got nan"),
+        "overflow": ("[1.0, 1e400]", "voters[{i}][1]: must be finite, got inf"),
+        "triple": (
+            "[1.0, 1.0, 1.0]",
+            "voters[{i}]: expected a [d_left, d_right] pair, got [1.0, 1.0, 1.0]",
+        ),
+        "negative": ("[-0.5, 1.5]", "voters: voter {i} has negative distances"),
+        "triangle": (
+            "[0.25, 0.5]",
+            "voters: voter {i} violates the triangle inequality: 0.25 + 0.5 < 1",
+        ),
+    },
+}
+# Faults the election itself finds; they are reported only when no voter of
+# the document is malformed or non-finite.
+ELECTION_FAULTS = ("negative", "triangle")
+
+
+def faulty_document(kind, faults):
+    """JSON text of N_FAULTY voters with ``faults`` ({index: fault}) put in."""
+    good = GOOD_VOTERS[kind]
+    voters = [good[i % len(good)] for i in range(N_FAULTY)]
+    for i, fault in faults.items():
+        voters[i] = FAULTS[kind][fault][0]
+    return f'{{"schema": 1, "kind": "{kind}", "beta": 1.0, "voters": [{", ".join(voters)}]}}'
+
+
+def expected_fault(kind, faults):
+    order = sorted(faults, key=lambda i: (faults[i] in ELECTION_FAULTS, i))
+    return FAULTS[kind][faults[order[0]]][1].format(i=order[0])
+
+
+class TestErrorParity:
+    """Each fault is reported with the message and index it always had."""
+
+    @pytest.mark.parametrize("where", FAULT_SITES)
+    @pytest.mark.parametrize(
+        "kind,fault", [(k, f) for k in FAULTS for f in FAULTS[k]]
+    )
+    def test_single_fault(self, kind, fault, where):
+        with pytest.raises(DocumentError) as err:
+            parse_election(faulty_document(kind, {where: fault}))
+        assert str(err.value) == FAULTS[kind][fault][1].format(i=where)
+
+    @pytest.mark.parametrize(
+        "kind,first,second",
+        [
+            ("line", "nan", "bool"),
+            ("line", "string", "overflow"),
+            ("line", "overflow", "nested"),
+            ("metric", "nan", "string"),
+            ("metric", "null", "triple"),
+            ("metric", "triple", "overflow"),
+            ("metric", "negative", "triangle"),
+            ("metric", "triangle", "negative"),
+            ("metric", "negative", "bool"),
+            ("metric", "triangle", "nan"),
+            ("metric", "triangle", "scalar"),
+        ],
+    )
+    def test_two_faults(self, kind, first, second):
+        faults = {N_FAULTY // 3: first, 2 * N_FAULTY // 3: second}
+        with pytest.raises(DocumentError) as err:
+            parse_election(faulty_document(kind, faults))
+        assert str(err.value) == expected_fault(kind, faults)
+
+    def test_good_document_parses(self):
+        for kind in FAULTS:
+            doc = parse_election(faulty_document(kind, {}))
+            assert len(doc.voters) == N_FAULTY
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+distance_pairs = st.tuples(
+    st.floats(0.0, 1e12), st.floats(0.0, 1e12)
+).filter(lambda pair: pair[0] + pair[1] >= 1.0)
+metadata = st.dictionaries(st.text(max_size=5), st.text(max_size=5), max_size=3)
+
+
+class TestArrayDocuments:
+    @given(st.lists(finite_floats, min_size=1, max_size=30), st.floats(0.0, 1.0), metadata)
+    def test_line_round_trip(self, voters, beta, meta):
+        doc = ElectionDocument("line", beta, tuple(voters), meta)
+        assert parse_election(serialize_election(doc)) == doc
+
+    @given(st.lists(distance_pairs, min_size=1, max_size=30), st.floats(0.0, 1.0), metadata)
+    def test_metric_round_trip(self, pairs, beta, meta):
+        doc = ElectionDocument("metric", beta, tuple(pairs), meta)
+        parsed = parse_election(serialize_election(doc))
+        assert parsed == doc
+        assert parsed.voters == tuple(pairs)
+
+    def test_large_integers_convert_like_float(self):
+        ints = [2**53 + 1, -(2**53 + 3), 2**63 + 12345, 2**64 + 1, 10**300 + 7]
+        assert float(2**53 + 1) != 2**53 + 1  # the conversion rounds
+        line = parse_election(
+            json.dumps({"schema": 1, "kind": "line", "beta": 1.0, "voters": ints})
+        )
+        assert line.voters == tuple(float(v) for v in ints)
+        pairs = [[abs(v), 2**60 + 1] for v in ints]
+        metric = parse_election(
+            json.dumps({"schema": 1, "kind": "metric", "beta": 1.0, "voters": pairs})
+        )
+        assert metric.voters == tuple((float(a), float(b)) for a, b in pairs)
+
+    def test_parsed_election_is_returned_as_is(self):
+        doc = parse_election(MINIMAL_LINE)
+        assert doc.to_line() is doc.to_line() is doc.election
+        metric = parse_election(
+            json.dumps({"schema": 1, "kind": "metric", "beta": 1.0, "voters": [[1, 2]]})
+        )
+        assert metric.to_metric() is metric.election
+
+    def test_voters_are_built_on_first_access(self):
+        doc = parse_election(faulty_document("line", {}))
+        assert "positions" not in vars(doc.election)
+        assert doc.voters[:4] == (0.25, 1.5, -0.75, 3.0)
+        assert doc.voters is doc.election.positions
+
+    def test_document_of_invalid_voters_is_rejected(self):
+        with pytest.raises(ValueError, match="voter 1 has non-finite position"):
+            ElectionDocument("line", 1.0, (0.5, float("inf")))
+        with pytest.raises(DocumentError, match="kind"):
+            ElectionDocument("plane", 1.0, (0.5,))
 
 
 class TestCli:

@@ -299,6 +299,24 @@ class TestExpectedDistortion:
         monkeypatch.setattr(model, "profile", forbidden)
         assert [expected_distortion(e, 0.6) for e in (line, metric)] == expected
 
+    def test_evaluates_the_voters_once(self, monkeypatch, rng):
+        elections = [
+            LineElection(rng.uniform(-1.0, 2.0, size=n)) for n in (1, 7, 40, 41, 900)
+        ] + [MetricElection([(0.4, 0.8), (1.5, 0.6), (1.0, 1.0)])]
+        for e in elections:
+            for beta in (0.0, 0.37, 1.0):
+                composed = model.distortion_report(e, beta, win_probabilities(e, beta))
+                calls = []
+
+                def counted(*args, _f=model.voter_arrays):
+                    calls.append(1)
+                    return _f(*args)
+
+                monkeypatch.setattr(model, "voter_arrays", counted)
+                assert expected_distortion(e, beta) == composed  # bit for bit
+                monkeypatch.undo()
+                assert len(calls) == 1
+
 
 class TestEnumerateOracle:
     def test_single_far_voter(self):

@@ -1,8 +1,12 @@
 import itertools
 import math
+import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from votedist import exact, model
 from votedist.exact import expected_distortion
@@ -141,3 +145,109 @@ class TestReduceToLine:
                 report_l.expected_distortion
                 >= report_m.expected_distortion - 1e-9
             )
+
+
+@dataclass(frozen=True)
+class FrozenPairs:
+    """What MetricElection was: a frozen dataclass over a tuple of pairs."""
+
+    pairs: tuple
+
+
+valid_pairs = st.lists(
+    st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6)).filter(
+        lambda pair: pair[0] + pair[1] >= 1.0
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def reference_reduction(m, beta):
+    """The per-voter construction, one distance_ratio call per pair."""
+    sc_left, sc_right = model.social_costs(m)
+    swapped = sc_left < sc_right
+    pairs = [(b, a) for a, b in m.pairs] if swapped else list(m.pairs)
+    if swapped:
+        sc_left, sc_right = sc_right, sc_left
+    dist_left = math.inf if sc_right == 0.0 else sc_left / sc_right
+    positions = []
+    for pair in pairs:
+        ratio = distance_ratio(pair)
+        if math.isinf(ratio):
+            positions.append(1.0)
+        elif ratio <= dist_left:
+            positions.append(ratio / (ratio + 1.0))
+        else:
+            positions.append(ratio / (ratio - 1.0))
+    return tuple(positions), swapped
+
+
+class TestArrayStorage:
+    def test_arrays_are_read_only(self):
+        m = MetricElection([(0.5, 0.5), (3.0, 2.0)])
+        assert m.array.shape == (2, 2)
+        with pytest.raises(ValueError):
+            m.array[0, 0] = 1.0
+        for d in m.distances():
+            with pytest.raises(ValueError):
+                d[0] = 1.0
+        with pytest.raises(ValueError):
+            swap_labels(m).array[0, 0] = 1.0
+
+    def test_pickles_stay_read_only(self):
+        m = MetricElection([(0.5, 0.5), (3.0, 2.0)])
+        twin = pickle.loads(pickle.dumps(m))
+        assert twin == m and not twin.array.flags.writeable
+
+    def test_distances_are_computed_once(self):
+        m = MetricElection([(0.5, 0.5), (3.0, 2.0)])
+        first, again = m.distances(), m.distances()
+        assert first[0] is again[0] and first[1] is again[1]
+        np.testing.assert_array_equal(first[1], [0.5, 2.0])
+
+    def test_pairs_are_built_on_first_access(self):
+        m = MetricElection(np.array([[1, 2], [0.5, 0.5]]))
+        assert "pairs" not in vars(m)
+        assert m.pairs == ((1.0, 2.0), (0.5, 0.5))
+        assert all(type(d) is float for pair in m.pairs for d in pair)
+
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ([(1, 1), (0.2, 0.3), (-1, 5), (math.nan, 1)], "voter 1 violates the triangle"),
+            ([(1, 1), (-0.1, 0.3), (0.2, 0.3)], "voter 1 has negative distances"),
+            ([(1, 1), (math.inf, -1.0)], "voter 1 has non-finite distances"),
+            ([(1, 1), (1, 2, 3)], None),
+        ],
+    )
+    def test_first_bad_voter_is_named(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            MetricElection(pairs)
+
+    @given(valid_pairs, valid_pairs)
+    def test_value_semantics_are_those_of_the_dataclass(self, a, b):
+        ma, mb = MetricElection(a), MetricElection(b)
+        ra, rb = FrozenPairs(tuple(a)), FrozenPairs(tuple(b))
+        assert (ma == mb) == (ra == rb)
+        assert hash(ma) == hash(ra)
+        assert repr(ma) == repr(ra).replace("FrozenPairs", "MetricElection")
+        assert ma == MetricElection(np.array(a)) == MetricElection(iter(a))
+
+    @given(valid_pairs, st.floats(0.0, 1.0))
+    def test_reduction_matches_the_per_voter_construction(self, pairs, beta):
+        m = MetricElection(pairs)
+        red = reduce_to_line(m, beta)
+        assert (red.election.positions, red.swapped) == reference_reduction(m, beta)
+
+    def test_reduction_of_planar_elections_is_bit_exact(self, rng):
+        for _ in range(50):
+            m = random_euclidean_election(rng, max_voters=40)
+            red = reduce_to_line(m, 1.0)
+            assert (red.election.positions, red.swapped) == reference_reduction(m, 1.0)
+        at_right = MetricElection([(1.0, 0.0), (0.2, 0.9), (1.5, 0.6)])
+        assert reduce_to_line(at_right, 1.0).election.positions[0] == 1.0
+
+    @given(valid_pairs)
+    def test_swap_labels_swaps_every_pair(self, pairs):
+        assert swap_labels(MetricElection(pairs)).pairs == tuple((b, a) for a, b in pairs)

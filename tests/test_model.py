@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -395,3 +398,78 @@ class TestReplace:
         e = LineElection([0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="voter 2 has non-finite position"):
             e.replace({0: 0.4, 2: bad})
+
+
+@dataclass(frozen=True)
+class FrozenLine:
+    """What LineElection was: a frozen dataclass over a tuple of positions."""
+
+    positions: tuple
+
+
+class TestArrayStorage:
+    def test_arrays_are_read_only(self):
+        e = LineElection([0.1, -0.2, 1.7])
+        with pytest.raises(ValueError):
+            e.array[0] = 0.5
+        for d in e.distances():
+            with pytest.raises(ValueError):
+                d[0] = 0.0
+        with pytest.raises(ValueError):
+            e.replace({1: 0.3}).array[1] = 0.0
+
+    def test_election_is_immutable(self):
+        e = LineElection([0.1])
+        with pytest.raises(AttributeError):
+            e.array = np.array([0.2])
+        with pytest.raises(AttributeError):
+            del e.array
+
+    def test_copies_and_pickles_stay_read_only(self):
+        e = LineElection([0.1, -0.2])
+        e.distances()
+        for twin in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), copy.copy(e)):
+            assert twin == e
+            assert not twin.array.flags.writeable
+            assert not twin.distances()[0].flags.writeable
+
+    def test_input_is_copied(self):
+        x = np.array([0.1, 0.2])
+        e = LineElection(x)
+        x[0] = 9.0
+        assert e.positions == (0.1, 0.2)
+        assert e.replace({0: 0.3}).positions == (0.3, 0.2) and e.positions == (0.1, 0.2)
+
+    def test_distances_are_computed_once(self):
+        e = LineElection([-1.0, 0.25, 3.0])
+        first, again = e.distances(), e.distances()
+        assert first[0] is again[0] and first[1] is again[1]
+        np.testing.assert_array_equal(first[0], [1.0, 0.25, 3.0])
+        np.testing.assert_array_equal(first[1], [2.0, 0.75, 2.0])
+
+    def test_positions_are_built_on_first_access(self):
+        e = LineElection([0.5, 2])
+        assert "positions" not in vars(e)
+        assert e.positions == (0.5, 2.0) and all(type(x) is float for x in e.positions)
+        assert e.positions is e.positions
+
+    def test_first_non_finite_voter_is_named(self):
+        with pytest.raises(ValueError, match=r"^voter 1 has non-finite position inf$"):
+            LineElection([0.1, math.inf, math.nan])
+        with pytest.raises(ValueError, match="shape"):
+            LineElection([[0.1, 0.2]])
+
+    @given(array_positions, array_positions)
+    def test_value_semantics_are_those_of_the_dataclass(self, a, b):
+        ea, eb = LineElection(a), LineElection(b)
+        ra, rb = FrozenLine(tuple(map(float, a))), FrozenLine(tuple(map(float, b)))
+        assert (ea == eb) == (ra == rb)
+        assert (ea != eb) == (ra != rb)
+        assert hash(ea) == hash(ra)
+        assert repr(ea) == repr(ra).replace("FrozenLine", "LineElection")
+        assert ea == LineElection(np.array(a)) == LineElection(x for x in a)
+        assert ea != tuple(a) and ea != ra
+
+    def test_mirror_is_bit_exact(self):
+        x = np.random.default_rng(3).uniform(-2.0, 3.0, 500)
+        assert mirror(LineElection(x)).positions == tuple(1.0 - v for v in x.tolist())
