@@ -9,7 +9,9 @@ certified property failure.  Randomized commands require an explicit
 
 from __future__ import annotations
 
+import dataclasses
 import sys
+from types import SimpleNamespace
 
 import click
 
@@ -19,22 +21,12 @@ from .documents import DocumentError, ElectionDocument
 EXIT_VALIDATION = 1
 EXIT_PROPERTY = 2
 
-_REPORT_FIELDS = (
-    "sc_left",
-    "sc_right",
-    "optimal",
-    "dist_left",
-    "dist_right",
-    "expected_votes_left",
-    "expected_votes_right",
-    "expected_winner",
-    "win_prob_left",
-    "win_prob_right",
-    "expected_distortion",
-)
+_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(model.DistortionReport))
 
 
 def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
@@ -220,14 +212,8 @@ def cmd_worstcase(beta, grid, epsilon, fmt, out) -> None:
     if fmt == "csv":
         text = worstcase.sweep_csv([solution])
     else:
-        text = (
-            f"beta      {_fmt(solution.beta)}\n"
-            f"dstar     {_fmt(solution.value)}\n"
-            f"q_b       {_fmt(solution.q_b)}\n"
-            f"x_b       {_fmt(solution.x_b)}\n"
-            f"x_d       {_fmt(solution.x_d)}\n"
-            f"attained  {str(solution.attained).lower()}\n"
-        )
+        row = SimpleNamespace(dstar=solution.value, **vars(solution))
+        text = _report_lines(row, fmt, ("beta", "dstar", "q_b", "x_b", "x_d", "attained"))
     _emit(text, out)
 
 

@@ -21,11 +21,12 @@ are the constructive ones:
 
 Every move can be certified numerically on a concrete election:
 ``certify_winner_displacement`` and ``certify_expected_displacement`` compare
-the relevant quantity before and after.  The two ``canonicalize_*``
-procedures chain the moves to crush an election into its extremal shape
-(each region collapses in one step to the limit of its pairwise merges),
-certifying every step, and raise ``CertificateError`` on any certified
-regression (which would indicate a bug, not a property of the input).
+the relevant quantity before and after, computed exactly.  The two
+``canonicalize_*`` procedures chain the moves to crush an election into its
+extremal shape (each region collapses in one step to the limit of its
+pairwise merges), measuring each election once and certifying every step,
+and raise ``CertificateError`` on any certified regression (which would
+indicate a bug, not a property of the input).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import exact, model, montecarlo
+from . import exact, model
 from .model import LEFT, RIGHT, TIE, LineElection
 
 __all__ = [
@@ -77,8 +78,7 @@ class ValidityCertificate:
     """Before/after record for one displacement.
 
     ``metric`` is the distortion of the expected winner for winner-preserving
-    moves and the expected distortion otherwise.  ``allowance`` widens the
-    tolerance when the metric was estimated rather than computed exactly.
+    moves and the expected distortion otherwise.
     """
 
     winner_before: str
@@ -86,13 +86,12 @@ class ValidityCertificate:
     metric_before: float
     metric_after: float
     winner_preserving: bool
-    allowance: float = CERTIFICATE_TOL
 
     @property
     def passed(self) -> bool:
         if self.winner_preserving and self.winner_after != self.winner_before:
             return False
-        return self.metric_after >= self.metric_before - self.allowance
+        return self.metric_after >= self.metric_before - CERTIFICATE_TOL
 
 
 @dataclass(frozen=True)
@@ -111,65 +110,38 @@ class CanonicalForm:
     certificates: tuple[ValidityCertificate, ...]
 
 
+def _measure_winner(e: LineElection, beta: float) -> tuple[str, float]:
+    """The expected winner and its distortion (``nan`` on a tie)."""
+    w = model.expected_winner(e, beta)
+    return w, (model._candidate_distortion(e, w) if w != TIE else math.nan)
+
+
+def _measure_expected(e: LineElection, beta: float) -> tuple[str, float]:
+    """The expected winner and the expected distortion, exact at any size."""
+    report = exact.expected_distortion(e, beta)
+    return report.expected_winner, report.expected_distortion
+
+
+def _certificate(before: tuple, after: tuple, preserving: bool) -> ValidityCertificate:
+    (w_before, m_before), (w_after, m_after) = before, after
+    return ValidityCertificate(w_before, w_after, m_before, m_after, preserving)
+
+
 def certify_winner_displacement(
     before: LineElection, after: LineElection, beta: float
 ) -> ValidityCertificate:
     """Certificate that a move kept the expected winner and its distortion."""
-    w_before = model.expected_winner(before, beta)
-    w_after = model.expected_winner(after, beta)
-    if w_before == TIE:
+    measured = _measure_winner(before, beta)
+    if measured[0] == TIE:
         raise ValueError("cannot certify winner preservation from a tied election")
-    return ValidityCertificate(
-        winner_before=w_before,
-        winner_after=w_after,
-        metric_before=model._candidate_distortion(before, w_before),
-        metric_after=(
-            model._candidate_distortion(after, w_after) if w_after != TIE else math.nan
-        ),
-        winner_preserving=True,
-    )
+    return _certificate(measured, _measure_winner(after, beta), True)
 
 
 def certify_expected_displacement(
-    before: LineElection,
-    after: LineElection,
-    beta: float,
-    exact_limit: int = exact.EXACT_LIMIT,
-    mc: Optional[montecarlo.McConfig] = None,
+    before: LineElection, after: LineElection, beta: float
 ) -> ValidityCertificate:
-    """Certificate that a move did not decrease the expected distortion.
-
-    Uses the exact engine up to ``exact_limit`` voters.  Beyond that the two
-    sides are estimated by simulation (``mc`` must then be given) and the
-    allowance widens by both half-widths, so the certificate only fails when
-    the confidence intervals themselves witness a decrease.
-    """
-    allowance = CERTIFICATE_TOL
-    if max(len(before), len(after)) <= exact_limit:
-        report_before = exact.expected_distortion(before, beta)
-        report_after = exact.expected_distortion(after, beta)
-        d_before = report_before.expected_distortion
-        d_after = report_after.expected_distortion
-        w_before = report_before.expected_winner
-        w_after = report_after.expected_winner
-    else:
-        if mc is None:
-            raise ValueError("election too large for exact certification; pass mc")
-        est_before = montecarlo.simulate(before, beta, mc)
-        est_after = montecarlo.simulate(after, beta, mc)
-        d_before = est_before.expected_distortion_hat
-        d_after = est_after.expected_distortion_hat
-        allowance += est_before.half_width_d + est_after.half_width_d
-        w_before = model.expected_winner(before, beta)
-        w_after = model.expected_winner(after, beta)
-    return ValidityCertificate(
-        winner_before=w_before,
-        winner_after=w_after,
-        metric_before=d_before,
-        metric_after=d_after,
-        winner_preserving=False,
-        allowance=allowance,
-    )
+    """Certificate that a move did not decrease the expected distortion."""
+    return _certificate(*(_measure_expected(x, beta) for x in (before, after)), False)
 
 
 def _require_region(e: LineElection, i: int, wanted: str) -> float:
@@ -198,9 +170,14 @@ def move_bc_pair(e: LineElection, i: int, j: int) -> LineElection:
     xj = _require_region(e, j, "C")
     if xj == 0.5:
         raise ValueError(f"voter {j} is exactly indifferent; no pair move applies")
+    return e.replace(_bc_pair(e, i, j))
+
+
+def _bc_pair(e: LineElection, i: int, j: int) -> dict[int, float]:
+    xi, xj = e.positions[i], e.positions[j]
     if xi <= 1.0 - xj:
-        return e.replace({i: xi + xj - 0.5, j: 0.5})
-    return e.replace({i: xi - 1.0 + xj, j: 1.0})
+        return {i: xi + xj - 0.5, j: 0.5}
+    return {i: xi - 1.0 + xj, j: 1.0}
 
 
 def merge_same_region(e: LineElection, i: int, j: int) -> LineElection:
@@ -225,8 +202,11 @@ def map_a_to_b(e: LineElection, i: int) -> LineElection:
     the point ``-x / (1 - 2x)`` in B yields exactly the same probability for
     every ``beta``, while both social costs drop.
     """
-    x = _require_region(e, i, "A")
-    return e.replace({i: -x / (1.0 - 2.0 * x)})
+    return e.replace({i: _a_to_b(_require_region(e, i, "A"))})
+
+
+def _a_to_b(x: float) -> float:
+    return -x / (1.0 - 2.0 * x)
 
 
 def map_c_to_d(e: LineElection, j: int) -> LineElection:
@@ -247,7 +227,11 @@ def map_c_to_d(e: LineElection, j: int) -> LineElection:
     x = _require_region(e, j, "C")
     if x == 0.5:
         raise ValueError(f"voter {j} is exactly indifferent; no D image exists")
-    return e.replace({j: x / (2.0 * x - 1.0)})
+    return e.replace({j: _c_to_d(x)})
+
+
+def _c_to_d(x: float) -> float:
+    return x / (2.0 * x - 1.0)
 
 
 def merge_d_geometric(e: LineElection, i: int, j: int) -> LineElection:
@@ -277,30 +261,38 @@ def _geometric_limit(xs: list[float]) -> float:
 
 
 class _Chain:
-    """Bookkeeping for a certified sequence of displacements."""
+    """Bookkeeping for a certified sequence of displacements.
+
+    With a ``measure``, each election is measured once, when reached; each
+    certificate pairs two of these measurements.
+    """
 
     def __init__(
-        self,
-        e: LineElection,
-        certifier: Optional[Callable[[LineElection, LineElection], ValidityCertificate]],
+        self, e: LineElection, measure: Optional[Callable], winner_preserving: bool
     ):
         self.current = e
-        self.certifier = certifier
+        self.measure = measure
+        self.winner_preserving = winner_preserving
         self.steps: list[Displacement] = []
         self.certificates: list[ValidityCertificate] = []
+        self.measured = [measure(e)] if measure is not None else None
+
+    def _certify(self, what: str, since: int = -2) -> None:
+        """Certify the last measurement against the one at index ``since``."""
+        before, after = self.measured[since], self.measured[-1]
+        cert = _certificate(before, after, self.winner_preserving)
+        self.certificates.append(cert)
+        if not cert.passed:
+            raise CertificateError(f"{what}: {cert}")
 
     def apply(self, kind: str, assignments: dict[int, float]) -> None:
         nxt = self.current.replace(assignments)
         self.steps.append(
             Displacement(kind, tuple(assignments), tuple(assignments.values()))
         )
-        if self.certifier is not None:
-            cert = self.certifier(self.current, nxt)
-            self.certificates.append(cert)
-            if not cert.passed:
-                raise CertificateError(
-                    f"displacement {kind}{tuple(assignments)} regressed: {cert}"
-                )
+        if self.measure is not None:
+            self.measured.append(self.measure(nxt))
+            self._certify(f"displacement {kind}{tuple(assignments)} regressed")
         self.current = nxt
 
     def collapse(
@@ -317,12 +309,9 @@ class _Chain:
         t = min(max(limit(xs), min(xs)), max(xs))  # rounding stays in the span
         self.apply(kind, {i: t for i in members})
 
-    def finish(self, origin: LineElection) -> CanonicalForm:
-        if self.certifier is not None:
-            cert = self.certifier(origin, self.current)
-            self.certificates.append(cert)
-            if not cert.passed:
-                raise CertificateError(f"end-to-end certificate failed: {cert}")
+    def finish(self) -> CanonicalForm:
+        if self.measure is not None:
+            self._certify("end-to-end certificate failed", since=0)
         return CanonicalForm(
             election=self.current,
             applied=True,
@@ -348,10 +337,8 @@ def canonicalize_expected_winner(
     if model.expected_winner(e, beta) != LEFT or not sc_right < sc_left:
         return CanonicalForm(e, applied=False, steps=(), certificates=())
 
-    certifier = (
-        (lambda a, b: certify_winner_displacement(a, b, beta)) if certify else None
-    )
-    chain = _Chain(e, certifier)
+    measure = (lambda x: _measure_winner(x, beta)) if certify else None
+    chain = _Chain(e, measure, winner_preserving=True)
 
     for i, x in enumerate(chain.current.positions):
         if x < 0.0:
@@ -368,24 +355,15 @@ def canonicalize_expected_winner(
         raise ValueError("no B voter available to pair against region C")
     for k, j in enumerate(c_voters):
         i = b_voters[k % len(b_voters)]
-        xi = chain.current.positions[i]
-        xj = chain.current.positions[j]
-        if xi <= 1.0 - xj:
-            chain.apply("BC_pair", {i: xi + xj - 0.5, j: 0.5})
-        else:
-            chain.apply("BC_pair", {i: xi - 1.0 + xj, j: 1.0})
+        chain.apply("BC_pair", _bc_pair(chain.current, i, j))
 
     chain.collapse(lambda x: 0.0 <= x <= 0.5, "same_region_merge", _midpoint_limit)
     chain.collapse(lambda x: x >= 1.0, "same_region_merge", _midpoint_limit)
-    return chain.finish(e)
+    return chain.finish()
 
 
 def canonicalize_expected_distortion(
-    e: LineElection,
-    beta: float,
-    certify: bool = True,
-    exact_limit: int = exact.EXACT_LIMIT,
-    mc: Optional[montecarlo.McConfig] = None,
+    e: LineElection, beta: float, certify: bool = True
 ) -> CanonicalForm:
     """Empty region A, drain C where valid, fuse D; never lowering D-bar.
 
@@ -398,7 +376,7 @@ def canonicalize_expected_distortion(
     :func:`map_c_to_d`), so such voters stay put.  Every applied move raises
     the bar, hence processing C in ascending position moves a maximal set
     and no second pass could move more.  Finally the D mass contracts in one
-    step to the limit of its geometric merges.
+    step to the limit of its geometric merges.  Certificates are exact at any size.
 
     On return, region A and the movable part of C are empty, D holds at most
     one distinct position, and any interior-C voter left behind sits strictly
@@ -410,25 +388,19 @@ def canonicalize_expected_distortion(
     if model.expected_winner(e, beta) != RIGHT or not sc_right < sc_left:
         return CanonicalForm(e, applied=False, steps=(), certificates=())
 
-    certifier = (
-        (lambda a, b: certify_expected_displacement(a, b, beta, exact_limit, mc))
-        if certify
-        else None
-    )
-    chain = _Chain(e, certifier)
+    measure = (lambda x: _measure_expected(x, beta)) if certify else None
+    chain = _Chain(e, measure, winner_preserving=False)
 
     for i, x in enumerate(chain.current.positions):
         if x < 0.0:
-            chain.apply("A_to_B_map", {i: -x / (1.0 - 2.0 * x)})
+            chain.apply("A_to_B_map", {i: _a_to_b(x)})
 
     c_voters = [j for j, x in enumerate(chain.current.positions) if 0.5 < x < 1.0]
     c_voters.sort(key=lambda j: chain.current.positions[j])
     for j in c_voters:
         x = chain.current.positions[j]
-        sc_left, sc_right = model.social_costs(chain.current)
-        bar = math.inf if sc_right == 0.0 else sc_left / sc_right
-        if x / (1.0 - x) >= bar:
-            chain.apply("C_to_D_map", {j: x / (2.0 * x - 1.0)})
+        if x / (1.0 - x) >= model._candidate_distortion(chain.current, LEFT):
+            chain.apply("C_to_D_map", {j: _c_to_d(x)})
 
     chain.collapse(lambda x: x >= 1.0, "D_geometric_merge", _geometric_limit)
-    return chain.finish(e)
+    return chain.finish()

@@ -105,7 +105,10 @@ _NUMBERS = {int, float}
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DocumentError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range, like 1e400
+        value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
         raise DocumentError(f"{where}: must be finite, got {value!r}")
     return value

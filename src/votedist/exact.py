@@ -39,9 +39,9 @@ multiply-adds for the narrow levels timed within the run-to-run noise
 every level uses the FFT.  The scalar product beats the tree up to about
 40 voters (14 us against 45 us at n = 8).
 
-``EXACT_LIMIT`` is the largest election the audits evaluate exactly by
-default (:func:`votedist.worstcase.verify_distortion_bound`,
-:mod:`votedist.displace` certificates); above it they simulate.
+``EXACT_LIMIT`` is the largest election the bound audit
+(:func:`votedist.worstcase.verify_distortion_bound`) evaluates exactly by
+default; above it the audit simulates.  Certificates are always exact.
 
 ``enumerate_oracle`` recomputes the same quantities by brute force over all
 2**n participation outcomes; it exists purely as an independent check for
@@ -84,9 +84,9 @@ TILT_BELOW = 1e-3
 _MAX_TILT = 512.0
 _TILT_STEPS = 24
 
-#: Largest election the audits evaluate exactly by default.  At 10**6 voters
-#: ``expected_distortion`` takes 1-1.4 s and peaks at 160 MB of RSS, of
-#: which the PMF tree takes about 100 MB.
+#: Largest election the bound audit evaluates exactly by default.  At 10**6
+#: voters ``expected_distortion`` takes 1-1.4 s and peaks at 160 MB of RSS,
+#: of which the PMF tree takes about 100 MB.
 EXACT_LIMIT = 1_000_000
 
 

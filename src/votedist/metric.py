@@ -117,7 +117,7 @@ def reduce_to_line(m: MetricElection, beta: float) -> LineReduction:
     if swapped:
         m = swap_labels(m)
         sc_left, sc_right = sc_right, sc_left
-    dist_left = math.inf if sc_right == 0.0 else sc_left / sc_right
+    _, dist_left, _ = model.distortion_pair(sc_left, sc_right)
 
     d_left, d_right = m.distances()
     # Both branches are evaluated for every voter.  As with distance_ratio,

@@ -105,7 +105,7 @@ class _VoterArray:
     Subclasses give the shape of one voter's row (``_ROW``), check the array
     (``_check``) and name their tuple view of it (``_VIEW``), built on first
     access; equality, hashing and ``repr`` match a frozen dataclass with that
-    one field.  ``distances()`` is computed once per election.
+    one field.  Distances and social costs are computed once per election.
     """
 
     def __init__(self, values: Iterable):
@@ -133,6 +133,11 @@ class _VoterArray:
     def distances(self) -> tuple[np.ndarray, np.ndarray]:
         """Every voter's distance to the left and to the right candidate."""
         return self._distances
+
+    @cached_property
+    def _social_costs(self) -> tuple[float, float]:
+        d_left, d_right = self._distances
+        return math.fsum(d_left.tolist()), math.fsum(d_right.tolist())
 
     def __len__(self) -> int:
         return len(self.array)
@@ -335,8 +340,7 @@ def region_of(x: float) -> str:
 
 def social_costs(e: LineElection | MetricElection) -> tuple[float, float]:
     """Summed voter distances to the left and right candidate."""
-    d_left, d_right = e.distances()
-    return math.fsum(d_left.tolist()), math.fsum(d_right.tolist())
+    return e._social_costs
 
 
 def expected_votes(e: LineElection | MetricElection, beta: float) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -78,6 +79,36 @@ def suite_elections(trials, seed):
     for _ in range(trials):
         beta = random_beta(rng)
         yield canonicalize_expected_distortion, random_right_leading_election(rng, beta), beta
+
+
+def certificate_fields(cert):
+    return (cert.winner_before, cert.winner_after, cert.metric_before,
+            cert.metric_after, cert.winner_preserving)
+
+
+def audit_digests(chains=50):
+    """Digests of the sampler streams and of the canonicalization chains.
+
+    The streams are the elections both samplers draw, at one seed, for each
+    ``require``; the chains are the steps, final elections and certificates
+    of the chains ``canonicalization_suites(chains, seed)`` runs.
+    """
+    rng = np.random.default_rng(20261018)
+    streams = hashlib.sha256()
+    for require in ((), ("A",), ("B", "C"), ("D", "D"), ("C",)):
+        for sampler in (random_left_leading_election, random_right_leading_election):
+            for _ in range(3):
+                e = sampler(rng, random_beta(rng), require=require)
+                streams.update(e.array.astype("<f8").tobytes())
+    digests = {"streams": streams.hexdigest()}
+    for seed in (1, 2, 9001):
+        forms = hashlib.sha256()
+        for canonicalize, e, beta in suite_elections(chains, seed):
+            form = canonicalize(e, beta)
+            certs = [certificate_fields(c) for c in form.certificates]
+            forms.update(repr((form.steps, form.election.positions, certs)).encode())
+        digests[seed] = forms.hexdigest()
+    return digests
 
 
 class TestMoveAToZero:
@@ -225,22 +256,6 @@ class TestCertificates:
         with pytest.raises(ValueError):
             certify_winner_displacement(tied, tied, 1.0)
 
-    def test_mc_certificate_for_large_elections(self):
-        from votedist.montecarlo import McConfig
-
-        e = LineElection([0.3] * 40 + [1.4] * 60)
-        moved = merge_d_geometric(e, 40, 41)
-        cert = certify_expected_displacement(
-            e, moved, 1.0, exact_limit=10, mc=McConfig(samples=20_000, seed=3)
-        )
-        assert cert.allowance > displace.CERTIFICATE_TOL
-        assert cert.passed
-
-    def test_mc_certificate_needs_config(self):
-        e = LineElection([0.3] * 40 + [1.4] * 60)
-        with pytest.raises(ValueError):
-            certify_expected_displacement(e, e, 1.0, exact_limit=10, mc=None)
-
     def test_all_move_kinds_certify_on_random_elections(self):
         for result in displacement_suites(trials=120, seed=99):
             assert result.ok, result
@@ -304,6 +319,31 @@ class TestCanonicalizationSuites:
             SuiteResult("canonical_expected_form", 50, 0),
         ]
 
+    def test_audit_digests_are_unchanged(self):
+        # Any change to a sampler draw, a chain step or a certificate
+        # changes a digest.
+        assert audit_digests() == {
+            "streams": "338088baac43e567782ff2ebfcd4993facdefcccc23c09d027fe9cde69795ff1",
+            1: "486fe514ab68a2f7476504b11a2e249b2e2586461a0c6f645ab42c761f752f6c",
+            2: "e6b534d199c47cbdaf76db183ebfe8fd18ec86bb6c1fd060ac067f3f948f4481",
+            9001: "bccea584c69b5a3cf960d21620d44853da25da55fc14c23ff3a1ec0ea814b945",
+        }
+
+    def test_chain_certificates_match_the_public_certifiers(self):
+        for canonicalize, e, beta in suite_elections(20, 9001):
+            form = canonicalize(e, beta)
+            certify = (
+                certify_winner_displacement
+                if canonicalize is canonicalize_expected_winner
+                else certify_expected_displacement
+            )
+            chain = [e]
+            for step in form.steps:
+                chain.append(chain[-1].replace(dict(zip(step.voters, step.targets))))
+            assert chain[-1] == form.election
+            pairs = list(zip(chain, chain[1:])) + [(e, form.election)]
+            assert list(form.certificates) == [certify(a, b, beta) for a, b in pairs]
+
     def test_no_re_evaluation(self, monkeypatch):
         calls = {"expected_distortion": 0, "winner_distortion": 0}
         for module, name in ((exact, "expected_distortion"), (model, "winner_distortion")):
@@ -313,8 +353,9 @@ class TestCanonicalizationSuites:
 
             monkeypatch.setattr(module, name, counted)
         canonicalization_suites(50, 1)
-        # 478 and 100 when each input and form was evaluated once more.
-        assert calls == {"expected_distortion": 378, "winner_distortion": 0}
+        # Each election of a chain is measured once: 50 origins and 139
+        # steps.  378 when every certificate measured both of its elections.
+        assert calls == {"expected_distortion": 189, "winner_distortion": 0}
 
 
 class TestCanonicalizeExpectedDistortion:

@@ -15,6 +15,9 @@ from votedist.documents import (
 
 from conftest import two_block_election
 
+# An integer literal beyond the float range; JSON reads it as an int.
+HUGE_INT = "9" * 400
+
 MINIMAL_LINE = """
 {
   "schema": 1,
@@ -51,7 +54,7 @@ class TestParsing:
         with pytest.raises(DocumentError, match="triangle"):
             parse_election(text)
 
-    @pytest.mark.parametrize("beta", [-0.2, 1.5])
+    @pytest.mark.parametrize("beta", [-0.2, 1.5, -int(HUGE_INT)])
     def test_beta_out_of_range(self, beta):
         text = json.dumps({"schema": 1, "kind": "line", "beta": beta, "voters": [1.0]})
         with pytest.raises(DocumentError, match="beta"):
@@ -124,6 +127,7 @@ FAULTS = {
         "nested": ("[1.0]", "voters[{i}]: expected a number, got [1.0]"),
         "nan": ("NaN", "voters[{i}]: must be finite, got nan"),
         "overflow": ("1e400", "voters[{i}]: must be finite, got inf"),
+        "huge_int": (HUGE_INT, "voters[{i}]: must be finite, got inf"),
     },
     "metric": {
         "bool": ("[1.0, true]", "voters[{i}][1]: expected a number, got True"),
@@ -132,6 +136,7 @@ FAULTS = {
         "scalar": ("1.0", "voters[{i}]: expected a [d_left, d_right] pair, got 1.0"),
         "nan": ("[NaN, 1.0]", "voters[{i}][0]: must be finite, got nan"),
         "overflow": ("[1.0, 1e400]", "voters[{i}][1]: must be finite, got inf"),
+        "huge_int": (f"[1.0, {HUGE_INT}]", "voters[{i}][1]: must be finite, got inf"),
         "triple": (
             "[1.0, 1.0, 1.0]",
             "voters[{i}]: expected a [d_left, d_right] pair, got [1.0, 1.0, 1.0]",
@@ -282,6 +287,12 @@ class TestCli:
         path = write(tmp_path, "bad.json", "{broken")
         result = self.runner.invoke(main, ["eval", path])
         assert result.exit_code == 1
+
+    def test_eval_rejects_huge_integer_voter(self, tmp_path):
+        doc = f'{{"schema": 1, "kind": "line", "beta": 1.0, "voters": [0.5, {HUGE_INT}]}}'
+        result = self.runner.invoke(main, ["eval", write(tmp_path, "e.json", doc)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: voters[1]: must be finite, got inf\n"
 
     def test_repeat_invocations_are_byte_identical(self, tmp_path):
         path = write(tmp_path, "e.json", MINIMAL_LINE)

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from votedist import model
+from votedist.metric import MetricElection
 from votedist.model import (
     INDIFFERENT,
     LEFT,
@@ -446,6 +447,14 @@ class TestArrayStorage:
         assert first[0] is again[0] and first[1] is again[1]
         np.testing.assert_array_equal(first[0], [1.0, 0.25, 3.0])
         np.testing.assert_array_equal(first[1], [2.0, 0.75, 2.0])
+
+    def test_social_costs_are_computed_once(self):
+        e = LineElection([-1.0, 0.25, 3.0])
+        m = MetricElection([(0.5, 0.75), (2.0, 1.0)])
+        for election, costs in ((e, (4.25, 4.75)), (m, (2.5, 1.75))):
+            first, again = social_costs(election), social_costs(election)
+            assert first is again
+            assert first == costs
 
     def test_positions_are_built_on_first_access(self):
         e = LineElection([0.5, 2])

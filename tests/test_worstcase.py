@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from votedist import exact, model, worstcase
+from votedist.cli import main
 from votedist.displace import canonicalize_expected_winner
 from votedist.model import LineElection
 from votedist.verification import random_beta, random_left_leading_election
@@ -283,6 +285,24 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].startswith("0,") and lines[1].endswith(",false")
         assert lines[2].startswith("1,") and lines[2].endswith(",true")
+
+    @pytest.mark.parametrize(
+        "beta, fmt, text",
+        [
+            ("1", "csv", "beta,dstar,q_b,x_b,x_d,attained\n"
+             "1,1.52240774993,0.29289311089,0,1.70710741021,true\n"),
+            ("1", "report", "beta      1\ndstar     1.52240774993\nq_b       0.29289311089\n"
+             "x_b       0\nx_d       1.70710741021\nattained  true\n"),
+            ("0", "csv", "beta,dstar,q_b,x_b,x_d,attained\n"
+             "0,2.99999200002,0.5,0.499999,1,false\n"),
+            ("0", "report", "beta      0\ndstar     2.99999200002\nq_b       0.5\n"
+             "x_b       0.499999\nx_d       1\nattained  false\n"),
+        ],
+    )
+    def test_worstcase_command_output(self, beta, fmt, text):
+        result = CliRunner().invoke(main, ["worstcase", "--beta", beta, "--format", fmt])
+        assert result.exit_code == 0
+        assert result.output == text
 
 
 class TestVoteThreshold:
