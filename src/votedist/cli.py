@@ -194,19 +194,16 @@ def cmd_metric_reduce(election_file, beta, out) -> None:
 
 @main.command("worstcase")
 @click.option("--beta", type=float, required=True)
-@click.option("--grid", type=int, default=128, show_default=True)
 @click.option(
     "--epsilon", type=float, default=0.0, show_default=True,
     help="Require the expected-vote lead to exceed a factor 1 + epsilon.",
 )
 @format_option
 @out_option
-def cmd_worstcase(beta, grid, epsilon, fmt, out) -> None:
+def cmd_worstcase(beta, epsilon, fmt, out) -> None:
     """Worst-case distortion of the expected winner at one beta."""
     try:
-        solution = worstcase.solve_worst_case_margin(
-            model.check_beta(beta), epsilon, grid
-        )
+        solution = worstcase.solve_worst_case_margin(beta, epsilon)
     except ValueError as err:
         _fail_validation(err)
     if fmt == "csv":
@@ -221,9 +218,8 @@ def cmd_worstcase(beta, grid, epsilon, fmt, out) -> None:
 @click.option("--start", type=float, default=0.0, show_default=True)
 @click.option("--stop", type=float, default=1.0, show_default=True)
 @click.option("--count", type=int, default=101, show_default=True)
-@click.option("--grid", type=int, default=128, show_default=True)
 @out_option
-def cmd_sweep(start, stop, count, grid, out) -> None:
+def cmd_sweep(start, stop, count, out) -> None:
     """CSV of the worst-case distortion curve over a range of beta."""
     try:
         model.check_beta(start)
@@ -231,7 +227,7 @@ def cmd_sweep(start, stop, count, grid, out) -> None:
         if count < 2 or stop <= start:
             raise ValueError("need count >= 2 and stop > start")
         betas = [start + (stop - start) * k / (count - 1) for k in range(count)]
-        rows = worstcase.sweep_beta(betas, grid)
+        rows = worstcase.sweep_beta(betas)
     except ValueError as err:
         _fail_validation(err)
     _emit(worstcase.sweep_csv(rows), out)

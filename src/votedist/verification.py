@@ -142,6 +142,8 @@ def _indices_in(e: LineElection, region: str) -> list[int]:
 
 def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
     """Certify every move kind on ``trials`` random elections each."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     results = []
 
@@ -262,6 +264,8 @@ def _expected_form_ok(form: displace.CanonicalForm) -> bool:
 
 def canonicalization_suites(trials: int, seed: int) -> list[SuiteResult]:
     """Run both canonicalizations on random configured elections."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     winner_failures = 0
     for _ in range(trials):

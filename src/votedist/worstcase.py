@@ -10,18 +10,13 @@ candidate still leading on expected votes:
 
 Past the feasibility boundary the objective only falls as ``x_d`` grows (the
 ratio exceeds 1, and pushing equal mass into numerator and denominator drags
-it toward 1), so ``x_d`` is eliminated analytically at the binding value and
-the remaining 2-D box is searched by a refined grid.  The binding value
-separates, ``x_d = max(1, (1 + A(q_b) / (1 - 2 x_b)) / 2)`` with
-``A(q) = ((1 - q) / q)^(1/beta)``, because ``(u / v^beta)^(1/beta) = u^(1/beta) / v``
-holds exactly in real arithmetic for ``v = 1 - 2 x_b > 0``.  A refinement
-round on a g x g grid therefore takes g powers, one per ``q_b``, and a few
-multiply-adds per point, instead of two powers per point.
+it toward 1), so ``x_d`` sits at its binding value.  The best ``x_b`` for a
+given ``q_b`` then has a closed form (:func:`_best_x_b`), and only ``q_b`` is
+searched, by a refined 1-D grid.
 
-At ``beta = 0`` the constraint degenerates to ``q_b >= 1/2`` and the value 3
-is only approached (voters exactly at the midpoint never vote sincerely, so
-``x_b = 1/2`` is not realizable); the solver reports the finest searched
-point with ``attained=False``.
+At ``beta = 0`` everyone with a strict preference votes, so ``x_d = 1`` and
+the supremum 3 is approached at ``q_b = 1/2`` as ``x_b -> 1/2``; the solver
+reports it in closed form with ``attained=False``.
 
 The module also provides the expected-vote threshold above which the
 expected distortion of a large election stays within a ``(1 + 2 alpha)``
@@ -57,14 +52,14 @@ __all__ = [
     "verify_distortion_bound",
 ]
 
-#: Refinement stops once both grid steps fall below this.
+#: Refinement stops once the q_b grid step falls below this.
 REFINE_TOL = 1e-6
+
+#: Points of q_b per refinement round.
+_GRID = 128
 
 #: Refinement rounds before the grid search gives up.
 _MAX_ROUNDS = 200
-
-#: How close the beta = 0 search may approach the unattainable x_b = 1/2 edge.
-_EDGE_GAP = 1e-6
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -73,8 +68,8 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 class WorstCaseSolution:
     """Maximizer of the two-point program at one beta.
 
-    ``attained=False`` marks a supremum approached on an open boundary and
-    reported at the finest grid point rather than extrapolated.
+    ``attained=False`` marks the limit ``x_b -> 1/2``, reported as ``x_b = 1/2``
+    and ``x_d = 1``, which no election realizes: midpoint voters never vote.
     """
 
     beta: float
@@ -143,123 +138,86 @@ def binding_xd(q_b: float, x_b: float, beta: float, margin: float = 0.0) -> floa
     return max(1.0, xd)
 
 
-def _positive_beta_values(q, x_b, beta, margin):
-    """Objective over the (q, x_b) grid with x_d eliminated at its binding value.
+def _best_x_b(q, beta, margin):
+    """``(value, x_b, x_d)`` at the best ``x_b`` for each ``q_b`` in ``q``.
 
-    ``q`` and ``x_b`` are the axes; the grid is their broadcast outer
-    product, rows indexed by ``q``.  For ``x_b < 1/2`` the binding ``x_d``
-    separates: with ``A(q) = ((1 + margin)(1 - q) / q)^(1/beta)``,
-
-        (((1 + margin)(1 - q) / ((1 - 2 x_b)^beta q))^(1/beta) = A(q) / (1 - 2 x_b)
-
-    exactly in real arithmetic, because ``(u / v^beta)^(1/beta) = u^(1/beta) / v``
-    for ``u >= 0`` and ``v > 0``.  So a g x g round costs g powers and
-    O(g^2) multiply-adds instead of 2 g^2 powers.  The edges fall out as
-    with the unfactored form: ``x_b = 1/2`` divides by 0 and gives an
-    infinite ``x_d`` (masked), ``q = 1`` gives ``A = 0`` and ``x_d = 1``, both
-    at once give NaN (masked), and ``A`` overflows only where the unfactored
-    power does, since ``1 - 2 x_b <= 1``.  Points with a non-finite ``x_d`` or
-    value, or a zero denominator, read ``-inf``.  Rounding differs from the
-    unfactored form by a few ulps of the power's base, which the ``1/beta``
-    power scales by ``1/beta`` in both forms.
+    With ``u = 1 - 2 x_b`` and ``A = ((1 + margin)(1 - q) / q)^(1/beta)`` the
+    binding ``x_d`` is ``(1 + A / u) / 2`` up to ``u = A`` and 1 beyond, where
+    the objective only falls.  Below ``A`` the objective is
+    ``(B + u - q u^2) / (B + (2q - 1) u + q u^2)`` with ``B = (1 - q) A``; its
+    derivative has the sign of ``-2 q^2 u^2 - 4 q B u + 2 B (1 - q)``, positive
+    at 0 and falling, so the best ``u`` is ``min(u*, A, 1)`` with the root
+    ``u* = (1 - q) / (q (1 + sqrt(1 + 1/A)))``, written free of cancellation.
+    ``x_b`` is rounded down, as ``x_d`` is steep just below ``u = A``, and ``x_d``
+    binds for the rounded ``x_b``; ``A = 0`` gives the limit ``x_b = 1/2``,
+    ``x_d = 1``.  Points whose ``x_d`` overflows (their value rounds to 1) read ``-inf``.
     """
-    qq = q[:, None]
-    xx = x_b[None, :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a = ((1.0 + margin) * (1.0 - q) / q) ** (1.0 / beta)
-        xd = np.maximum(1.0, 0.5 * (1.0 + a[:, None] / (1.0 - 2.0 * xx)))
-        num = qq * xx + (1.0 - qq) * xd
-        den = qq * (1.0 - xx) + (1.0 - qq) * (xd - 1.0)
-        vals = num / den
-    vals = np.where(np.isfinite(xd) & np.isfinite(vals) & (den > 0), vals, -np.inf)
-    return vals, xd
+        u = np.minimum(np.minimum((1.0 - q) / (q * (1.0 + np.sqrt(1.0 + 1.0 / a))), a), 1.0)
+        x_b = 0.5 * (1.0 - u)
+        x_b = np.where(1.0 - 2.0 * x_b < u, np.nextafter(x_b, 0.0), x_b)
+        u = 1.0 - 2.0 * x_b
+        x_d = np.where(u > 0.0, np.maximum(1.0, 0.5 * (1.0 + a / u)), 1.0)
+        vals = (q * x_b + (1.0 - q) * x_d) / (q * (1.0 - x_b) + (1.0 - q) * (x_d - 1.0))
+    return np.where(np.isfinite(vals), vals, -np.inf), x_b, x_d
 
 
-def _zero_beta_values(q, x_b):
-    """At beta = 0 everyone with a strict preference votes and x_d = 1."""
-    qq = q[:, None]
-    xx = x_b[None, :]
-    num = qq * xx + (1.0 - qq)
-    den = qq * (1.0 - xx)
-    vals = np.where(den > 0, num / den, -np.inf)
-    return vals, np.ones_like(vals)
+def _grid_max(beta, margin):
+    """Shrinking grid search over ``q_b`` in ``[1e-9, 1]``: ``(value, q_b, x_b, x_d)``.
 
-
-def _grid_max(values_fn, q_box, x_box, grid):
-    """Shrinking grid search; returns (value, q, x_b, x_d).
-
-    Each round evaluates ``grid`` points per axis and recentres the box on
-    the best one, two steps either side, so a span shrinks by a factor of at
-    least ``4 / (grid - 1)`` per round.  The search stops once both steps are
-    at most :data:`REFINE_TOL`; from unit spans with ``grid >= 64`` that
-    takes at most 5 rounds.  Raises ``RuntimeError`` when no grid point is
-    feasible (every value ``-inf``) or the box fails to shrink to the
-    tolerance within :data:`_MAX_ROUNDS` rounds (``grid <= 5``).
+    Each round evaluates :func:`_best_x_b` at :data:`_GRID` points and recentres
+    on the best, two steps either side, so the span shrinks by at least
+    ``4 / (_GRID - 1)`` per round until the step is at most :data:`REFINE_TOL`
+    (4 rounds).  Raises ``RuntimeError`` when no point is feasible or the step
+    still exceeds the tolerance after :data:`_MAX_ROUNDS` rounds (``_GRID <= 5``).
     """
-    q_lo, q_hi = q_box
-    x_lo, x_hi = x_box
+    lo, hi = 1e-9, 1.0
     for _ in range(_MAX_ROUNDS):
-        q = np.linspace(q_lo, q_hi, grid)
-        x = np.linspace(x_lo, x_hi, grid)
-        vals, xd = values_fn(q, x)
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        best = (float(vals[i, j]), float(q[i]), float(x[j]), float(xd[i, j]))
-        if best[0] == -math.inf:
-            raise RuntimeError(
-                f"no feasible grid point in q [{q_lo}, {q_hi}], x_b [{x_lo}, {x_hi}]"
-            )
-        dq = (q_hi - q_lo) / (grid - 1)
-        dx = (x_hi - x_lo) / (grid - 1)
-        if max(dq, dx) <= REFINE_TOL:
-            return best
-        q_lo = max(q_box[0], q[i] - 2.0 * dq)
-        q_hi = min(q_box[1], q[i] + 2.0 * dq)
-        x_lo = max(x_box[0], x[j] - 2.0 * dx)
-        x_hi = min(x_box[1], x[j] + 2.0 * dx)
+        q = np.linspace(lo, hi, _GRID)
+        vals, x_b, x_d = _best_x_b(q, beta, margin)
+        i = int(np.argmax(vals))
+        if vals[i] == -math.inf:
+            raise RuntimeError(f"no feasible grid point in q_b [{lo}, {hi}]")
+        step = (hi - lo) / (_GRID - 1)
+        if step <= REFINE_TOL:
+            return float(vals[i]), float(q[i]), float(x_b[i]), float(x_d[i])
+        lo, hi = max(1e-9, q[i] - 2.0 * step), min(1.0, q[i] + 2.0 * step)
     raise RuntimeError(
-        f"grid search did not converge in {_MAX_ROUNDS} rounds: last steps "
-        f"{dq:.3g} (q) and {dx:.3g} (x_b) exceed {REFINE_TOL:g}"
+        f"grid search did not converge in {_MAX_ROUNDS} rounds: last step "
+        f"{step:.3g} exceeds {REFINE_TOL:g}"
     )
 
 
-def solve_worst_case_margin(
-    beta: float, epsilon: float, grid: int = 128
-) -> WorstCaseSolution:
+def solve_worst_case_margin(beta: float, epsilon: float) -> WorstCaseSolution:
     """Worst case subject to a strengthened expected-vote lead.
 
     The left candidate must lead the right's expected votes by a factor of at
-    least ``1 + epsilon``.  ``epsilon = 0`` recovers :func:`solve_worst_case`.
+    least ``1 + epsilon`` (finite, ``>= 0``); ``epsilon = 0`` recovers
+    :func:`solve_worst_case`.  At ``beta = 0`` the supremum is
+    ``(3 + epsilon) / (1 + epsilon)``, at ``q_b = (1 + epsilon) / (2 + epsilon)``.
     """
     beta = model.check_beta(beta)
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if grid < 64:
-        raise ValueError(f"grid must provide at least 64 points per axis, got {grid}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
 
     if beta == 0.0:
-        q_min = (1.0 + epsilon) / (2.0 + epsilon)
-        value, q_b, x_b, x_d = _grid_max(
-            _zero_beta_values, (q_min, 1.0), (0.0, 0.5 - _EDGE_GAP), grid
-        )
-        return WorstCaseSolution(beta, q_b, x_b, x_d, value, attained=False)
+        q_b = (1.0 + epsilon) / (2.0 + epsilon)
+        value = (3.0 + epsilon) / (1.0 + epsilon)
+        return WorstCaseSolution(beta, q_b, 0.5, 1.0, value, attained=False)
 
-    value, q_b, x_b, x_d = _grid_max(
-        lambda q, x: _positive_beta_values(q, x, beta, epsilon),
-        (1e-9, 1.0),
-        (0.0, 0.5),
-        grid,
-    )
-    return WorstCaseSolution(beta, q_b, x_b, x_d, value, attained=True)
+    value, q_b, x_b, x_d = _grid_max(beta, epsilon)
+    return WorstCaseSolution(beta, q_b, x_b, x_d, value, attained=x_b < 0.5)
 
 
-def solve_worst_case(beta: float, grid: int = 128) -> WorstCaseSolution:
+def solve_worst_case(beta: float) -> WorstCaseSolution:
     """Maximum distortion of the expected winner at this beta."""
-    return solve_worst_case_margin(beta, 0.0, grid)
+    return solve_worst_case_margin(beta, 0.0)
 
 
-def sweep_beta(betas: Sequence[float], grid: int = 128) -> list[WorstCaseSolution]:
+def sweep_beta(betas: Sequence[float]) -> list[WorstCaseSolution]:
     """One worst-case solution per beta, in the given order."""
-    return [solve_worst_case(b, grid) for b in betas]
+    return [solve_worst_case(b) for b in betas]
 
 
 def sweep_csv(solutions: Sequence[WorstCaseSolution]) -> str:
@@ -418,6 +376,8 @@ def generate_gate_elections(
     Distinct positions are kept few so simulation can draw votes per site.
     """
     beta = model.check_beta(beta)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     threshold = vote_count_threshold(alpha)
     rng = np.random.default_rng(seed)
     out: list[LineElection] = []

@@ -297,6 +297,12 @@ class TestCanonicalizeExpectedWinner:
 class TestCanonicalizationSuites:
     """The suites read both metrics off the end-to-end certificate."""
 
+    @pytest.mark.parametrize("suites", [displacement_suites, canonicalization_suites])
+    @pytest.mark.parametrize("trials", [0, -4])
+    def test_trials_below_one_rejected(self, suites, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            suites(trials, 1)
+
     def test_certificate_holds_the_re_evaluated_metrics(self):
         for seed in (1, 2, 9001):
             for canonicalize, e, beta in suite_elections(50, seed):

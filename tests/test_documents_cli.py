@@ -308,26 +308,30 @@ class TestCli:
         assert result.exit_code != 0
 
     def test_worstcase_row(self):
-        result = self.runner.invoke(main, ["worstcase", "--beta", "1", "--grid", "64"])
+        result = self.runner.invoke(main, ["worstcase", "--beta", "1"])
         assert result.exit_code == 0
         header, row = result.output.strip().split("\n")
         assert header == "beta,dstar,q_b,x_b,x_d,attained"
         assert abs(float(row.split(",")[1]) - 1.5224) < 1e-3
 
     def test_worstcase_margin_flag_shaves_value(self):
-        base = self.runner.invoke(main, ["worstcase", "--beta", "1", "--grid", "64"])
-        squeezed = self.runner.invoke(
-            main, ["worstcase", "--beta", "1", "--grid", "64", "--epsilon", "0.05"]
-        )
+        base = self.runner.invoke(main, ["worstcase", "--beta", "1"])
+        squeezed = self.runner.invoke(main, ["worstcase", "--beta", "1", "--epsilon", "0.05"])
         assert squeezed.exit_code == 0
         value = float(base.output.strip().split("\n")[1].split(",")[1])
         value_eps = float(squeezed.output.strip().split("\n")[1].split(",")[1])
         assert value_eps < value
 
-    def test_sweep_endpoints(self):
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.5"])
+    def test_worstcase_rejects_bad_epsilon(self, epsilon):
         result = self.runner.invoke(
-            main, ["sweep", "--count", "2", "--grid", "64"]
+            main, ["worstcase", "--beta", "1", "--epsilon", epsilon]
         )
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: epsilon must be finite and >= 0")
+
+    def test_sweep_endpoints(self):
+        result = self.runner.invoke(main, ["sweep", "--count", "2"])
         assert result.exit_code == 0
         lines = result.output.strip().split("\n")
         assert float(lines[1].split(",")[1]) >= 2.99
@@ -405,6 +409,26 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "FAIL" not in result.output
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--trials", "-4"], "error: trials must be >= 1, got -4\n"),
+            (["--trials", "1", "--bound-count", "-1"], "error: count must be >= 0, got -1\n"),
+        ],
+    )
+    def test_verify_rejects_negative_counts(self, args, message):
+        result = self.runner.invoke(main, ["verify", "--seed", "1", *args])
+        assert result.exit_code == 1
+        assert result.stderr == message
+        assert "ok" not in result.stdout
+
+    def test_verify_bound_count_zero_skips_the_audit(self):
+        result = self.runner.invoke(
+            main, ["verify", "--seed", "1", "--trials", "1", "--bound-count", "0"]
+        )
+        assert result.exit_code == 0, result.output
+        assert "expected_distortion_bound: 0/0" in result.output
+
     def test_verify_reports_failure_with_exit_two(self, monkeypatch):
         from votedist import verification
 
@@ -423,3 +447,27 @@ class TestCli:
         result = self.runner.invoke(main, ["verify", "--seed", "1"])
         assert result.exit_code == 2
         assert "FAIL" in result.output
+
+
+# Every option of every command.  Adding or removing a knob must show up here
+# as a deliberate edit.
+COMMAND_OPTIONS = {
+    "curve": ["--beta", "--out", "--points", "--zmax", "--zmin"],
+    "eval": ["--beta", "--format", "--out", "election_file"],
+    "metric-reduce": ["--beta", "--out", "election_file"],
+    "reduce": ["--beta", "--mode", "--out", "election_file"],
+    "simulate": [
+        "--beta", "--confidence", "--format", "--out", "--samples", "--seed", "election_file",
+    ],
+    "sweep": ["--count", "--out", "--start", "--stop"],
+    "verify": ["--alpha", "--beta", "--bound-count", "--samples", "--seed", "--trials"],
+    "worstcase": ["--beta", "--epsilon", "--format", "--out"],
+}
+
+
+def test_command_options_are_pinned():
+    options = {
+        name: sorted(opt for param in command.params for opt in param.opts)
+        for name, command in main.commands.items()
+    }
+    assert options == COMMAND_OPTIONS

@@ -100,7 +100,7 @@ class TestBindingXd:
 class TestSolve:
     def test_beta_one(self):
         sol = solve_worst_case(1.0)
-        assert sol.value == pytest.approx(TIGHT_VALUE, abs=1e-6)
+        assert sol.value == pytest.approx(TIGHT_VALUE, abs=1e-12)
         assert sol.q_b == pytest.approx(TIGHT_Q, abs=1e-4)
         assert sol.x_b == pytest.approx(0.0, abs=1e-6)
         assert sol.x_d == pytest.approx(TIGHT_XD, abs=1e-4)
@@ -108,18 +108,25 @@ class TestSolve:
 
     def test_beta_zero_supremum(self):
         sol = solve_worst_case(0.0)
-        assert sol.value >= 2.99
+        assert sol.value == 3.0
         assert not sol.attained
-        assert sol.x_d == 1.0
-        assert sol.q_b == pytest.approx(0.5, abs=1e-9)
+        assert (sol.q_b, sol.x_b, sol.x_d) == (0.5, 0.5, 1.0)
 
     def test_interior_minimum_region(self):
-        sol = solve_worst_case(0.705)
-        assert sol.value == pytest.approx(SQRT2, abs=0.02)
+        # The minimum of the curve: sqrt 2 at beta = 1/sqrt 2, with the
+        # witness q_b = 1/2, x_b = 1 - 1/sqrt 2, x_d = 1 + 1/sqrt 2.
+        sol = solve_worst_case(1.0 / SQRT2)
+        assert sol.value == pytest.approx(SQRT2, abs=1e-12)
+        assert sol.q_b == pytest.approx(0.5, abs=1e-6)
+        assert sol.x_b == pytest.approx(1.0 - 1.0 / SQRT2, abs=1e-6)
+        assert sol.x_d == pytest.approx(1.0 + 1.0 / SQRT2, abs=1e-6)
 
-    def test_grid_validated(self):
-        with pytest.raises(ValueError):
-            solve_worst_case(1.0, grid=32)
+    def test_clamped_regime_reaches_the_optimum(self):
+        # Where x_d = 1 binds, a 2-D grid over (q_b, x_b) printed
+        # 2.43510704193 at beta = 0.075, below this feasible point.
+        q, xb = 0.563131408552, 0.483062435603
+        assert two_point_distortion(q, xb, binding_xd(q, xb, 0.075)) >= 2.43520102
+        assert solve_worst_case(0.075).value >= 2.43520102
 
     def test_solution_feasible_and_locally_maximal(self):
         for beta in (0.3, 0.705, 1.0):
@@ -132,7 +139,7 @@ class TestSolve:
                     q = min(1.0, max(1e-9, sol.q_b + dq))
                     xb = min(0.5 - 1e-12, max(0.0, sol.x_b + dx))
                     value = two_point_distortion(q, xb, binding_xd(q, xb, beta))
-                    assert value <= sol.value + 1e-4
+                    assert value <= sol.value + 1e-12
 
     def test_curve_dominates_random_elections(self, rng):
         # Soundness: no election whose expected winner is suboptimal beats
@@ -156,94 +163,104 @@ class TestSolve:
 
 
 class TestSeparableObjective:
-    """The factored objective against the per-point formula it replaced.
+    """The closed-form best x_b against the unfactored objective on x_b grids.
 
-    Both forms round the base of the ``1/beta`` power a few times, and the
-    power multiplies that relative error by ``1/beta``, so they agree to
-    ``4 eps`` relative at ``beta = 1`` and to ``4 eps / beta`` below.
+    The unfactored form rounds the base of the ``1/beta`` power a few times,
+    and the power multiplies that relative error by ``1/beta``, so at the
+    same point the two agree to ``8 eps / beta`` relative.
     """
 
     @staticmethod
-    def assert_agree(q, x_b, beta, margin):
-        want, _ = reference_positive_beta_values(q, x_b, beta, margin)
-        got, xd = worstcase._positive_beta_values(q, x_b, beta, margin)
-        assert got.shape == xd.shape == (len(q), len(x_b))
-        feasible = np.isfinite(want)
-        assert np.array_equal(np.isfinite(got), feasible)
+    def assert_best(q, x_grid, beta, margin):
+        got, x_b, x_d = worstcase._best_x_b(q, beta, margin)
+        assert got.shape == x_b.shape == x_d.shape == q.shape
+        tol = 8.0 * EPS / beta
+        grid, _ = reference_positive_beta_values(q, x_grid, beta, margin)
+        # The closed form reads -inf exactly where its x_d overflows: where
+        # A(q) does, and where A(q) nears the float limit so that the best
+        # x_d = (1 + A/u) / 2 passes it.  The reference reads at most 1 there.
+        feasible = np.isfinite(got)
         assert np.all(got[~feasible] == -np.inf)
-        err = np.abs(got[feasible] - want[feasible])
-        assert np.all(err <= 4.0 * EPS / beta * np.abs(want[feasible]))
+        assert np.array_equal(x_d == np.inf, ~feasible)
+        assert np.all(grid[~feasible] <= 1.0)
+        # No x_b of the grid beats the closed form ...
+        assert np.all(grid.max(axis=1)[feasible] <= got[feasible] * (1.0 + tol))
+        # ... and the unfactored form reads the same at the returned x_b.
+        inner = feasible & (x_b < 0.5)
+        at, xd_at = reference_positive_beta_values(q[inner], x_b[inner], beta, margin)
+        assert np.allclose(np.diag(at), got[inner], rtol=tol, atol=0.0)
+        assert np.allclose(np.diag(xd_at), x_d[inner], rtol=tol, atol=0.0)
 
     @pytest.mark.parametrize("beta", [0.0025, 0.05, 0.37, 0.705, 1.0])
     @pytest.mark.parametrize("margin", [0.0, 0.01, 1e9])
     def test_random_grids(self, rng, beta, margin):
+        # Dense in u = 1 - 2 x_b on both scales: uniform, and geometric down
+        # to u = 1e-16, where the optimum sits when A(q) is tiny.
+        x_grid = np.concatenate(
+            [np.linspace(0.0, 0.5, 2001), 0.5 * (1.0 - np.logspace(-16, -3, 600))]
+        )
         for _ in range(3):
-            q = np.sort(rng.uniform(1e-9, 1.0, 48))
-            x_b = np.sort(rng.uniform(0.0, 0.5, 48))
-            self.assert_agree(q, x_b, beta, margin)
+            self.assert_best(np.sort(rng.uniform(1e-9, 1.0, 48)), x_grid, beta, margin)
 
     @pytest.mark.parametrize("beta", [0.0025, 0.37, 1.0])
     @pytest.mark.parametrize("margin", [0.0, 1e9])
     def test_edge_grids(self, beta, margin):
         q = np.array([1e-9, 1e-3, 0.5, 1.0 - 1e-9, 1.0])
-        x_b = np.array([0.0, 0.25, 0.5 - 1e-9, 0.5])
-        self.assert_agree(q, x_b, beta, margin)
-        self.assert_agree(np.linspace(1e-9, 1.0, 128), np.linspace(0.0, 0.5, 128), beta, margin)
+        self.assert_best(q, np.array([0.0, 0.25, 0.5 - 1e-9, 0.5]), beta, margin)
+        self.assert_best(np.linspace(1e-9, 1.0, 128), np.linspace(0.0, 0.5, 128), beta, margin)
 
     def test_edges_masked_as_before(self):
-        q = np.array([1e-9, 1.0])
-        x_b = np.array([0.0, 0.5])
-        vals, xd = worstcase._positive_beta_values(q, x_b, 0.5, 0.0)
-        assert xd[1, 0] == 1.0
-        assert xd[0, 1] == np.inf
-        assert np.isnan(xd[1, 1])
-        assert vals[0, 1] == vals[1, 1] == -np.inf
-        assert vals[1, 0] == 0.0
+        # q = 1 gives A = 0 and the limit u -> 0: x_b = 1/2, x_d = 1 and
+        # value 1, where the unfactored form reads 0/0.
+        for beta in (0.0025, 0.5, 1.0):
+            for margin in (0.0, 1e9):
+                vals, x_b, x_d = worstcase._best_x_b(np.array([1.0]), beta, margin)
+                assert (vals[0], x_b[0], x_d[0]) == (1.0, 0.5, 1.0)
+        # A large finite A(q) puts x_b at 0 and x_d at (1 + A) / 2.
+        vals, x_b, x_d = worstcase._best_x_b(np.array([1e-9]), 0.5, 0.0)
+        assert x_b[0] == 0.0
+        assert x_d[0] == pytest.approx(0.5 * (1.0 + (1.0 / 1e-9 - 1.0) ** 2), rel=1e-12)
+        assert np.isfinite(vals[0])
 
     def test_power_overflow_is_masked(self):
-        # At beta = 0.0025 the 400th power overflows for most q below 1.
+        # At beta = 0.0025 the 400th power overflows for every q below 1
+        # here: those points read -inf, with an infinite x_d.
         q = np.linspace(1e-9, 1.0, 64)
-        x_b = np.linspace(0.0, 0.5, 64)
-        vals, xd = worstcase._positive_beta_values(q, x_b, 0.0025, 1e9)
+        vals, x_b, x_d = worstcase._best_x_b(q, 0.0025, 1e9)
         assert np.all(vals[:-1] == -np.inf)
-        assert np.all(np.isfinite(vals[-1, :-1]))
+        assert np.all(x_d[:-1] == np.inf)
+        assert vals[-1] == 1.0
 
     def test_zero_beta_matches_meshgrid(self):
-        q = np.linspace(0.5, 1.0, 33)
-        x_b = np.linspace(0.0, 0.5, 17)
-        qq, xx = np.meshgrid(q, x_b, indexing="ij")
-        want = np.where(qq * (1.0 - xx) > 0, (qq * xx + (1.0 - qq)) / (qq * (1.0 - xx)), -np.inf)
-        vals, xd = worstcase._zero_beta_values(q, x_b)
-        assert np.array_equal(vals, want)
-        assert np.array_equal(xd, np.ones_like(want))
-
-    def test_sweep_csv_unchanged(self, monkeypatch):
-        betas = [k / 100 for k in range(101)]
-        fast = sweep_csv(sweep_beta(betas))
-        monkeypatch.setattr(
-            worstcase, "_positive_beta_values", reference_positive_beta_values
-        )
-        assert fast == sweep_csv(sweep_beta(betas))
+        # At beta = 0, x_d = 1 and the constraint reads
+        # q_b >= (1 + eps) / (2 + eps).  The closed-form supremum bounds the
+        # objective over a grid of that region with x_b < 1/2, and the grid
+        # approaches it.
+        for eps in (0.0, 0.01, 1.0):
+            sol = solve_worst_case_margin(0.0, eps)
+            qq, xx = np.meshgrid(
+                np.linspace(sol.q_b, 1.0, 401), np.linspace(0.0, 0.5, 401)[:-1],
+                indexing="ij",
+            )
+            vals = (qq * xx + (1.0 - qq)) / (qq * (1.0 - xx))
+            assert sol.value - 1e-2 <= vals.max() <= sol.value
 
 
 class TestGridMax:
-    def test_box_that_never_shrinks_raises(self):
-        # With 5 points the box is recentred 2 steps either side of an
+    def test_box_that_never_shrinks_raises(self, monkeypatch):
+        # With 5 points the interval is recentred 2 steps either side of an
         # interior argmax: the same width, round after round.
-        def peak(q, x_b):
-            vals = -((q[:, None] - 0.5) ** 2) - (x_b[None, :] - 0.25) ** 2
-            return vals, np.ones_like(vals)
-
+        monkeypatch.setattr(worstcase, "_GRID", 5)
         with pytest.raises(RuntimeError, match="did not converge"):
-            worstcase._grid_max(peak, (0.0, 1.0), (0.0, 0.5), 5)
+            worstcase._grid_max(1.0, 0.0)
 
-    def test_no_feasible_point_raises(self):
-        def infeasible(q, x_b):
-            vals = np.full((len(q), len(x_b)), -np.inf)
-            return vals, np.ones_like(vals)
+    def test_no_feasible_point_raises(self, monkeypatch):
+        def infeasible(q, beta, margin):
+            return np.full(len(q), -np.inf), np.zeros(len(q)), np.ones(len(q))
 
+        monkeypatch.setattr(worstcase, "_best_x_b", infeasible)
         with pytest.raises(RuntimeError, match="no feasible grid point"):
-            worstcase._grid_max(infeasible, (0.0, 1.0), (0.0, 0.5), 64)
+            worstcase._grid_max(1.0, 0.0)
 
 
 class TestMargin:
@@ -265,11 +282,29 @@ class TestMargin:
         with pytest.raises(ValueError):
             solve_worst_case_margin(1.0, -0.5)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_non_finite_margin_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            solve_worst_case_margin(1.0, epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01, 1.0, 1e9])
+    def test_beta_zero_closed_form(self, epsilon):
+        sol = solve_worst_case_margin(0.0, epsilon)
+        assert sol.value == (3.0 + epsilon) / (1.0 + epsilon)
+        assert sol.q_b == (1.0 + epsilon) / (2.0 + epsilon)
+        assert (sol.x_b, sol.x_d, sol.attained) == (0.5, 1.0, False)
+
+    @pytest.mark.parametrize("beta", [0.0025, 0.01, 0.1, 0.5, 1.0])
+    def test_huge_margin_still_solves(self, beta):
+        # q_b = 1 reads 1 in the limit x_b -> 1/2, so no beta raises or
+        # returns less.
+        assert solve_worst_case_margin(beta, 1e9).value >= 1.0
+
 
 class TestSweep:
     def test_endpoints_and_unimodality(self):
         betas = [k / 20 for k in range(21)]
-        rows = sweep_beta(betas, grid=96)
+        rows = sweep_beta(betas)
         values = [r.value for r in rows]
         assert values[0] >= 2.99
         assert values[-1] == pytest.approx(TIGHT_VALUE, abs=1e-3)
@@ -277,8 +312,34 @@ class TestSweep:
         assert all(values[i] >= values[i + 1] - 1e-6 for i in range(k_min))
         assert all(values[i] <= values[i + 1] + 1e-6 for i in range(k_min, 20))
 
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01, 1.0])
+    def test_witnesses_are_feasible(self, epsilon):
+        # Each witness, re-evaluated through the scalar binding x_d, reads
+        # the value the solver returned.
+        for beta in np.linspace(0.0025, 1.0, 401):
+            sol = solve_worst_case_margin(float(beta), epsilon)
+            x_d = binding_xd(sol.q_b, sol.x_b, sol.beta, epsilon)
+            value = two_point_distortion(sol.q_b, sol.x_b, x_d)
+            assert value == pytest.approx(sol.value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.0025, 0.02, 0.075, 0.3, 0.5, 0.705, 1.0])
+    def test_no_grid_point_beats_the_solution(self, beta):
+        # Dense grids of the unfactored objective over the whole box and
+        # over a box of +-1e-3 around the witness.
+        sol = solve_worst_case(beta)
+        boxes = [
+            ((1e-9, 1.0), (0.0, 0.5)),
+            ((max(1e-9, sol.q_b - 1e-3), min(1.0, sol.q_b + 1e-3)),
+             (max(0.0, sol.x_b - 1e-3), min(0.5, sol.x_b + 1e-3))),
+        ]
+        for q_box, x_box in boxes:
+            vals, _ = reference_positive_beta_values(
+                np.linspace(*q_box, 400), np.linspace(*x_box, 400), beta, 0.0
+            )
+            assert vals.max() <= sol.value * (1.0 + 1e-12)
+
     def test_csv_schema(self):
-        rows = sweep_beta([0.0, 1.0], grid=64)
+        rows = sweep_beta([0.0, 1.0])
         text = sweep_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == "beta,dstar,q_b,x_b,x_d,attained"
@@ -294,9 +355,9 @@ class TestSweep:
             ("1", "report", "beta      1\ndstar     1.52240774993\nq_b       0.29289311089\n"
              "x_b       0\nx_d       1.70710741021\nattained  true\n"),
             ("0", "csv", "beta,dstar,q_b,x_b,x_d,attained\n"
-             "0,2.99999200002,0.5,0.499999,1,false\n"),
-            ("0", "report", "beta      0\ndstar     2.99999200002\nq_b       0.5\n"
-             "x_b       0.499999\nx_d       1\nattained  false\n"),
+             "0,3,0.5,0.5,1,false\n"),
+            ("0", "report", "beta      0\ndstar     3\nq_b       0.5\n"
+             "x_b       0.5\nx_d       1\nattained  false\n"),
         ],
     )
     def test_worstcase_command_output(self, beta, fmt, text):
@@ -413,6 +474,11 @@ class TestBoundVerifier:
         assert checks[0].status == "pass"
         assert checks[0].method == "exact"
         assert checks[0].slack >= 0.0
+
+    def test_negative_gate_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            generate_gate_elections(0.1, 1.0, -1, 3, max_attempts=40)
+        assert generate_gate_elections(0.1, 1.0, 0, 3) == []
 
     def test_generated_gate_elections_pass(self):
         elections = generate_gate_elections(0.1, 1.0, 8, seed=5)
