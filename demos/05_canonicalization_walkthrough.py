@@ -1,11 +1,11 @@
-"""Crushing an election into its extremal shape, one certified move at a time.
+"""Crushing an election into its extremal shape, one certified step per move kind.
 
 Starts from a scattered election in which the left candidate leads on
 expected votes while the right candidate is optimal, then walks the
-displacement chain: region A empties onto 0, region C drains onto {1/2, 1}
-via paired moves, and each of B and D collapses to its mean in one certified
-step.  Each certificate is checked on the spot: the expected winner never
-changes and its distortion never decreases.
+displacement chain: region A empties onto 0 in one step, region C drains onto
+{1/2, 1} in one step of paired B-C moves, and each of B and D collapses to
+its mean in one step.  Each certificate is checked on the spot: the expected
+winner never changes and its distortion never decreases.
 """
 
 from votedist import LineElection, canonicalize_expected_winner, winner_distortion

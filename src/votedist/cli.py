@@ -91,8 +91,7 @@ def cmd_eval(election_file, beta, fmt, out) -> None:
     try:
         doc = _load(election_file)
         b = doc.beta if beta is None else model.check_beta(beta)
-        election = doc.to_line() if doc.kind == "line" else doc.to_metric()
-        report = exact.expected_distortion(election, b)
+        report = exact.expected_distortion(doc.election, b)
     except (DocumentError, ValueError) as err:
         _fail_validation(err)
     _emit(_report_lines(report, fmt), out)

@@ -22,11 +22,15 @@ are the constructive ones:
 Every move can be certified numerically on a concrete election:
 ``certify_winner_displacement`` and ``certify_expected_displacement`` compare
 the relevant quantity before and after, computed exactly.  The two
-``canonicalize_*`` procedures chain the moves to crush an election into its
-extremal shape (each region collapses in one step to the limit of its
-pairwise merges), measuring each election once and certifying every step,
-and raise ``CertificateError`` on any certified regression (which would
-indicate a bug, not a property of the input).
+``canonicalize_*`` procedures crush an election into its extremal shape in
+at most one certified step per move kind, measuring each election once, and
+raise ``CertificateError`` on any certified regression (a bug, not a
+property of the input).  Each region collapses to the limit of its pairwise
+merges.  The C-to-D crossings are found in closed form: a crossing keeps the
+voter's ratio ``x/(1-x)`` and scales its cost pair by ``1/(2x-1)``, so the
+bar (the left candidate's distortion) moves to a mediant that rises toward
+that ratio but never past it.  In ascending order every voter at or above
+the starting bar crosses, and none below it can.
 """
 
 from __future__ import annotations
@@ -170,14 +174,14 @@ def move_bc_pair(e: LineElection, i: int, j: int) -> LineElection:
     xj = _require_region(e, j, "C")
     if xj == 0.5:
         raise ValueError(f"voter {j} is exactly indifferent; no pair move applies")
-    return e.replace(_bc_pair(e, i, j))
+    return e.replace(dict(zip((i, j), _bc_pair(xi, xj))))
 
 
-def _bc_pair(e: LineElection, i: int, j: int) -> dict[int, float]:
-    xi, xj = e.positions[i], e.positions[j]
+def _bc_pair(xi: float, xj: float) -> tuple[float, float]:
+    """Where a B voter at ``xi`` and a C voter at ``xj`` land."""
     if xi <= 1.0 - xj:
-        return {i: xi + xj - 0.5, j: 0.5}
-    return {i: xi - 1.0 + xj, j: 1.0}
+        return xi + xj - 0.5, 0.5
+    return xi - 1.0 + xj, 1.0
 
 
 def merge_same_region(e: LineElection, i: int, j: int) -> LineElection:
@@ -221,8 +225,10 @@ def map_c_to_d(e: LineElection, j: int) -> LineElection:
     the expected distortion exactly when that ratio is at least the left
     candidate's distortion.  Below that threshold the move provably lowers
     the left candidate's distortion (win probabilities are untouched), and a
-    certificate will fail.  :func:`canonicalize_expected_distortion` checks
-    the threshold before crossing anyone.
+    certificate will fail.  The move keeps the ratio and scales the cost
+    pair by ``1/(2x-1)``, so the bar moves to a mediant that rises toward the
+    ratio but never past it: :func:`canonicalize_expected_distortion` crosses,
+    in one step, exactly the voters whose ratio reaches the starting bar.
     """
     x = _require_region(e, j, "C")
     if x == 0.5:
@@ -260,6 +266,43 @@ def _geometric_limit(xs: list[float]) -> float:
     return 0.5 * (1.0 + math.exp(log_odds / len(xs)))
 
 
+def _collapse(
+    positions: tuple[float, ...],
+    member: Callable[[float], bool],
+    limit: Callable[[list[float]], float],
+) -> dict[int, float]:
+    """Move all members to the limit of their pairwise merges (none if equal)."""
+    members = [i for i, x in enumerate(positions) if member(x)]
+    xs = [positions[i] for i in members]
+    if len(set(xs)) < 2:
+        return {}
+    t = min(max(limit(xs), min(xs)), max(xs))  # rounding stays in the span
+    return {i: t for i in members}
+
+
+def _bc_pairing(positions: tuple[float, ...]) -> dict[int, float]:
+    """Where the pair moves leave the B and interior-C voters.
+
+    C voters are taken farthest from 1/2 first, each paired with the next
+    B voter from the left candidate outward, reusing B voters cyclically
+    from their moved positions.
+    """
+    c_voters = [j for j, x in enumerate(positions) if 0.5 < x < 1.0]
+    c_voters.sort(key=lambda j: -positions[j])
+    b_voters = [i for i, x in enumerate(positions) if 0.0 <= x < 0.5]
+    b_voters.sort(key=lambda i: positions[i])
+    if c_voters and not b_voters:
+        # Unreachable when left leads on expected votes: an interior-C voter
+        # gives the right candidate positive expected votes, so the left
+        # candidate needs a B voter to lead at all.
+        raise ValueError("no B voter available to pair against region C")
+    moved: dict[int, float] = {}
+    for k, j in enumerate(c_voters):
+        i = b_voters[k % len(b_voters)]
+        moved[i], moved[j] = _bc_pair(moved.get(i, positions[i]), positions[j])
+    return dict(sorted(moved.items()))
+
+
 class _Chain:
     """Bookkeeping for a certified sequence of displacements.
 
@@ -286,28 +329,17 @@ class _Chain:
             raise CertificateError(f"{what}: {cert}")
 
     def apply(self, kind: str, assignments: dict[int, float]) -> None:
+        """Record and certify one step; an empty ``assignments`` is no step."""
+        if not assignments:
+            return
         nxt = self.current.replace(assignments)
         self.steps.append(
             Displacement(kind, tuple(assignments), tuple(assignments.values()))
         )
         if self.measure is not None:
             self.measured.append(self.measure(nxt))
-            self._certify(f"displacement {kind}{tuple(assignments)} regressed")
+            self._certify(f"displacement {kind} of {len(assignments)} voters regressed")
         self.current = nxt
-
-    def collapse(
-        self,
-        member: Callable[[float], bool],
-        kind: str,
-        limit: Callable[[list[float]], float],
-    ) -> None:
-        """Move all members to the limit of their pairwise merges in one step."""
-        members = [i for i, x in enumerate(self.current.positions) if member(x)]
-        xs = [self.current.positions[i] for i in members]
-        if len(set(xs)) < 2:
-            return
-        t = min(max(limit(xs), min(xs)), max(xs))  # rounding stays in the span
-        self.apply(kind, {i: t for i in members})
 
     def finish(self) -> CanonicalForm:
         if self.measure is not None:
@@ -327,10 +359,10 @@ def canonicalize_expected_winner(
 
     Applies only when the left candidate is strictly the expected winner and
     the right candidate is strictly optimal; anything else passes through
-    with ``applied=False``.  Region A empties onto 0, the interior of C onto
-    {1/2, 1}, then everything in [0, 1/2] and everything in [1, inf) each
-    collapses in one step to its mean, so the result has at most two distinct
-    positions: one in B (or at 1/2) and one in D.
+    with ``applied=False``.  In one step each, region A empties onto 0, the
+    interior of C onto {1/2, 1} by B-C pair moves, and everything in [0, 1/2]
+    and in [1, inf) collapses to its mean: at most four steps, leaving two
+    distinct positions, one in B (or at 1/2) and one in D.
     """
     beta = model.check_beta(beta)
     sc_left, sc_right = model.social_costs(e)
@@ -340,25 +372,11 @@ def canonicalize_expected_winner(
     measure = (lambda x: _measure_winner(x, beta)) if certify else None
     chain = _Chain(e, measure, winner_preserving=True)
 
-    for i, x in enumerate(chain.current.positions):
-        if x < 0.0:
-            chain.apply("A_to_zero", {i: 0.0})
-
-    c_voters = [i for i, x in enumerate(chain.current.positions) if 0.5 < x < 1.0]
-    c_voters.sort(key=lambda i: -chain.current.positions[i])
-    b_voters = [i for i, x in enumerate(chain.current.positions) if 0.0 <= x < 0.5]
-    b_voters.sort(key=lambda i: chain.current.positions[i])
-    if c_voters and not b_voters:
-        # Unreachable when left leads on expected votes: an interior-C voter
-        # gives the right candidate positive expected votes, so the left
-        # candidate needs a B voter to lead at all.
-        raise ValueError("no B voter available to pair against region C")
-    for k, j in enumerate(c_voters):
-        i = b_voters[k % len(b_voters)]
-        chain.apply("BC_pair", _bc_pair(chain.current, i, j))
-
-    chain.collapse(lambda x: 0.0 <= x <= 0.5, "same_region_merge", _midpoint_limit)
-    chain.collapse(lambda x: x >= 1.0, "same_region_merge", _midpoint_limit)
+    chain.apply("A_to_zero", {i: 0.0 for i, x in enumerate(e.positions) if x < 0.0})
+    chain.apply("BC_pair", _bc_pairing(chain.current.positions))
+    for member in (lambda x: 0.0 <= x <= 0.5, lambda x: x >= 1.0):
+        merge = _collapse(chain.current.positions, member, _midpoint_limit)
+        chain.apply("same_region_merge", merge)
     return chain.finish()
 
 
@@ -369,14 +387,16 @@ def canonicalize_expected_distortion(
 
     Applies when the right candidate is strictly optimal and strictly the
     expected winner; anything else passes through with ``applied=False``.
-    A voters cross to their participation-preserving B images.  Interior-C
-    voters cross to their D images only while their cost ratio
+    All A voters cross at once to their participation-preserving B images.
+    An interior-C voter may cross to its D image only when its cost ratio
     ``x / (1 - x)`` is at least the left candidate's current distortion;
     crossing below that bar would lower the expected distortion (see
-    :func:`map_c_to_d`), so such voters stay put.  Every applied move raises
-    the bar, hence processing C in ascending position moves a maximal set
-    and no second pass could move more.  Finally the D mass contracts in one
-    step to the limit of its geometric merges.  Certificates are exact at any size.
+    :func:`map_c_to_d`).  A crossing moves the bar to a mediant that rises
+    toward the crosser's ratio but never past it, so crossing one by one in
+    ascending order would move every voter at or above the post-A bar and
+    none below it.  That set crosses in one step.  Finally the D mass
+    contracts in one step to the limit of its geometric merges: at most
+    three certified steps at any size, each certificate exact.
 
     On return, region A and the movable part of C are empty, D holds at most
     one distinct position, and any interior-C voter left behind sits strictly
@@ -391,16 +411,13 @@ def canonicalize_expected_distortion(
     measure = (lambda x: _measure_expected(x, beta)) if certify else None
     chain = _Chain(e, measure, winner_preserving=False)
 
-    for i, x in enumerate(chain.current.positions):
-        if x < 0.0:
-            chain.apply("A_to_B_map", {i: _a_to_b(x)})
-
-    c_voters = [j for j, x in enumerate(chain.current.positions) if 0.5 < x < 1.0]
-    c_voters.sort(key=lambda j: chain.current.positions[j])
-    for j in c_voters:
-        x = chain.current.positions[j]
-        if x / (1.0 - x) >= model._candidate_distortion(chain.current, LEFT):
-            chain.apply("C_to_D_map", {j: _c_to_d(x)})
-
-    chain.collapse(lambda x: x >= 1.0, "D_geometric_merge", _geometric_limit)
+    chain.apply(
+        "A_to_B_map", {i: _a_to_b(x) for i, x in enumerate(e.positions) if x < 0.0}
+    )
+    pos = chain.current.positions
+    bar = model._candidate_distortion(chain.current, LEFT)
+    crossing = [j for j, x in enumerate(pos) if 0.5 < x < 1.0 and x / (1.0 - x) >= bar]
+    chain.apply("C_to_D_map", {j: _c_to_d(pos[j]) for j in crossing})
+    merge = _collapse(chain.current.positions, lambda x: x >= 1.0, _geometric_limit)
+    chain.apply("D_geometric_merge", merge)
     return chain.finish()

@@ -60,8 +60,9 @@ class ElectionDocument:
 
     ``election`` is given as a line or metric election of the document's
     kind, or as its voters, which are then validated into one.
-    ``to_line`` and ``to_metric`` return it as is, and ``voters`` is its
-    tuple view (``positions`` or ``pairs``), built on first access.
+    ``to_line`` and ``to_metric`` return it as is, after checking the kind,
+    and ``voters`` is its tuple view (``positions`` or ``pairs``), built on
+    first access.
     """
 
     kind: str
@@ -93,10 +94,6 @@ class ElectionDocument:
     @classmethod
     def for_line(cls, e: LineElection, beta: float, metadata: dict | None = None):
         return cls("line", beta, e, dict(metadata or {}))
-
-    @classmethod
-    def for_metric(cls, m: MetricElection, beta: float, metadata: dict | None = None):
-        return cls("metric", beta, m, dict(metadata or {}))
 
 
 _NUMBERS = {int, float}
@@ -180,7 +177,8 @@ def parse_election(text: str) -> ElectionDocument:
         if key not in raw:
             raise DocumentError(f"missing required field {key!r}")
 
-    if raw["schema"] != SCHEMA_VERSION:
+    # A JSON integer only: ``true`` and ``1.0`` equal 1 in Python.
+    if type(raw["schema"]) is not int or raw["schema"] != SCHEMA_VERSION:
         raise DocumentError(
             f"schema: unsupported version {raw['schema']!r}, expected {SCHEMA_VERSION}"
         )

@@ -77,12 +77,17 @@ _CONFIGURATIONS = {
 }
 
 
+# Draws a sampler makes before it gives up.
+_MAX_TRIES = 4000
+_MAX_VALID_C_TRIES = 2000
+
+
 def _configured_election(
-    rng: np.random.Generator, beta: float, winner: str, require: tuple, max_tries: int
+    rng: np.random.Generator, beta: float, winner: str, require: tuple
 ) -> LineElection:
     """Random election that ``winner`` leads on expected votes, right optimal."""
     counts, spans = _CONFIGURATIONS[winner]
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         sizes = [int(rng.integers(lo, hi)) for lo, hi in counts]
         drawn = [rng.uniform(lo, hi, size=n) for (lo, hi), n in zip(spans, sizes)]
         e = LineElection(np.concatenate(drawn))
@@ -91,31 +96,25 @@ def _configured_election(
         if sc_right < sc_left and model.expected_winner(e, beta) == winner:
             if _meets(e, require):
                 return e
-    raise RuntimeError(f"could not sample a {winner}-leading election; adjust parameters")
+    raise RuntimeError(f"no {winner}-leading election in {_MAX_TRIES} draws")
 
 
 def random_left_leading_election(
-    rng: np.random.Generator,
-    beta: float,
-    require: tuple[str, ...] = (),
-    max_tries: int = 4000,
+    rng: np.random.Generator, beta: float, require: tuple[str, ...] = ()
 ) -> LineElection:
     """Random election where left leads expected votes but right is optimal.
 
     ``require`` lists region labels that must be occupied, with multiplicity
     (interior occupancy for C).
     """
-    return _configured_election(rng, beta, LEFT, require, max_tries)
+    return _configured_election(rng, beta, LEFT, require)
 
 
 def random_right_leading_election(
-    rng: np.random.Generator,
-    beta: float,
-    require: tuple[str, ...] = (),
-    max_tries: int = 4000,
+    rng: np.random.Generator, beta: float, require: tuple[str, ...] = ()
 ) -> LineElection:
     """Random election where the right candidate is optimal and leads on votes."""
-    return _configured_election(rng, beta, RIGHT, require, max_tries)
+    return _configured_election(rng, beta, RIGHT, require)
 
 
 def random_euclidean_election(
@@ -145,18 +144,6 @@ def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    results = []
-
-    def run(name, sampler, mover, certifier):
-        failures = 0
-        for _ in range(trials):
-            beta = random_beta(rng)
-            before, picked = sampler(beta)
-            after = mover(before, picked)
-            cert = certifier(before, after, beta)
-            if not cert.passed:
-                failures += 1
-        results.append(SuiteResult(name, trials, failures))
 
     def pick_one(region, config):
         def sampler(beta):
@@ -181,12 +168,12 @@ def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
         j = int(rng.choice(_indices_in(e, "C")))
         return e, (i, j)
 
-    def pick_valid_c(beta, max_tries=2000):
+    def pick_valid_c(beta):
         # The C-to-D crossing is only guaranteed valid for voters whose cost
         # ratio x/(1-x) reaches the left candidate's distortion; draw from
         # that domain (crossing below it demonstrably lowers the expected
         # distortion, see map_c_to_d).
-        for _ in range(max_tries):
+        for _ in range(_MAX_VALID_C_TRIES):
             e = random_right_leading_election(rng, beta, require=("C",))
             bar, x = model._candidate_distortion(e, LEFT), e.array
             ok = [j for j in _indices_in(e, "C") if x[j] / (1.0 - x[j]) >= bar]
@@ -202,42 +189,26 @@ def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
         i, j = rng.choice(_indices_in(e, region), size=2, replace=False)
         return e, (int(i), int(j))
 
-    run(
-        "A_to_zero",
-        pick_one("A", random_left_leading_election),
-        lambda e, p: displace.move_a_to_zero(e, p[0]),
-        displace.certify_winner_displacement,
+    left, right = random_left_leading_election, random_right_leading_election
+    win = displace.certify_winner_displacement
+    dbar = displace.certify_expected_displacement
+    moves = (
+        ("A_to_zero", pick_one("A", left), displace.move_a_to_zero, win),
+        ("BC_pair", pick_bc, displace.move_bc_pair, win),
+        ("same_region_merge", pick_b_or_d_pair, displace.merge_same_region, win),
+        ("A_to_B_map", pick_one("A", right), displace.map_a_to_b, dbar),
+        ("C_to_D_map", pick_valid_c, displace.map_c_to_d, dbar),
+        ("D_geometric_merge", pick_two("D", right), displace.merge_d_geometric, dbar),
     )
-    run(
-        "BC_pair",
-        lambda beta: pick_bc(beta),
-        lambda e, p: displace.move_bc_pair(e, p[0], p[1]),
-        displace.certify_winner_displacement,
-    )
-    run(
-        "same_region_merge",
-        pick_b_or_d_pair,
-        lambda e, p: displace.merge_same_region(e, p[0], p[1]),
-        displace.certify_winner_displacement,
-    )
-    run(
-        "A_to_B_map",
-        pick_one("A", random_right_leading_election),
-        lambda e, p: displace.map_a_to_b(e, p[0]),
-        displace.certify_expected_displacement,
-    )
-    run(
-        "C_to_D_map",
-        pick_valid_c,
-        lambda e, p: displace.map_c_to_d(e, p[0]),
-        displace.certify_expected_displacement,
-    )
-    run(
-        "D_geometric_merge",
-        pick_two("D", random_right_leading_election),
-        lambda e, p: displace.merge_d_geometric(e, p[0], p[1]),
-        displace.certify_expected_displacement,
-    )
+    results = []
+    for name, sampler, move, certify in moves:
+        failures = 0
+        for _ in range(trials):
+            beta = random_beta(rng)
+            before, picked = sampler(beta)
+            if not certify(before, move(before, *picked), beta).passed:
+                failures += 1
+        results.append(SuiteResult(name, trials, failures))
     return results
 
 

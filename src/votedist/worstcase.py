@@ -63,6 +63,12 @@ _MAX_ROUNDS = 200
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
+#: Confidence level of a simulated bound check's interval.
+_BOUND_CONFIDENCE = 0.999
+
+#: Candidate elections drawn before gate generation gives up.
+_GATE_ATTEMPTS = 10_000
+
 
 @dataclass(frozen=True)
 class WorstCaseSolution:
@@ -302,7 +308,6 @@ def verify_distortion_bound(
     exact_limit: int = exact.EXACT_LIMIT,
     mc_samples: int = 100_000,
     seed: int = 0,
-    confidence: float = 0.999,
 ) -> list[BoundCheck]:
     """Check expected distortion <= (1 + 2 alpha) * worst case, per election.
 
@@ -310,8 +315,8 @@ def verify_distortion_bound(
     :func:`vote_count_threshold` or whose optimal candidate is not the right
     one are reported as skipped, not failed.  Elections of at most
     ``exact_limit`` voters are evaluated exactly; larger ones by simulation
-    with ``mc_samples`` draws, with the verdict read off the confidence
-    interval.
+    with ``mc_samples`` draws, with the verdict read off the 99.9%
+    confidence interval.
     """
     beta = model.check_beta(beta)
     threshold = vote_count_threshold(alpha)
@@ -345,7 +350,7 @@ def verify_distortion_bound(
             method = "exact"
         else:
             cfg = montecarlo.McConfig(
-                samples=mc_samples, seed=seed + k, confidence=confidence
+                samples=mc_samples, seed=seed + k, confidence=_BOUND_CONFIDENCE
             )
             est = montecarlo.simulate(e, beta, cfg)
             low = est.expected_distortion_hat - est.half_width_d
@@ -362,11 +367,7 @@ def verify_distortion_bound(
 
 
 def generate_gate_elections(
-    alpha: float,
-    beta: float,
-    count: int,
-    seed: int,
-    max_attempts: int = 10_000,
+    alpha: float, beta: float, count: int, seed: int
 ) -> list[LineElection]:
     """Random elections clearing the vote-count gate, right candidate optimal.
 
@@ -381,7 +382,7 @@ def generate_gate_elections(
     threshold = vote_count_threshold(alpha)
     rng = np.random.default_rng(seed)
     out: list[LineElection] = []
-    for _ in range(max_attempts):
+    for _ in range(_GATE_ATTEMPTS):
         if len(out) == count:
             break
         n_sites = int(rng.integers(2, 7))
@@ -413,6 +414,6 @@ def generate_gate_elections(
             out.append(e)
     if len(out) < count:
         raise RuntimeError(
-            f"generated only {len(out)} of {count} elections in {max_attempts} tries"
+            f"generated only {len(out)} of {count} elections in {_GATE_ATTEMPTS} tries"
         )
     return out

@@ -70,6 +70,73 @@ def reference_collapse(chain, member, kind, limit):
     raise AssertionError("reference merge loop did not converge")
 
 
+def reference_bc_pair(e, i, j):
+    """The old ``displace._bc_pair``, on an election and two voter indices."""
+    xi, xj = e.positions[i], e.positions[j]
+    if xi <= 1.0 - xj:
+        return {i: xi + xj - 0.5, j: 0.5}
+    return {i: xi - 1.0 + xj, j: 1.0}
+
+
+class ReferenceChain(displace._Chain):
+    """``_Chain`` with the old ``collapse`` method, which applied the merge."""
+
+    def collapse(self, member, kind, limit):
+        members = [i for i, x in enumerate(self.current.positions) if member(x)]
+        xs = [self.current.positions[i] for i in members]
+        if len(set(xs)) < 2:
+            return
+        t = min(max(limit(xs), min(xs)), max(xs))  # rounding stays in the span
+        self.apply(kind, {i: t for i in members})
+
+
+def reference_canonical_form(canonicalize, e, beta, certify=True):
+    """The chain ``canonicalize`` ran before each move kind became one step.
+
+    The per-voter A, B-C and C-to-D loops are copied verbatim: one certified
+    step per A voter, per B-C pair and per C-to-D crossing, the crossings
+    re-reading the bar after each one.  ``e`` must be in the configuration
+    ``canonicalize`` reduces.
+    """
+    _bc_pair = reference_bc_pair
+    if canonicalize is canonicalize_expected_winner:
+        measure = (lambda x: displace._measure_winner(x, beta)) if certify else None
+        chain = ReferenceChain(e, measure, winner_preserving=True)
+
+        for i, x in enumerate(chain.current.positions):
+            if x < 0.0:
+                chain.apply("A_to_zero", {i: 0.0})
+
+        c_voters = [i for i, x in enumerate(chain.current.positions) if 0.5 < x < 1.0]
+        c_voters.sort(key=lambda i: -chain.current.positions[i])
+        b_voters = [i for i, x in enumerate(chain.current.positions) if 0.0 <= x < 0.5]
+        b_voters.sort(key=lambda i: chain.current.positions[i])
+        for k, j in enumerate(c_voters):
+            i = b_voters[k % len(b_voters)]
+            chain.apply("BC_pair", _bc_pair(chain.current, i, j))
+
+        chain.collapse(lambda x: 0.0 <= x <= 0.5, "same_region_merge", displace._midpoint_limit)
+        chain.collapse(lambda x: x >= 1.0, "same_region_merge", displace._midpoint_limit)
+        return chain.finish()
+
+    measure = (lambda x: displace._measure_expected(x, beta)) if certify else None
+    chain = ReferenceChain(e, measure, winner_preserving=False)
+
+    for i, x in enumerate(chain.current.positions):
+        if x < 0.0:
+            chain.apply("A_to_B_map", {i: displace._a_to_b(x)})
+
+    c_voters = [j for j, x in enumerate(chain.current.positions) if 0.5 < x < 1.0]
+    c_voters.sort(key=lambda j: chain.current.positions[j])
+    for j in c_voters:
+        x = chain.current.positions[j]
+        if x / (1.0 - x) >= model._candidate_distortion(chain.current, LEFT):
+            chain.apply("C_to_D_map", {j: displace._c_to_d(x)})
+
+    chain.collapse(lambda x: x >= 1.0, "D_geometric_merge", displace._geometric_limit)
+    return chain.finish()
+
+
 def suite_elections(trials, seed):
     """The elections ``canonicalization_suites(trials, seed)`` reduces."""
     rng = np.random.default_rng(seed)
@@ -330,9 +397,9 @@ class TestCanonicalizationSuites:
         # changes a digest.
         assert audit_digests() == {
             "streams": "338088baac43e567782ff2ebfcd4993facdefcccc23c09d027fe9cde69795ff1",
-            1: "486fe514ab68a2f7476504b11a2e249b2e2586461a0c6f645ab42c761f752f6c",
-            2: "e6b534d199c47cbdaf76db183ebfe8fd18ec86bb6c1fd060ac067f3f948f4481",
-            9001: "bccea584c69b5a3cf960d21620d44853da25da55fc14c23ff3a1ec0ea814b945",
+            1: "784340fac03ad6de3489caa6f53e93b1da288b5a0c2723cbf398f0e00a28560f",
+            2: "4dfa9193420ac99ded6ca538abceb4996d9557b6d0ab949d821a0b0d00526c64",
+            9001: "2c303e8896e461e00a3124f1ec38aab171333b9de0ad902684cdaccc969219c3",
         }
 
     def test_chain_certificates_match_the_public_certifiers(self):
@@ -359,9 +426,11 @@ class TestCanonicalizationSuites:
 
             monkeypatch.setattr(module, name, counted)
         canonicalization_suites(50, 1)
-        # Each election of a chain is measured once: 50 origins and 139
-        # steps.  378 when every certificate measured both of its elections.
-        assert calls == {"expected_distortion": 189, "winner_distortion": 0}
+        # Each election of a chain is measured once: 50 origins and 112
+        # steps, at most three per chain.  189 when each A voter and each
+        # C-to-D crossing was a step of its own; 378 when every certificate
+        # measured both of its elections.
+        assert calls == {"expected_distortion": 162, "winner_distortion": 0}
 
 
 class TestCanonicalizeExpectedDistortion:
@@ -443,10 +512,10 @@ class TestClosedFormCollapse:
         worst = 0.0
         for canonicalize, e, beta in suite_elections(500, seed):
             form = canonicalize(e, beta, certify=False)
-            assert len(form.steps) <= len(e) + 2
+            assert len(form.steps) <= 4
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(displace._Chain, "collapse", reference_collapse)
-                reference = canonicalize(e, beta, certify=False)
+                mp.setattr(ReferenceChain, "collapse", reference_collapse)
+                reference = reference_canonical_form(canonicalize, e, beta, certify=False)
             for x, y in zip(form.election.positions, reference.election.positions):
                 worst = max(worst, abs(x - y))
         assert worst <= 1e-12
@@ -505,6 +574,67 @@ class TestClosedFormCollapse:
         assert form.steps == ()
         assert len(form.certificates) == 1
         assert form.election.positions == e.positions
+
+
+class TestOneStepPerMoveKind:
+    """Each move kind is one certified step, landing where the per-voter
+    chain of :func:`reference_canonical_form` lands."""
+
+    WINNER_KINDS = ["A_to_zero", "BC_pair", "same_region_merge", "same_region_merge"]
+    EXPECTED_KINDS = ["A_to_B_map", "C_to_D_map", "D_geometric_merge"]
+
+    @pytest.mark.parametrize("seed", [2, 5, 9001])
+    def test_matches_per_voter_chain(self, seed):
+        for canonicalize, e, beta in suite_elections(500, seed):
+            # Doubling every voter gives tied positions and cost ratios.
+            for election in (e, LineElection(e.positions * 2)):
+                form = canonicalize(election, beta)
+                reference = reference_canonical_form(canonicalize, election, beta)
+                assert form.election.array.tobytes() == reference.election.array.tobytes()
+                assert repr(form.certificates[-1]) == repr(reference.certificates[-1])
+                assert len(form.steps) <= len(reference.steps)
+
+    # Voter counts and position spans in regions A, B, C and D of 1,000
+    # drawn voters, each taken twice so the pairing meets ties.
+    LARGE = {
+        "winner": (canonicalize_expected_winner, (100, 450, 150, 300),
+                   ((-1.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 3.0))),
+        # More interior-C than B voters: the pairing reuses B voters.
+        "winner_reuse": (canonicalize_expected_winner, (50, 250, 400, 300),
+                         ((-0.3, 0.0), (0.0, 0.05), (0.5, 0.55), (2.0, 3.0))),
+        "expected": (canonicalize_expected_distortion, (150, 100, 250, 500),
+                     ((-1.0, 0.0), (0.25, 0.5), (0.5, 1.0), (1.0, 2.5))),
+    }
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    @pytest.mark.parametrize("case", sorted(LARGE))
+    def test_large_election_takes_one_step_per_kind(self, rng, beta, case):
+        canonicalize, counts, spans = self.LARGE[case]
+        drawn = [rng.uniform(lo, hi, size=n) for n, (lo, hi) in zip(counts, spans)]
+        e = LineElection(np.tile(np.concatenate(drawn), 2))
+        assert len(e) == 2_000
+        kinds = (
+            self.WINNER_KINDS
+            if canonicalize is canonicalize_expected_winner
+            else self.EXPECTED_KINDS
+        )
+        form = canonicalize(e, beta)
+        assert form.applied
+        assert [step.kind for step in form.steps] == kinds
+        assert len(form.certificates) == len(form.steps) + 1
+        assert all(c.passed for c in form.certificates)
+        reference = reference_canonical_form(canonicalize, e, beta, certify=False)
+        assert form.election == reference.election
+        if case == "expected":
+            # Some C voters cross and some stay below the bar.
+            assert 0 < len(form.steps[1].voters) < sum(0.5 < x < 1.0 for x in e.positions)
+            assert any(0.5 < x < 1.0 for x in form.election.positions)
+
+        perm = rng.permutation(len(e))
+        shuffled = canonicalize(LineElection(e.array[perm]), beta)
+        assert shuffled.election == LineElection(form.election.array[perm])
+        assert [step.kind for step in shuffled.steps] == kinds
+        assert repr(shuffled.certificates[-1]) == repr(form.certificates[-1])
 
 
 class TestMediantIdentity:

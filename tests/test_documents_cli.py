@@ -80,6 +80,13 @@ class TestParsing:
         with pytest.raises(DocumentError, match="schema"):
             parse_election(text)
 
+    @pytest.mark.parametrize("schema", ["true", "1.0", '"1"'])
+    def test_schema_must_be_the_integer_version(self, schema):
+        # true and 1.0 compare equal to 1 in Python; only the integer passes.
+        text = f'{{"schema": {schema}, "kind": "line", "beta": 1.0, "voters": [1.0]}}'
+        with pytest.raises(DocumentError, match="schema: unsupported version"):
+            parse_election(text)
+
     def test_bad_metric_pair_shape(self):
         text = json.dumps(
             {"schema": 1, "kind": "metric", "beta": 1.0, "voters": [[1.0]]}
@@ -362,8 +369,8 @@ class TestCli:
         assert reduced.metadata["reduced"] in ("winner", "distortion")
 
     def test_reduce_collapses_each_region_in_one_step(self, tmp_path):
-        # Demo 05's election: 2 A moves, 2 BC pairs, then one merge for each
-        # of B and D.
+        # Demo 05's election: one step moves both A voters, one the two B-C
+        # pairs, then one merge for each of B and D.
         doc = json.dumps(
             {"schema": 1, "kind": "line", "beta": 0.9,
              "voters": [-1.2, -0.3, 0.05, 0.1, 0.32, 0.6, 0.85, 2.0, 2.3, 2.8, 3.2]}
@@ -373,7 +380,7 @@ class TestCli:
         assert result.exit_code == 0
         reduced = parse_election(result.output)
         assert reduced.metadata["reduced"] == "winner"
-        assert reduced.metadata["steps"] == "6"
+        assert reduced.metadata["steps"] == "4"
         assert sorted(set(reduced.voters)) == pytest.approx([1.92 / 7, 2.575], abs=1e-12)
 
     def test_reduce_writes_file(self, tmp_path):

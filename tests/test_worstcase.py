@@ -477,7 +477,7 @@ class TestBoundVerifier:
 
     def test_negative_gate_count_rejected(self):
         with pytest.raises(ValueError, match="count must be >= 0"):
-            generate_gate_elections(0.1, 1.0, -1, 3, max_attempts=40)
+            generate_gate_elections(0.1, 1.0, -1, 3)
         assert generate_gate_elections(0.1, 1.0, 0, 3) == []
 
     def test_generated_gate_elections_pass(self):
