@@ -63,7 +63,6 @@ from .model import (
 from .montecarlo import McConfig, McEstimate, simulate
 from .worstcase import (
     BoundCheck,
-    VoteMoments,
     WorstCaseSolution,
     binding_xd,
     generate_gate_elections,
@@ -74,7 +73,6 @@ from .worstcase import (
     two_point_distortion,
     verify_distortion_bound,
     vote_count_threshold,
-    vote_moments,
     witness_election,
 )
 

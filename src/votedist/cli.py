@@ -266,19 +266,13 @@ def cmd_curve(betas, zmin, zmax, points, out) -> None:
 @click.option("--beta", type=float, default=1.0, show_default=True)
 @click.option("--bound-count", type=int, default=25, show_default=True,
               help="Gate elections for the expected-distortion bound audit.")
-@click.option("--samples", type=int, default=100_000, show_default=True,
-              help="Simulation samples per bound check, used only for gate "
-                   f"elections above {exact.EXACT_LIMIT:,} voters; smaller ones "
-                   "are evaluated exactly.")
-def cmd_verify(seed, trials, alpha, beta, bound_count, samples) -> None:
+def cmd_verify(seed, trials, alpha, beta, bound_count) -> None:
     """Re-run the certified randomized audits; nonzero exit on any failure."""
     try:
         model.check_beta(beta)
         results = verification.displacement_suites(trials, seed)
         results += verification.canonicalization_suites(max(1, trials // 4), seed + 1)
-        results.append(
-            verification.bound_suite(alpha, beta, bound_count, samples, seed + 2)
-        )
+        results.append(verification.bound_suite(alpha, beta, bound_count, seed + 2))
     except ValueError as err:
         _fail_validation(err)
     failed = False

@@ -61,15 +61,15 @@ def hoeffding_half_width(samples: int, confidence: float) -> float:
 
 def _groups(e: LineElection, beta: float) -> list[tuple[int, float, int]]:
     # Voters sharing (side, participation) are exchangeable, so their joint
-    # vote count can be drawn as one binomial.  The rows come sorted, left
-    # side before right and participation ascending, which fixes the order
-    # of the draws.
+    # vote count can be drawn as one binomial.  The groups come left side
+    # before right and participation ascending, which fixes the order of the
+    # draws.
     side, p = model.voter_arrays(*e.distances(), beta)
-    voting = side != 0
-    keys, counts = np.unique(
-        np.column_stack([side[voting], p[voting]]), axis=0, return_counts=True
-    )
-    return [(int(s), float(q), int(m)) for (s, q), m in zip(keys, counts)]
+    groups = []
+    for s in (-1, 1):
+        values, counts = np.unique(p[side == s], return_counts=True)
+        groups += [(s, float(q), int(m)) for q, m in zip(values, counts)]
+    return groups
 
 
 def simulate(e: LineElection, beta: float, cfg: McConfig) -> McEstimate:

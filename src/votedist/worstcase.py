@@ -32,19 +32,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import exact, model, montecarlo
+from . import exact, model
 from .model import LineElection
 
 __all__ = [
     "WorstCaseSolution",
-    "VoteMoments",
     "BoundCheck",
     "two_point_distortion",
     "binding_xd",
     "solve_worst_case",
     "solve_worst_case_margin",
     "vote_count_threshold",
-    "vote_moments",
     "sweep_beta",
     "sweep_csv",
     "witness_election",
@@ -62,9 +60,6 @@ _GRID = 128
 _MAX_ROUNDS = 200
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-#: Confidence level of a simulated bound check's interval.
-_BOUND_CONFIDENCE = 0.999
 
 #: Candidate elections drawn before gate generation gives up.
 _GATE_ATTEMPTS = 10_000
@@ -84,16 +79,6 @@ class WorstCaseSolution:
     x_d: float
     value: float
     attained: bool
-
-
-@dataclass(frozen=True)
-class VoteMoments:
-    """Mean and variance of each candidate's vote count."""
-
-    mean_left: float
-    mean_right: float
-    var_left: float
-    var_right: float
 
 
 def two_point_distortion(q_b: float, x_b: float, x_d: float) -> float:
@@ -268,33 +253,20 @@ def vote_count_threshold(alpha: float) -> float:
     return (alpha + 1.0) ** 3 / (alpha**2 * gap**2)
 
 
-def vote_moments(e: LineElection, beta: float) -> VoteMoments:
-    """Bernoulli-sum mean and variance of each candidate's vote count."""
-    side, p = model.voter_arrays(*e.distances(), beta)
-    left, right = side < 0, side > 0
-    var = p * (1.0 - p)
-    return VoteMoments(
-        mean_left=math.fsum(p[left].tolist()),
-        mean_right=math.fsum(p[right].tolist()),
-        var_left=math.fsum(var[left].tolist()),
-        var_right=math.fsum(var[right].tolist()),
-    )
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     """Outcome of auditing the expected-distortion bound on one election.
 
-    ``status`` is ``pass``, ``fail``, ``indeterminate`` (the confidence
-    interval straddles the bound) or ``skipped`` (a precondition failed,
-    named in ``reason``).  ``slack`` is bound minus the upper end of the
-    expected-distortion interval; negative only for ``fail``.
+    ``status`` is ``pass``, ``fail`` or ``skipped`` (a precondition failed,
+    named in ``reason``).  ``method`` is ``exact`` for every checked
+    election, ``dbar`` its exact expected distortion and ``slack`` bound
+    minus ``dbar``, negative only for ``fail``; all three are None when
+    skipped.
     """
 
     status: str
     method: Optional[str]
-    dbar_low: Optional[float]
-    dbar_high: Optional[float]
+    dbar: Optional[float]
     bound: float
     slack: Optional[float]
     reason: Optional[str] = None
@@ -305,18 +277,14 @@ def verify_distortion_bound(
     beta: float,
     elections: Sequence[LineElection],
     dstar: Optional[float] = None,
-    exact_limit: int = exact.EXACT_LIMIT,
-    mc_samples: int = 100_000,
-    seed: int = 0,
 ) -> list[BoundCheck]:
     """Check expected distortion <= (1 + 2 alpha) * worst case, per election.
 
-    Elections whose expected vote counts fall below
-    :func:`vote_count_threshold` or whose optimal candidate is not the right
-    one are reported as skipped, not failed.  Elections of at most
-    ``exact_limit`` voters are evaluated exactly; larger ones by simulation
-    with ``mc_samples`` draws, with the verdict read off the 99.9%
-    confidence interval.
+    Each election is evaluated once, exactly, by
+    :func:`votedist.exact.expected_distortion`, at any size.  Elections whose
+    expected vote counts fall below :func:`vote_count_threshold` or whose
+    optimal candidate is not the right one are reported as skipped, not
+    failed.
     """
     beta = model.check_beta(beta)
     threshold = vote_count_threshold(alpha)
@@ -325,44 +293,19 @@ def verify_distortion_bound(
     bound = (1.0 + 2.0 * alpha) * dstar
 
     checks = []
-    for k, e in enumerate(elections):
-        moments = vote_moments(e, beta)
-        if min(moments.mean_left, moments.mean_right) < threshold:
-            checks.append(
-                BoundCheck(
-                    "skipped", None, None, None, bound, None,
-                    reason=f"expected votes below threshold {threshold:.6g}",
-                )
-            )
-            continue
-        sc_left, sc_right = model.social_costs(e)
-        if sc_right > sc_left:
-            checks.append(
-                BoundCheck(
-                    "skipped", None, None, None, bound, None,
-                    reason="right candidate is not optimal",
-                )
-            )
-            continue
-        if len(e) <= exact_limit:
-            dbar = exact.expected_distortion(e, beta).expected_distortion
-            low = high = dbar
-            method = "exact"
+    for e in elections:
+        report = exact.expected_distortion(e, beta)
+        if min(report.expected_votes_left, report.expected_votes_right) < threshold:
+            reason = f"expected votes below threshold {threshold:.6g}"
+            check = BoundCheck("skipped", None, None, bound, None, reason=reason)
+        elif report.sc_right > report.sc_left:
+            reason = "right candidate is not optimal"
+            check = BoundCheck("skipped", None, None, bound, None, reason=reason)
         else:
-            cfg = montecarlo.McConfig(
-                samples=mc_samples, seed=seed + k, confidence=_BOUND_CONFIDENCE
-            )
-            est = montecarlo.simulate(e, beta, cfg)
-            low = est.expected_distortion_hat - est.half_width_d
-            high = est.expected_distortion_hat + est.half_width_d
-            method = "montecarlo"
-        if high <= bound + 1e-12:
-            status = "pass"
-        elif low > bound:
-            status = "fail"
-        else:
-            status = "indeterminate"
-        checks.append(BoundCheck(status, method, low, high, bound, bound - high))
+            dbar = report.expected_distortion
+            status = "pass" if dbar <= bound + 1e-12 else "fail"
+            check = BoundCheck(status, "exact", dbar, bound, bound - dbar)
+        checks.append(check)
     return checks
 
 
@@ -374,7 +317,6 @@ def generate_gate_elections(
     Each election is a small cloud of B sites plus one D site, with
     multiplicities scaled so both expected vote counts exceed
     :func:`vote_count_threshold` and the right candidate is strictly optimal.
-    Distinct positions are kept few so simulation can draw votes per site.
     """
     beta = model.check_beta(beta)
     if count < 0:
@@ -405,12 +347,8 @@ def generate_gate_elections(
 
         positions = np.concatenate([np.repeat(sites, m_b), np.full(m_d, x_d)])
         e = LineElection(positions)
-        moments = vote_moments(e, beta)
         sc_left, sc_right = model.social_costs(e)
-        if (
-            min(moments.mean_left, moments.mean_right) >= threshold
-            and sc_right < sc_left
-        ):
+        if min(model.expected_votes(e, beta)) >= threshold and sc_right < sc_left:
             out.append(e)
     if len(out) < count:
         raise RuntimeError(

@@ -594,6 +594,36 @@ class TestOneStepPerMoveKind:
                 assert repr(form.certificates[-1]) == repr(reference.certificates[-1])
                 assert len(form.steps) <= len(reference.steps)
 
+    def test_small_elections_reuse_b_voters(self):
+        # The suite samplers never draw more interior-C voters than B voters
+        # (counting A voters, which land on 0), so the pairing's cyclic reuse
+        # of B voters is searched for here: 0-1 A, 1-2 B, 2-4 interior-C
+        # voters close to 1/2 and 1-2 D voters, at most 8 voters.
+        rng = np.random.default_rng(20261018)
+        reused = 0
+        for _ in range(5000):
+            beta = float(rng.choice([0.3, 0.6, 1.0]))
+            counts = rng.integers([0, 1, 2, 1], [2, 3, 5, 3])
+            spans = ((-0.5, 0.0), (0.0, 0.5), (0.5, 0.6), (1.0, 3.0))
+            drawn = [rng.uniform(lo, hi, size=n) for (lo, hi), n in zip(spans, counts)]
+            e = LineElection(np.concatenate(drawn))
+            sc_left, sc_right = model.social_costs(e)
+            if len(e) > 8 or not sc_right < sc_left:
+                continue
+            if model.expected_winner(e, beta) != LEFT:
+                continue
+            n_b = sum(1 for x in e.positions if x < 0.5)
+            if sum(1 for x in e.positions if 0.5 < x < 1.0) <= n_b:
+                continue
+            reused += 1
+            form = canonicalize_expected_winner(e, beta)
+            assert all(c.passed for c in form.certificates)
+            reference = reference_canonical_form(canonicalize_expected_winner, e, beta)
+            assert all(c.passed for c in reference.certificates)
+            assert form.election.array.tobytes() == reference.election.array.tobytes()
+            assert repr(form.certificates[-1]) == repr(reference.certificates[-1])
+        assert reused >= 200
+
     # Voter counts and position spans in regions A, B, C and D of 1,000
     # drawn voters, each taken twice so the pairing meets ties.
     LARGE = {

@@ -410,8 +410,7 @@ class TestCli:
     def test_verify_small_run_passes(self):
         result = self.runner.invoke(
             main,
-            ["verify", "--seed", "3", "--trials", "25", "--bound-count", "2",
-             "--samples", "20000"],
+            ["verify", "--seed", "3", "--trials", "25", "--bound-count", "2"],
         )
         assert result.exit_code == 0, result.output
         assert "FAIL" not in result.output
@@ -467,7 +466,7 @@ COMMAND_OPTIONS = {
         "--beta", "--confidence", "--format", "--out", "--samples", "--seed", "election_file",
     ],
     "sweep": ["--count", "--out", "--start", "--stop"],
-    "verify": ["--alpha", "--beta", "--bound-count", "--samples", "--seed", "--trials"],
+    "verify": ["--alpha", "--beta", "--bound-count", "--seed", "--trials"],
     "worstcase": ["--beta", "--epsilon", "--format", "--out"],
 }
 

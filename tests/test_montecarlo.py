@@ -8,6 +8,16 @@ from votedist.model import LineElection
 from votedist.montecarlo import McConfig, _groups, hoeffding_half_width, simulate
 
 
+def reference_groups(e, beta):
+    """``_groups`` as one row-wise unique over (side, participation) pairs."""
+    side, p = model.voter_arrays(*e.distances(), beta)
+    voting = side != 0
+    keys, counts = np.unique(
+        np.column_stack([side[voting], p[voting]]), axis=0, return_counts=True
+    )
+    return [(int(s), float(q), int(m)) for (s, q), m in zip(keys, counts)]
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -66,6 +76,16 @@ class TestSimulate:
                     counts[key] = counts.get(key, 0) + 1
             expected = [(side, p, m) for (side, p), m in sorted(counts.items())]
             assert _groups(e, beta) == expected
+
+    def test_groups_match_the_row_wise_unique(self, rng):
+        # Repeated sites make groups of several voters on both sides.
+        for _ in range(300):
+            n_sites = int(rng.integers(1, 8))
+            sites = rng.choice([-0.5, 0.0, 0.5, 1.0, 1.5], n_sites)
+            sites = np.where(rng.random(n_sites) < 0.5, sites, rng.uniform(-1, 2, n_sites))
+            e = LineElection(np.repeat(sites, rng.integers(1, 5, size=n_sites)))
+            beta = float(rng.choice([0.0, 1.0, rng.uniform(0.05, 1.0)]))
+            assert _groups(e, beta) == reference_groups(e, beta)
 
     def test_single_far_voter_hits_exact_value(self):
         est = simulate(LineElection([1.5]), 1.0, McConfig(samples=200_000, seed=7))

@@ -19,7 +19,6 @@ from votedist.worstcase import (
     two_point_distortion,
     verify_distortion_bound,
     vote_count_threshold,
-    vote_moments,
     witness_election,
 )
 
@@ -391,14 +390,12 @@ class TestVoteThreshold:
 
 
 class TestVoteMoments:
+    # The vote gate reads the means of the vote counts from model.expected_votes.
     def test_deterministic_voters(self):
-        m = vote_moments(LineElection([0.0, 0.0]), 1.0)
-        assert (m.mean_left, m.var_left) == (2.0, 0.0)
+        assert model.expected_votes(LineElection([0.0, 0.0]), 1.0)[0] == 2.0
 
     def test_single_coin_voter(self):
-        m = vote_moments(LineElection([1.5]), 1.0)
-        assert m.mean_right == pytest.approx(0.5)
-        assert m.var_right == pytest.approx(0.25)
+        assert model.expected_votes(LineElection([1.5]), 1.0)[1] == pytest.approx(0.5)
 
     def test_matches_pmf_moments(self, rng):
         from votedist.verification import random_election
@@ -406,44 +403,15 @@ class TestVoteMoments:
         for _ in range(30):
             e = random_election(rng)
             beta = random_beta(rng)
-            m = vote_moments(e, beta)
+            mean_left, _ = model.expected_votes(e, beta)
             probs = [
                 model.profile(x, beta).participation
                 for x in e.positions
                 if model.profile(x, beta).preferred == model.LEFT
             ]
             pmf = exact.vote_pmf(probs)
-            ks = np.arange(len(pmf))
-            mean = float(np.dot(ks, pmf))
-            var = float(np.dot((ks - mean) ** 2, pmf))
-            assert m.mean_left == pytest.approx(mean, abs=1e-12)
-            assert m.var_left == pytest.approx(var, abs=1e-12)
-            assert m.var_left <= m.mean_left + 1e-12
-
-
-class TestChebyshevTailSanity:
-    def test_empirical_tails_within_chebyshev_envelope(self):
-        # The moments feed a Chebyshev tail bound; simulated vote counts must
-        # respect it up to sampling error.
-        e = LineElection([-0.6, 0.05, 0.1, 0.2, 0.3, 0.42, 1.1, 1.6, 2.2])
-        beta = 1.0
-        m = vote_moments(e, beta)
-        probs = np.array(
-            [
-                model.profile(x, beta).participation
-                for x in e.positions
-                if model.profile(x, beta).preferred == model.LEFT
-            ]
-        )
-        samples = 20_000
-        rng = np.random.default_rng(44)
-        counts = (rng.random((samples, len(probs))) < probs).sum(axis=1)
-        from votedist.montecarlo import hoeffding_half_width
-
-        slack = 3.0 * hoeffding_half_width(samples, 0.95)
-        for k in (0.5, 1.0, 2.0, 3.0):
-            tail = float(np.mean(np.abs(counts - m.mean_left) >= k))
-            assert tail <= m.var_left / k**2 + slack
+            mean = float(np.dot(np.arange(len(pmf)), pmf))
+            assert mean_left == pytest.approx(mean, abs=1e-12)
 
 
 class TestBoundVerifier:
@@ -468,8 +436,7 @@ class TestBoundVerifier:
         threshold = vote_count_threshold(alpha)
         assert threshold < 7
         e = LineElection([0.0] * 7 + [1.01] * 8)
-        moments = vote_moments(e, 1.0)
-        assert min(moments.mean_left, moments.mean_right) >= threshold
+        assert min(model.expected_votes(e, 1.0)) >= threshold
         checks = verify_distortion_bound(alpha, 1.0, [e], dstar=TIGHT_VALUE)
         assert checks[0].status == "pass"
         assert checks[0].method == "exact"
@@ -480,26 +447,30 @@ class TestBoundVerifier:
             generate_gate_elections(0.1, 1.0, -1, 3)
         assert generate_gate_elections(0.1, 1.0, 0, 3) == []
 
-    def test_generated_gate_elections_pass(self):
+    def test_generated_gate_elections_are_checked_exactly(self):
         elections = generate_gate_elections(0.1, 1.0, 8, seed=5)
         for e in elections:
-            moments = vote_moments(e, 1.0)
-            assert min(moments.mean_left, moments.mean_right) >= vote_count_threshold(0.1)
+            assert min(model.expected_votes(e, 1.0)) >= vote_count_threshold(0.1)
             sc_left, sc_right = model.social_costs(e)
             assert sc_right < sc_left
             assert len(set(e.positions)) <= 8
-        checks = verify_distortion_bound(
-            0.1, 1.0, elections, dstar=TIGHT_VALUE, exact_limit=0,
-            mc_samples=60_000, seed=1,
-        )
-        assert all(c.status == "pass" for c in checks)
-        assert all(c.method == "montecarlo" for c in checks)
-
-    def test_generated_gate_elections_are_checked_exactly(self):
-        elections = generate_gate_elections(0.1, 1.0, 8, seed=5)
         checks = verify_distortion_bound(0.1, 1.0, elections, dstar=TIGHT_VALUE)
         assert all(c.status == "pass" for c in checks)
         assert all(c.method == "exact" for c in checks)
-        assert all(c.dbar_low == c.dbar_high for c in checks)
         for c, e in zip(checks, elections):
-            assert c.dbar_high == exact.expected_distortion(e, 1.0).expected_distortion
+            assert c.dbar == exact.expected_distortion(e, 1.0).expected_distortion
+            assert c.slack == c.bound - c.dbar
+
+    def test_elections_above_a_million_voters_are_checked_exactly(self, monkeypatch):
+        from votedist import montecarlo
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("the bound audit must not simulate")
+
+        monkeypatch.setattr(montecarlo, "simulate", no_simulation)
+        e = LineElection(np.repeat([0.1, 0.3, 1.6], [300_000, 250_000, 450_001]))
+        assert len(e) > 1_000_000
+        (check,) = verify_distortion_bound(0.1, 1.0, [e], dstar=TIGHT_VALUE)
+        assert check.method == "exact"
+        assert check.status == "pass"
+        assert check.dbar == exact.expected_distortion(e, 1.0).expected_distortion
