@@ -10,9 +10,9 @@ candidate still leading on expected votes:
 
 Past the feasibility boundary the objective only falls as ``x_d`` grows (the
 ratio exceeds 1, and pushing equal mass into numerator and denominator drags
-it toward 1), so ``x_d`` sits at its binding value.  The best ``x_b`` for a
-given ``q_b`` then has a closed form (:func:`_best_x_b`), and only ``q_b`` is
-searched, by a refined 1-D grid.
+it toward 1), so ``x_d`` sits at its binding value.  The best ``x_b`` then
+has a closed form (:func:`_best_x_b`), and one golden-section search over
+``s = log A`` (:func:`_golden_max`) solves every beta at once.
 
 At ``beta = 0`` everyone with a strict preference votes, so ``x_d = 1`` and
 the supremum 3 is approached at ``q_b = 1/2`` as ``x_b -> 1/2``; the solver
@@ -49,15 +49,6 @@ __all__ = [
     "generate_gate_elections",
     "verify_distortion_bound",
 ]
-
-#: Refinement stops once the q_b grid step falls below this.
-REFINE_TOL = 1e-6
-
-#: Points of q_b per refinement round.
-_GRID = 128
-
-#: Refinement rounds before the grid search gives up.
-_MAX_ROUNDS = 200
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -129,55 +120,73 @@ def binding_xd(q_b: float, x_b: float, beta: float, margin: float = 0.0) -> floa
     return max(1.0, xd)
 
 
-def _best_x_b(q, beta, margin):
-    """``(value, x_b, x_d)`` at the best ``x_b`` for each ``q_b`` in ``q``.
+def _best_x_b(s, beta, margin):
+    """``(excess, q_b, x_b, x_d)`` at the best ``x_b`` for each ``s = log A`` in ``s``.
 
-    With ``u = 1 - 2 x_b`` and ``A = ((1 + margin)(1 - q) / q)^(1/beta)`` the
-    binding ``x_d`` is ``(1 + A / u) / 2`` up to ``u = A`` and 1 beyond, where
-    the objective only falls.  Below ``A`` the objective is
-    ``(B + u - q u^2) / (B + (2q - 1) u + q u^2)`` with ``B = (1 - q) A``; its
-    derivative has the sign of ``-2 q^2 u^2 - 4 q B u + 2 B (1 - q)``, positive
-    at 0 and falling, so the best ``u`` is ``min(u*, A, 1)`` with the root
-    ``u* = (1 - q) / (q (1 + sqrt(1 + 1/A)))``, written free of cancellation.
-    ``x_b`` is rounded down, as ``x_d`` is steep just below ``u = A``, and ``x_d``
-    binds for the rounded ``x_b``; ``A = 0`` gives the limit ``x_b = 1/2``,
-    ``x_d = 1``.  Points whose ``x_d`` overflows (their value rounds to 1) read ``-inf``.
+    With ``A = ((1 + margin)(1 - q_b) / q_b)^(1/beta)`` the odds ``(1 - q_b) / q_b``
+    are ``r = e^(beta s) / (1 + margin)``, and with ``u = 1 - 2 x_b`` and the
+    binding ``x_d`` (``(1 + A / u) / 2`` up to ``u = A``, 1 beyond) the value is
+    ``1 + excess``, ``excess = 2u (r - u) / (u (1 + u) + r max(A - u, 0))``.  Below
+    ``A`` its ``u``-derivative has the sign of ``r^2 A - 2 r A u - u^2``, positive at 0
+    and falling, so the best ``u`` is ``min(r / (1 + sqrt(1 + 1/A)), A, 1)``.  ``x_b``
+    is rounded down and ``x_d`` binds for it.  An excess below 0 (that ``u`` under
+    the float spacing next to 1/2) or undefined (``s = -inf``) gives way to the
+    limit ``q_b -> 1``: excess 0 at ``q_b = 1``, ``x_b = 1/2``, ``x_d = 1``.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = ((1.0 + margin) * (1.0 - q) / q) ** (1.0 / beta)
-        u = np.minimum(np.minimum((1.0 - q) / (q * (1.0 + np.sqrt(1.0 + 1.0 / a))), a), 1.0)
+    r = np.exp(beta * s - math.log1p(margin))
+    a = np.exp(s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.minimum(np.minimum(r / (1.0 + np.sqrt(1.0 + 1.0 / a)), a), 1.0)
         x_b = 0.5 * (1.0 - u)
         x_b = np.where(1.0 - 2.0 * x_b < u, np.nextafter(x_b, 0.0), x_b)
         u = 1.0 - 2.0 * x_b
-        x_d = np.where(u > 0.0, np.maximum(1.0, 0.5 * (1.0 + a / u)), 1.0)
-        vals = (q * x_b + (1.0 - q) * x_d) / (q * (1.0 - x_b) + (1.0 - q) * (x_d - 1.0))
-    return np.where(np.isfinite(vals), vals, -np.inf), x_b, x_d
+        x_d = np.maximum(1.0, 0.5 * (1.0 + a / u))
+        excess = 2.0 * u * (r - u) / (u * (1.0 + u) + r * np.maximum(a - u, 0.0))
+    limit = ~(excess >= 0.0)
+    found = (excess, 1.0 / (1.0 + r), x_b, x_d)
+    return tuple(np.where(limit, at, v) for at, v in zip((0.0, 1.0, 0.5, 1.0), found))
 
 
-def _grid_max(beta, margin):
-    """Shrinking grid search over ``q_b`` in ``[1e-9, 1]``: ``(value, q_b, x_b, x_d)``.
+def _golden_max(beta, margin):
+    """Golden-section search over ``s`` for each positive beta: ``(value, q_b, x_b, x_d)``.
 
-    Each round evaluates :func:`_best_x_b` at :data:`_GRID` points and recentres
-    on the best, two steps either side, so the span shrinks by at least
-    ``4 / (_GRID - 1)`` per round until the step is at most :data:`REFINE_TOL`
-    (4 rounds).  Raises ``RuntimeError`` when no point is feasible or the step
-    still exceeds the tolerance after :data:`_MAX_ROUNDS` rounds (``_GRID <= 5``).
+    It compares excesses, which stay precise where the value nears 1.  Nothing
+    outside the bracket beats its best by a quarter ulp of 1: as ``u <= min(A, 1)``
+    the excess is at most ``2 / (A - 1)``, under ``2^-55`` for ``s >= 56 ln 2``, and
+    at most ``2r``, under ``2^-54`` for ``beta s <= log(1 + margin) - 55 ln 2``; for
+    ``s <= -56 ln 2`` that ``2r`` is within ``4A = 2^-54`` of what ``u = A`` reads at
+    ``-56 ln 2``.  Each step keeps ``1/phi`` of the bracket, until the widest is under
+    ``eps`` and ``A = e^s`` moves by less than its rounding (Kiefer, *Sequential
+    minimax search for a maximum*, 1953).
     """
-    lo, hi = 1e-9, 1.0
-    for _ in range(_MAX_ROUNDS):
-        q = np.linspace(lo, hi, _GRID)
-        vals, x_b, x_d = _best_x_b(q, beta, margin)
-        i = int(np.argmax(vals))
-        if vals[i] == -math.inf:
-            raise RuntimeError(f"no feasible grid point in q_b [{lo}, {hi}]")
-        step = (hi - lo) / (_GRID - 1)
-        if step <= REFINE_TOL:
-            return float(vals[i]), float(q[i]), float(x_b[i]), float(x_d[i])
-        lo, hi = max(1e-9, q[i] - 2.0 * step), min(1.0, q[i] + 2.0 * step)
-    raise RuntimeError(
-        f"grid search did not converge in {_MAX_ROUNDS} rounds: last step "
-        f"{step:.3g} exceeds {REFINE_TOL:g}"
-    )
+    s_max = 56.0 * math.log(2.0)
+    hi = np.full(beta.shape, s_max)
+    lo = np.clip((math.log1p(margin) - 55.0 * math.log(2.0)) / beta, -s_max, s_max)
+    c, d = hi - (hi - lo) / _GOLDEN, lo + (hi - lo) / _GOLDEN
+    fc, fd = _best_x_b(c, beta, margin)[0], _best_x_b(d, beta, margin)[0]
+    for _ in range(math.ceil(math.log(2.0 * s_max / np.finfo(float).eps, _GOLDEN))):
+        left = fc >= fd
+        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
+        p = np.where(left, hi - (hi - lo) / _GOLDEN, lo + (hi - lo) / _GOLDEN)
+        fp = _best_x_b(p, beta, margin)[0]
+        c, d = np.where(left, p, d), np.where(left, c, p)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+    excess, q_b, x_b, x_d = _best_x_b(np.where(fc >= fd, c, d), beta, margin)
+    return 1.0 + excess, q_b, x_b, x_d
+
+
+def _solve(betas, epsilon: float) -> list[WorstCaseSolution]:
+    """Solutions at every beta, from one search for all the positive ones."""
+    betas = np.array([model.check_beta(b) for b in betas], dtype=float)
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    found = zip(*(v.tolist() for v in _golden_max(betas[betas > 0.0], epsilon)))
+    zero = ((3.0 + epsilon) / (1.0 + epsilon), (1.0 + epsilon) / (2.0 + epsilon), 0.5, 1.0)
+    out = []
+    for beta in betas.tolist():
+        value, q_b, x_b, x_d = next(found) if beta > 0.0 else zero
+        out.append(WorstCaseSolution(beta, q_b, x_b, x_d, value, attained=x_b < 0.5))
+    return out
 
 
 def solve_worst_case_margin(beta: float, epsilon: float) -> WorstCaseSolution:
@@ -188,17 +197,7 @@ def solve_worst_case_margin(beta: float, epsilon: float) -> WorstCaseSolution:
     :func:`solve_worst_case`.  At ``beta = 0`` the supremum is
     ``(3 + epsilon) / (1 + epsilon)``, at ``q_b = (1 + epsilon) / (2 + epsilon)``.
     """
-    beta = model.check_beta(beta)
-    if not 0.0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-
-    if beta == 0.0:
-        q_b = (1.0 + epsilon) / (2.0 + epsilon)
-        value = (3.0 + epsilon) / (1.0 + epsilon)
-        return WorstCaseSolution(beta, q_b, 0.5, 1.0, value, attained=False)
-
-    value, q_b, x_b, x_d = _grid_max(beta, epsilon)
-    return WorstCaseSolution(beta, q_b, x_b, x_d, value, attained=x_b < 0.5)
+    return _solve([beta], epsilon)[0]
 
 
 def solve_worst_case(beta: float) -> WorstCaseSolution:
@@ -207,8 +206,8 @@ def solve_worst_case(beta: float) -> WorstCaseSolution:
 
 
 def sweep_beta(betas: Sequence[float]) -> list[WorstCaseSolution]:
-    """One worst-case solution per beta, in the given order."""
-    return [solve_worst_case(b) for b in betas]
+    """One worst-case solution per beta, in the given order, from one search."""
+    return _solve(betas, 0.0)
 
 
 def sweep_csv(solutions: Sequence[WorstCaseSolution]) -> str:

@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -316,6 +318,41 @@ class TestExpectedDistortion:
                 assert expected_distortion(e, beta) == composed  # bit for bit
                 monkeypatch.undo()
                 assert len(calls) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # Half the sizes stay within the scalar engine, half reach the tree.
+        size=st.one_of(st.integers(1, 40), st.integers(41, 299)),
+        seed=st.integers(0, 2**32 - 1),
+        beta=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    def test_mirror_swaps_every_field_bit_for_bit(self, size, seed, beta):
+        # Multiples of 2^-10 in [-2, 3] reflect through 1/2 without rounding,
+        # so the mirrored report must be the report with its sides swapped.
+        # Equal social costs name left as optimal on both sides of the mirror.
+        steps = np.random.default_rng(seed).integers(-2048, 3073, size)
+        e = LineElection(steps / 1024.0)
+        report = expected_distortion(e, beta)
+        side = {model.LEFT: model.RIGHT, model.RIGHT: model.LEFT}
+        tied = report.sc_left == report.sc_right
+        swapped = dataclasses.replace(
+            report,
+            sc_left=report.sc_right,
+            sc_right=report.sc_left,
+            optimal=report.optimal if tied else side[report.optimal],
+            dist_left=report.dist_right,
+            dist_right=report.dist_left,
+            expected_votes_left=report.expected_votes_right,
+            expected_votes_right=report.expected_votes_left,
+            expected_winner=side.get(report.expected_winner, report.expected_winner),
+            win_prob_left=report.win_prob_right,
+            win_prob_right=report.win_prob_left,
+        )
+
+        def bits(r):
+            return [struct.pack("<d", v) if isinstance(v, float) else v for v in vars(r).values()]
+
+        assert bits(expected_distortion(mirror(e), beta)) == bits(swapped)
 
 
 class TestEnumerateOracle:

@@ -29,14 +29,19 @@ TIGHT_VALUE = (1.0 + SQRT2) ** 2 / (1.0 + 2.0 * SQRT2)
 EPS = np.finfo(float).eps
 
 
-def reference_positive_beta_values(q, x_b, beta, margin):
-    """The objective with two powers per grid point, before factoring x_d."""
-    qq, xx = np.meshgrid(q, x_b, indexing="ij")
+def reference_positive_beta_values(odds, x_b, beta, margin):
+    """The objective with two powers per grid point, before factoring x_d.
+
+    ``odds`` is ``(1 - q_b) / q_b`` on each row, so that ``q_b`` near 1 keeps
+    its ``1 - q_b`` exact.
+    """
+    rr, xx = np.meshgrid(odds, x_b, indexing="ij")
+    qq = 1.0 / (1.0 + rr)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        base = (1.0 + margin) * (1.0 - qq) / ((1.0 - 2.0 * xx) ** beta * qq)
+        base = (1.0 + margin) * rr / (1.0 - 2.0 * xx) ** beta
         xd = np.maximum(1.0, 0.5 * (1.0 + base ** (1.0 / beta)))
-        num = qq * xx + (1.0 - qq) * xd
-        den = qq * (1.0 - xx) + (1.0 - qq) * (xd - 1.0)
+        num = qq * xx + qq * rr * xd
+        den = qq * (1.0 - xx) + qq * rr * (xd - 1.0)
         vals = num / den
     vals = np.where(np.isfinite(xd) & np.isfinite(vals) & (den > 0), vals, -np.inf)
     return vals, xd
@@ -99,7 +104,7 @@ class TestBindingXd:
 class TestSolve:
     def test_beta_one(self):
         sol = solve_worst_case(1.0)
-        assert sol.value == pytest.approx(TIGHT_VALUE, abs=1e-12)
+        assert abs(sol.value - TIGHT_VALUE) <= 2.0 * np.spacing(TIGHT_VALUE)
         assert sol.q_b == pytest.approx(TIGHT_Q, abs=1e-4)
         assert sol.x_b == pytest.approx(0.0, abs=1e-6)
         assert sol.x_d == pytest.approx(TIGHT_XD, abs=1e-4)
@@ -115,7 +120,7 @@ class TestSolve:
         # The minimum of the curve: sqrt 2 at beta = 1/sqrt 2, with the
         # witness q_b = 1/2, x_b = 1 - 1/sqrt 2, x_d = 1 + 1/sqrt 2.
         sol = solve_worst_case(1.0 / SQRT2)
-        assert sol.value == pytest.approx(SQRT2, abs=1e-12)
+        assert abs(sol.value - SQRT2) <= 2.0 * np.spacing(SQRT2)
         assert sol.q_b == pytest.approx(0.5, abs=1e-6)
         assert sol.x_b == pytest.approx(1.0 - 1.0 / SQRT2, abs=1e-6)
         assert sol.x_d == pytest.approx(1.0 + 1.0 / SQRT2, abs=1e-6)
@@ -128,8 +133,8 @@ class TestSolve:
         assert solve_worst_case(0.075).value >= 2.43520102
 
     def test_solution_feasible_and_locally_maximal(self):
-        for beta in (0.3, 0.705, 1.0):
-            sol = solve_worst_case(beta)
+        for sol in sweep_beta([0.3, 0.705, 1.0]):
+            beta = sol.beta
             have = (1.0 - 2.0 * sol.x_b) ** beta * sol.q_b
             need = (1.0 - sol.q_b) / (2.0 * sol.x_d - 1.0) ** beta
             assert have >= need - 1e-9
@@ -143,13 +148,13 @@ class TestSolve:
     def test_curve_dominates_random_elections(self, rng):
         # Soundness: no election whose expected winner is suboptimal beats
         # the solved worst case at its beta.
-        cache = {}
+        cases = []
         for _ in range(60):
             beta = round(random_beta(rng), 3)
-            e = random_left_leading_election(rng, beta)
-            if beta not in cache:
-                cache[beta] = solve_worst_case(beta).value
-            assert model.winner_distortion(e, beta) <= cache[beta] + 1e-6
+            cases.append((beta, random_left_leading_election(rng, beta)))
+        dstar = {s.beta: s.value for s in sweep_beta(sorted({beta for beta, _ in cases}))}
+        for beta, e in cases:
+            assert model.winner_distortion(e, beta) <= dstar[beta] + 1e-6
 
     def test_witness_is_canonical_fixed_point(self):
         sol = solve_worst_case(1.0)
@@ -165,70 +170,65 @@ class TestSeparableObjective:
     """The closed-form best x_b against the unfactored objective on x_b grids.
 
     The unfactored form rounds the base of the ``1/beta`` power a few times,
-    and the power multiplies that relative error by ``1/beta``, so at the
-    same point the two agree to ``8 eps / beta`` relative.
+    and its odds ``e^(beta s) / (1 + margin)`` carry the rounding of the
+    exponent, ``eps (|beta s| + log(1 + margin))`` relative.  The power
+    multiplies that by ``1/beta``, so at the same point the two agree to
+    ``(8 + |beta s| + log(1 + margin)) eps / beta`` relative.
     """
 
     @staticmethod
-    def assert_best(q, x_grid, beta, margin):
-        got, x_b, x_d = worstcase._best_x_b(q, beta, margin)
-        assert got.shape == x_b.shape == x_d.shape == q.shape
-        tol = 8.0 * EPS / beta
-        grid, _ = reference_positive_beta_values(q, x_grid, beta, margin)
-        # The closed form reads -inf exactly where its x_d overflows: where
-        # A(q) does, and where A(q) nears the float limit so that the best
-        # x_d = (1 + A/u) / 2 passes it.  The reference reads at most 1 there.
-        feasible = np.isfinite(got)
-        assert np.all(got[~feasible] == -np.inf)
-        assert np.array_equal(x_d == np.inf, ~feasible)
-        assert np.all(grid[~feasible] <= 1.0)
+    def assert_best(s, x_grid, beta, margin):
+        excess, q_b, x_b, x_d = worstcase._best_x_b(s, beta, margin)
+        assert excess.shape == q_b.shape == x_b.shape == x_d.shape == s.shape
+        got = 1.0 + excess
+        tol = (8.0 + np.abs(beta * s) + math.log1p(margin)) * EPS / beta
+        odds = np.exp(beta * s - math.log1p(margin))
+        grid, _ = reference_positive_beta_values(odds, x_grid, beta, margin)
+        # Where rounding x_b pushes u past the odds the excess would read below
+        # 0; the limit q_b -> 1 (value 1) stands there, and nothing beats it.
+        limit = q_b == 1.0
+        assert np.all((excess[limit] == 0.0) & (x_b[limit] == 0.5) & (x_d[limit] == 1.0))
+        assert np.all(excess >= 0.0) and np.all(np.isfinite(x_d))
         # No x_b of the grid beats the closed form ...
-        assert np.all(grid.max(axis=1)[feasible] <= got[feasible] * (1.0 + tol))
+        assert np.all(grid.max(axis=1) <= got * (1.0 + tol))
         # ... and the unfactored form reads the same at the returned x_b.
-        inner = feasible & (x_b < 0.5)
-        at, xd_at = reference_positive_beta_values(q[inner], x_b[inner], beta, margin)
-        assert np.allclose(np.diag(at), got[inner], rtol=tol, atol=0.0)
-        assert np.allclose(np.diag(xd_at), x_d[inner], rtol=tol, atol=0.0)
+        inner = ~limit & (x_b < 0.5)
+        at, xd_at = reference_positive_beta_values(odds[inner], x_b[inner], beta, margin)
+        assert np.all(np.abs(np.diag(at) - got[inner]) <= tol[inner] * got[inner])
+        assert np.all(np.abs(np.diag(xd_at) - x_d[inner]) <= tol[inner] * x_d[inner])
 
     @pytest.mark.parametrize("beta", [0.0025, 0.05, 0.37, 0.705, 1.0])
     @pytest.mark.parametrize("margin", [0.0, 0.01, 1e9])
     def test_random_grids(self, rng, beta, margin):
         # Dense in u = 1 - 2 x_b on both scales: uniform, and geometric down
-        # to u = 1e-16, where the optimum sits when A(q) is tiny.
+        # to u = 1e-16, where the optimum sits when A is tiny.  The s range
+        # reaches past the search bracket, 56 ln 2 either side.
         x_grid = np.concatenate(
             [np.linspace(0.0, 0.5, 2001), 0.5 * (1.0 - np.logspace(-16, -3, 600))]
         )
         for _ in range(3):
-            self.assert_best(np.sort(rng.uniform(1e-9, 1.0, 48)), x_grid, beta, margin)
+            self.assert_best(np.sort(rng.uniform(-45.0, 45.0, 48)), x_grid, beta, margin)
 
     @pytest.mark.parametrize("beta", [0.0025, 0.37, 1.0])
     @pytest.mark.parametrize("margin", [0.0, 1e9])
     def test_edge_grids(self, beta, margin):
-        q = np.array([1e-9, 1e-3, 0.5, 1.0 - 1e-9, 1.0])
-        self.assert_best(q, np.array([0.0, 0.25, 0.5 - 1e-9, 0.5]), beta, margin)
-        self.assert_best(np.linspace(1e-9, 1.0, 128), np.linspace(0.0, 0.5, 128), beta, margin)
+        s = np.array([-45.0, -38.8, -1e-9, 0.0, 1e-9, 38.8, 45.0])
+        self.assert_best(s, np.array([0.0, 0.25, 0.5 - 1e-9, 0.5]), beta, margin)
+        self.assert_best(np.linspace(-45.0, 45.0, 128), np.linspace(0.0, 0.5, 128), beta, margin)
 
     def test_edges_masked_as_before(self):
-        # q = 1 gives A = 0 and the limit u -> 0: x_b = 1/2, x_d = 1 and
-        # value 1, where the unfactored form reads 0/0.
+        # s = -inf is q = 1 and A = 0: the limit x_b = 1/2, x_d = 1 and value
+        # 1, where the unfactored form reads 0/0.
         for beta in (0.0025, 0.5, 1.0):
             for margin in (0.0, 1e9):
-                vals, x_b, x_d = worstcase._best_x_b(np.array([1.0]), beta, margin)
-                assert (vals[0], x_b[0], x_d[0]) == (1.0, 0.5, 1.0)
-        # A large finite A(q) puts x_b at 0 and x_d at (1 + A) / 2.
-        vals, x_b, x_d = worstcase._best_x_b(np.array([1e-9]), 0.5, 0.0)
+                got = worstcase._best_x_b(np.array([-math.inf]), beta, margin)
+                assert tuple(float(v[0]) for v in got) == (0.0, 1.0, 0.5, 1.0)
+        # A large A puts x_b at 0 and x_d at (1 + A) / 2.
+        excess, q_b, x_b, x_d = worstcase._best_x_b(np.array([40.0]), 0.5, 0.0)
         assert x_b[0] == 0.0
-        assert x_d[0] == pytest.approx(0.5 * (1.0 + (1.0 / 1e-9 - 1.0) ** 2), rel=1e-12)
-        assert np.isfinite(vals[0])
-
-    def test_power_overflow_is_masked(self):
-        # At beta = 0.0025 the 400th power overflows for every q below 1
-        # here: those points read -inf, with an infinite x_d.
-        q = np.linspace(1e-9, 1.0, 64)
-        vals, x_b, x_d = worstcase._best_x_b(q, 0.0025, 1e9)
-        assert np.all(vals[:-1] == -np.inf)
-        assert np.all(x_d[:-1] == np.inf)
-        assert vals[-1] == 1.0
+        assert x_d[0] == pytest.approx(0.5 * (1.0 + math.exp(40.0)), rel=1e-12)
+        assert q_b[0] == pytest.approx(1.0 / (1.0 + math.exp(20.0)), rel=1e-12)
+        assert 0.0 < excess[0] < 1e-16
 
     def test_zero_beta_matches_meshgrid(self):
         # At beta = 0, x_d = 1 and the constraint reads
@@ -243,23 +243,6 @@ class TestSeparableObjective:
             )
             vals = (qq * xx + (1.0 - qq)) / (qq * (1.0 - xx))
             assert sol.value - 1e-2 <= vals.max() <= sol.value
-
-
-class TestGridMax:
-    def test_box_that_never_shrinks_raises(self, monkeypatch):
-        # With 5 points the interval is recentred 2 steps either side of an
-        # interior argmax: the same width, round after round.
-        monkeypatch.setattr(worstcase, "_GRID", 5)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            worstcase._grid_max(1.0, 0.0)
-
-    def test_no_feasible_point_raises(self, monkeypatch):
-        def infeasible(q, beta, margin):
-            return np.full(len(q), -np.inf), np.zeros(len(q)), np.ones(len(q))
-
-        monkeypatch.setattr(worstcase, "_best_x_b", infeasible)
-        with pytest.raises(RuntimeError, match="no feasible grid point"):
-            worstcase._grid_max(1.0, 0.0)
 
 
 class TestMargin:
@@ -296,8 +279,37 @@ class TestMargin:
     @pytest.mark.parametrize("beta", [0.0025, 0.01, 0.1, 0.5, 1.0])
     def test_huge_margin_still_solves(self, beta):
         # q_b = 1 reads 1 in the limit x_b -> 1/2, so no beta raises or
-        # returns less.
-        assert solve_worst_case_margin(beta, 1e9).value >= 1.0
+        # returns less, even where every finite s rounds to 1 or below.
+        for epsilon in (1e9, 1e300):
+            assert solve_worst_case_margin(beta, epsilon).value >= 1.0
+
+    @pytest.mark.parametrize(
+        "beta, epsilon, floor", [(0.01, 1000.0, 1.0017877146), (0.0025, 1e9, 1.0 + 1.8e-9)]
+    )
+    def test_band_next_to_q_one_is_found(self, beta, epsilon, floor):
+        # A grid over q_b returned 1 at both: at beta = 0.01 with x_d = 8.99e307,
+        # where q_b = 0.99909, x_b = 0.4999955, x_d = 6.043 meets the lead with
+        # ratio 1001 and reads 1.0017877; at beta = 0.0025 the band lies
+        # within 1e-8 of q_b = 1.
+        sol = solve_worst_case_margin(beta, epsilon)
+        assert sol.value >= floor
+        x_d = binding_xd(sol.q_b, sol.x_b, beta, epsilon)
+        assert two_point_distortion(sol.q_b, sol.x_b, x_d) == pytest.approx(sol.value, rel=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 1e3])
+    def test_small_beta_approaches_the_beta_zero_supremum(self, epsilon):
+        sol = solve_worst_case_margin(1e-12, epsilon)
+        assert sol.value == pytest.approx((3.0 + epsilon) / (1.0 + epsilon), rel=1e-9)
+
+    def test_value_falls_as_the_margin_grows(self):
+        # A larger margin only shrinks the feasible set.
+        betas = [0.005, 0.05, 0.2, 1.0]
+        curves = [
+            [s.value for s in worstcase._solve(betas, epsilon)]
+            for epsilon in (0.0, 1.0, 1e3, 1e6, 1e9)
+        ]
+        for looser, tighter in zip(curves, curves[1:]):
+            assert all(t <= v for v, t in zip(looser, tighter))
 
 
 class TestSweep:
@@ -311,12 +323,12 @@ class TestSweep:
         assert all(values[i] >= values[i + 1] - 1e-6 for i in range(k_min))
         assert all(values[i] <= values[i + 1] + 1e-6 for i in range(k_min, 20))
 
-    @pytest.mark.parametrize("epsilon", [0.0, 0.01, 1.0])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01, 1.0, 1e3, 1e6, 1e9])
     def test_witnesses_are_feasible(self, epsilon):
         # Each witness, re-evaluated through the scalar binding x_d, reads
-        # the value the solver returned.
-        for beta in np.linspace(0.0025, 1.0, 401):
-            sol = solve_worst_case_margin(float(beta), epsilon)
+        # the value the solver returned, and none sits at an overflowing x_d.
+        for sol in worstcase._solve(np.linspace(0.0025, 1.0, 401), epsilon):
+            assert sol.x_d <= 1e300
             x_d = binding_xd(sol.q_b, sol.x_b, sol.beta, epsilon)
             value = two_point_distortion(sol.q_b, sol.x_b, x_d)
             assert value == pytest.approx(sol.value, rel=1e-12, abs=0.0)
@@ -332,9 +344,8 @@ class TestSweep:
              (max(0.0, sol.x_b - 1e-3), min(0.5, sol.x_b + 1e-3))),
         ]
         for q_box, x_box in boxes:
-            vals, _ = reference_positive_beta_values(
-                np.linspace(*q_box, 400), np.linspace(*x_box, 400), beta, 0.0
-            )
+            q, x_b = np.linspace(*q_box, 400), np.linspace(*x_box, 400)
+            vals, _ = reference_positive_beta_values((1.0 - q) / q, x_b, beta, 0.0)
             assert vals.max() <= sol.value * (1.0 + 1e-12)
 
     def test_csv_schema(self):
@@ -350,9 +361,9 @@ class TestSweep:
         "beta, fmt, text",
         [
             ("1", "csv", "beta,dstar,q_b,x_b,x_d,attained\n"
-             "1,1.52240774993,0.29289311089,0,1.70710741021,true\n"),
-            ("1", "report", "beta      1\ndstar     1.52240774993\nq_b       0.29289311089\n"
-             "x_b       0\nx_d       1.70710741021\nattained  true\n"),
+             "1,1.52240774993,0.29289322177,0,1.70710676396,true\n"),
+            ("1", "report", "beta      1\ndstar     1.52240774993\nq_b       0.29289322177\n"
+             "x_b       0\nx_d       1.70710676396\nattained  true\n"),
             ("0", "csv", "beta,dstar,q_b,x_b,x_d,attained\n"
              "0,3,0.5,0.5,1,false\n"),
             ("0", "report", "beta      0\ndstar     3\nq_b       0.5\n"
