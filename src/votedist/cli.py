@@ -5,6 +5,12 @@ Every command reads election files in the JSON schema of
 stdout or ``--out``, and exits 0 on success, 1 on a validation error, 2 on a
 certified property failure.  Randomized commands require an explicit
 ``--seed``; there is no wall-clock default.
+
+Commands raise ``ValueError`` (``DocumentError`` is one) on invalid input
+and do not catch it: the group ``main`` is the single error boundary that
+turns it into one ``error: <message>`` line on stderr and exit 1.  Every
+election file is read by ``_load``, which also checks the document's kind
+and applies ``--beta``.
 """
 
 from __future__ import annotations
@@ -48,20 +54,38 @@ def _report_lines(report, fmt: str, fields=_REPORT_FIELDS) -> str:
     return "".join(f"{f:<{width}}  {_fmt(v)}\n" for f, v in zip(fields, values))
 
 
-def _load(path: str) -> ElectionDocument:
+def _load(path: str, beta: float | None, kind: str | None = None) -> ElectionDocument:
+    """The document at ``path``, of ``kind`` if given, at ``beta`` if given."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as err:
         raise DocumentError(f"cannot read {path}: {err}") from None
-    return documents.parse_election(text)
+    doc = documents.parse_election(text)
+    if kind is not None and doc.kind != kind:
+        command = click.get_current_context().info_name
+        raise DocumentError(f"{command} supports {kind} elections only")
+    if beta is not None:
+        doc = dataclasses.replace(doc, beta=model.check_beta(beta))
+    return doc
 
 
-def _fail_validation(err: Exception) -> None:
-    click.echo(f"error: {err}", err=True)
-    sys.exit(EXIT_VALIDATION)
+class _Main(click.Group):
+    """The single error boundary of every command.
+
+    A ``ValueError`` (a ``DocumentError`` among them) prints
+    ``error: <message>`` on stderr and exits 1.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as err:
+            click.echo(f"error: {err}", err=True)
+            sys.exit(EXIT_VALIDATION)
 
 
+election_argument = click.argument("election_file", type=click.Path(dir_okay=False))
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["csv", "report"]), default="csv",
     show_default=True, help="Output style.",
@@ -76,29 +100,24 @@ beta_option = click.option(
 )
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Distortion of two-candidate elections with distance-based abstention."""
 
 
 @main.command("eval")
-@click.argument("election_file", type=click.Path(exists=True, dir_okay=False))
+@election_argument
 @beta_option
 @format_option
 @out_option
 def cmd_eval(election_file, beta, fmt, out) -> None:
     """Exact evaluation: costs, distortions, win probabilities."""
-    try:
-        doc = _load(election_file)
-        b = doc.beta if beta is None else model.check_beta(beta)
-        report = exact.expected_distortion(doc.election, b)
-    except (DocumentError, ValueError) as err:
-        _fail_validation(err)
-    _emit(_report_lines(report, fmt), out)
+    doc = _load(election_file, beta)
+    _emit(_report_lines(exact.expected_distortion(doc.election, doc.beta), fmt), out)
 
 
 @main.command("simulate")
-@click.argument("election_file", type=click.Path(exists=True, dir_okay=False))
+@election_argument
 @click.option("--samples", type=int, required=True, help="Number of simulated outcomes.")
 @click.option("--seed", type=int, required=True, help="Generator seed.")
 @click.option("--confidence", type=float, default=0.95, show_default=True)
@@ -107,21 +126,15 @@ def cmd_eval(election_file, beta, fmt, out) -> None:
 @out_option
 def cmd_simulate(election_file, samples, seed, confidence, beta, fmt, out) -> None:
     """Estimate win probability and expected distortion by sampling."""
-    try:
-        doc = _load(election_file)
-        if doc.kind != "line":
-            raise DocumentError("simulate supports line elections only")
-        b = doc.beta if beta is None else model.check_beta(beta)
-        cfg = montecarlo.McConfig(samples, seed, confidence)
-        est = montecarlo.simulate(doc.to_line(), b, cfg)
-    except (DocumentError, ValueError) as err:
-        _fail_validation(err)
+    doc = _load(election_file, beta, "line")
+    cfg = montecarlo.McConfig(samples, seed, confidence)
+    est = montecarlo.simulate(doc.election, doc.beta, cfg)
     fields = ("p_left_hat", "half_width_p", "expected_distortion_hat", "half_width_d")
     _emit(_report_lines(est, fmt, fields), out)
 
 
 @main.command("reduce")
-@click.argument("election_file", type=click.Path(exists=True, dir_okay=False))
+@election_argument
 @click.option(
     "--mode", type=click.Choice(["auto", "winner", "distortion"]), default="auto",
     show_default=True,
@@ -131,20 +144,10 @@ def cmd_simulate(election_file, samples, seed, confidence, beta, fmt, out) -> No
 @out_option
 def cmd_reduce(election_file, mode, beta, out) -> None:
     """Canonicalize a line election through certified displacements."""
-    try:
-        doc = _load(election_file)
-        if doc.kind != "line":
-            raise DocumentError("reduce supports line elections only")
-        b = doc.beta if beta is None else model.check_beta(beta)
-        e = doc.to_line()
-        if mode == "auto":
-            mode = (
-                "winner"
-                if model.expected_winner(e, b) == model.LEFT
-                else "distortion"
-            )
-    except (DocumentError, ValueError) as err:
-        _fail_validation(err)
+    doc = _load(election_file, beta, "line")
+    e, b = doc.election, doc.beta
+    if mode == "auto":
+        mode = "winner" if model.expected_winner(e, b) == model.LEFT else "distortion"
     try:
         if mode == "winner":
             form = displace.canonicalize_expected_winner(e, b)
@@ -153,42 +156,27 @@ def cmd_reduce(election_file, mode, beta, out) -> None:
     except displace.CertificateError as err:
         click.echo(f"certificate failure: {err}", err=True)
         sys.exit(EXIT_PROPERTY)
-    meta = dict(doc.metadata)
-    meta.update(
-        {
-            "reduced": mode,
-            "applied": str(form.applied).lower(),
-            "steps": str(len(form.steps)),
-        }
-    )
-    _emit(
-        documents.serialize_election(ElectionDocument.for_line(form.election, b, meta)),
-        out,
-    )
+    meta = {
+        **doc.metadata,
+        "reduced": mode,
+        "applied": str(form.applied).lower(),
+        "steps": str(len(form.steps)),
+    }
+    reduced = dataclasses.replace(doc, election=form.election, metadata=meta)
+    _emit(documents.serialize_election(reduced), out)
 
 
 @main.command("metric-reduce")
-@click.argument("election_file", type=click.Path(exists=True, dir_okay=False))
+@election_argument
 @beta_option
 @out_option
 def cmd_metric_reduce(election_file, beta, out) -> None:
     """Reduce a metric election to an equivalent-or-worse line election."""
-    try:
-        doc = _load(election_file)
-        if doc.kind != "metric":
-            raise DocumentError("metric-reduce supports metric elections only")
-        b = doc.beta if beta is None else model.check_beta(beta)
-        reduction = metric.reduce_to_line(doc.to_metric(), b)
-    except (DocumentError, ValueError) as err:
-        _fail_validation(err)
-    meta = dict(doc.metadata)
-    meta["swapped"] = str(reduction.swapped).lower()
-    _emit(
-        documents.serialize_election(
-            ElectionDocument.for_line(reduction.election, b, meta)
-        ),
-        out,
-    )
+    doc = _load(election_file, beta, "metric")
+    reduction = metric.reduce_to_line(doc.election, doc.beta)
+    meta = {**doc.metadata, "swapped": str(reduction.swapped).lower()}
+    reduced = dataclasses.replace(doc, election=reduction.election, metadata=meta)
+    _emit(documents.serialize_election(reduced), out)
 
 
 @main.command("worstcase")
@@ -201,10 +189,7 @@ def cmd_metric_reduce(election_file, beta, out) -> None:
 @out_option
 def cmd_worstcase(beta, epsilon, fmt, out) -> None:
     """Worst-case distortion of the expected winner at one beta."""
-    try:
-        solution = worstcase.solve_worst_case_margin(beta, epsilon)
-    except ValueError as err:
-        _fail_validation(err)
+    solution = worstcase.solve_worst_case_margin(beta, epsilon)
     if fmt == "csv":
         text = worstcase.sweep_csv([solution])
     else:
@@ -220,16 +205,12 @@ def cmd_worstcase(beta, epsilon, fmt, out) -> None:
 @out_option
 def cmd_sweep(start, stop, count, out) -> None:
     """CSV of the worst-case distortion curve over a range of beta."""
-    try:
-        model.check_beta(start)
-        model.check_beta(stop)
-        if count < 2 or stop <= start:
-            raise ValueError("need count >= 2 and stop > start")
-        betas = [start + (stop - start) * k / (count - 1) for k in range(count)]
-        rows = worstcase.sweep_beta(betas)
-    except ValueError as err:
-        _fail_validation(err)
-    _emit(worstcase.sweep_csv(rows), out)
+    model.check_beta(start)
+    model.check_beta(stop)
+    if count < 2 or stop <= start:
+        raise ValueError("need count >= 2 and stop > start")
+    betas = [start + (stop - start) * k / (count - 1) for k in range(count)]
+    _emit(worstcase.sweep_csv(worstcase.sweep_beta(betas)), out)
 
 
 @main.command("curve")
@@ -244,12 +225,12 @@ def cmd_sweep(start, stop, count, out) -> None:
 @out_option
 def cmd_curve(betas, zmin, zmax, points, out) -> None:
     """CSV of the participation probability along the line, per beta."""
-    try:
-        betas = [model.check_beta(b) for b in betas]
-        if points < 2 or zmax <= zmin:
-            raise ValueError("need points >= 2 and zmax > zmin")
-    except ValueError as err:
-        _fail_validation(err)
+    betas = [model.check_beta(b) for b in betas]
+    if points < 2 or zmax <= zmin:
+        raise ValueError("need points >= 2 and zmax > zmin")
+    # A nan or infinite end, or a span that overflows, fails this test.
+    if not zmax - zmin < float("inf"):
+        raise ValueError(f"--zmin, --zmax and their span must be finite, got {zmin}, {zmax}")
     lines = ["z,beta,probability"]
     for b in betas:
         for k in range(points):
@@ -268,13 +249,10 @@ def cmd_curve(betas, zmin, zmax, points, out) -> None:
               help="Gate elections for the expected-distortion bound audit.")
 def cmd_verify(seed, trials, alpha, beta, bound_count) -> None:
     """Re-run the certified randomized audits; nonzero exit on any failure."""
-    try:
-        model.check_beta(beta)
-        results = verification.displacement_suites(trials, seed)
-        results += verification.canonicalization_suites(max(1, trials // 4), seed + 1)
-        results.append(verification.bound_suite(alpha, beta, bound_count, seed + 2))
-    except ValueError as err:
-        _fail_validation(err)
+    model.check_beta(beta)
+    results = verification.displacement_suites(trials, seed)
+    results += verification.canonicalization_suites(max(1, trials // 4), seed + 1)
+    results.append(verification.bound_suite(alpha, beta, bound_count, seed + 2))
     failed = False
     for r in results:
         status = "ok" if r.ok else "FAIL"

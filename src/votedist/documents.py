@@ -44,8 +44,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_KINDS = ("line", "metric")
-
 
 class DocumentError(ValueError):
     """An election document failed to parse or validate."""
@@ -56,44 +54,24 @@ _ELECTIONS = {"line": LineElection, "metric": MetricElection}
 
 @dataclass(frozen=True)
 class ElectionDocument:
-    """Parsed election file: kind, beta, voters and free-form metadata.
+    """Parsed election file: beta, a line or metric election, and metadata.
 
-    ``election`` is given as a line or metric election of the document's
-    kind, or as its voters, which are then validated into one.
-    ``to_line`` and ``to_metric`` return it as is, after checking the kind,
-    and ``voters`` is its tuple view (``positions`` or ``pairs``), built on
-    first access.
+    ``kind`` is read from the election's class.
     """
 
-    kind: str
     beta: float
     election: LineElection | MetricElection
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DocumentError(f"kind: must be one of {_KINDS}, got {self.kind!r}")
-        if not isinstance(self.election, _ELECTIONS[self.kind]):
-            object.__setattr__(self, "election", _ELECTIONS[self.kind](self.election))
+        if not isinstance(self.election, (LineElection, MetricElection)):
+            raise TypeError(
+                f"election: expected a line or metric election, got {self.election!r}"
+            )
 
     @property
-    def voters(self) -> tuple:
-        e = self.election
-        return e.positions if self.kind == "line" else e.pairs
-
-    def to_line(self) -> LineElection:
-        if self.kind != "line":
-            raise DocumentError(f"expected a line election, got kind {self.kind!r}")
-        return self.election
-
-    def to_metric(self) -> MetricElection:
-        if self.kind != "metric":
-            raise DocumentError(f"expected a metric election, got kind {self.kind!r}")
-        return self.election
-
-    @classmethod
-    def for_line(cls, e: LineElection, beta: float, metadata: dict | None = None):
-        return cls("line", beta, e, dict(metadata or {}))
+    def kind(self) -> str:
+        return "line" if isinstance(self.election, LineElection) else "metric"
 
 
 _NUMBERS = {int, float}
@@ -183,8 +161,8 @@ def parse_election(text: str) -> ElectionDocument:
             f"schema: unsupported version {raw['schema']!r}, expected {SCHEMA_VERSION}"
         )
     kind = raw["kind"]
-    if kind not in _KINDS:
-        raise DocumentError(f"kind: must be one of {_KINDS}, got {kind!r}")
+    if kind not in _ELECTIONS:
+        raise DocumentError(f"kind: must be one of {tuple(_ELECTIONS)}, got {kind!r}")
     beta = _require_number(raw["beta"], "beta")
     if not 0.0 <= beta <= 1.0:
         raise DocumentError(f"beta: out of range [0, 1]: {beta}")
@@ -201,7 +179,7 @@ def parse_election(text: str) -> ElectionDocument:
         if not isinstance(key, str) or not isinstance(value, str):
             raise DocumentError(f"metadata[{key!r}]: keys and values must be strings")
 
-    return ElectionDocument(kind, beta, election, dict(metadata))
+    return ElectionDocument(beta, election, dict(metadata))
 
 
 def serialize_election(doc: ElectionDocument) -> str:

@@ -152,9 +152,15 @@ def _tree_product(p: np.ndarray) -> np.ndarray:
         # A cyclic product of length 2w - 2 (a power of two) folds the top
         # coefficient, a product of two leading entries, onto the constant one.
         size = 2 * (w - 1)
-        spectra = fft.rfft(rows, size, axis=1)
-        cyclic = fft.irfft(spectra[0::2] * spectra[1::2], size, axis=1)
+        # Each array is dropped once the next is built, so that at most two
+        # of a level's arrays are alive at once.
         top = rows[0::2, -1] * rows[1::2, -1]
+        spectra = fft.rfft(rows, size, axis=1)
+        del rows
+        product = spectra[0::2] * spectra[1::2]
+        del spectra
+        cyclic = fft.irfft(product, size, axis=1)
+        del product
         cyclic[:, 0] -= top
         rows = np.concatenate([cyclic, top[:, None]], axis=1)
         np.maximum(rows, 0.0, out=rows)

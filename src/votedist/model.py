@@ -137,7 +137,10 @@ class _VoterArray:
     @cached_property
     def _social_costs(self) -> tuple[float, float]:
         d_left, d_right = self._distances
-        return math.fsum(d_left.tolist()), math.fsum(d_right.tolist())
+        try:
+            return math.fsum(d_left.tolist()), math.fsum(d_right.tolist())
+        except OverflowError:
+            raise ValueError("the social costs exceed the float range") from None
 
     def __len__(self) -> int:
         return len(self.array)

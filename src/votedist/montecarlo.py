@@ -1,8 +1,10 @@
 """Sampling estimates with distribution-free confidence half-widths.
 
-For elections too large for comfort, win probability and expected distortion
-are estimated by simulating the election, with two-sided half-widths from
-the exponential tail bound for bounded variables:
+An estimator independent of :mod:`votedist.exact`, which evaluates every
+election exactly at any size; ``votedist simulate`` offers it as a
+cross-check.  Win probability and expected distortion are estimated by
+simulating the election, with two-sided half-widths from the exponential
+tail bound for bounded variables:
 
     t = sqrt(ln(2 / (1 - confidence)) / (2 * samples))
 

@@ -242,10 +242,13 @@ def vote_count_threshold(alpha: float) -> float:
 
     Evaluates ``(alpha + 1)^3 / (alpha^2 (alpha - sqrt(alpha + 1))^2)``.
     Undefined at ``alpha = (1 + sqrt(5)) / 2`` where the second denominator
-    factor vanishes.
+    factor vanishes.  Alpha must lie in ``[1e-100, 1e50]``, or
+    ``ValueError`` is raised (also for nan): there every power above is a
+    normal float, and outside it the threshold would be below 1e-50 or
+    above 1e200, of no use to an audit.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 1e-100 <= alpha <= 1e50:
+        raise ValueError(f"alpha must lie in [1e-100, 1e50], got {alpha}")
     gap = alpha - math.sqrt(alpha + 1.0)
     if gap == 0.0:
         raise ValueError(f"threshold undefined at alpha = {_GOLDEN} (division by zero)")

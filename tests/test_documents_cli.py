@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -12,6 +13,8 @@ from votedist.documents import (
     parse_election,
     serialize_election,
 )
+from votedist.metric import MetricElection
+from votedist.model import LineElection
 
 from conftest import two_block_election
 
@@ -37,14 +40,14 @@ def write(tmp_path, name, text):
 class TestParsing:
     def test_minimal_line_document(self):
         doc = parse_election(MINIMAL_LINE)
-        assert doc == ElectionDocument("line", 1.0, (1.5,))
-        assert doc.to_line().positions == (1.5,)
+        assert doc == ElectionDocument(1.0, LineElection((1.5,)))
+        assert doc.election.positions == (1.5,)
 
     def test_two_block_fixture(self):
         e = two_block_election(0.01)
-        doc = ElectionDocument.for_line(e, 0.0, {"title": "two blocks"})
+        doc = ElectionDocument(0.0, e, {"title": "two blocks"})
         parsed = parse_election(serialize_election(doc))
-        assert len(parsed.voters) == 100
+        assert len(parsed.election) == 100
         assert parsed.beta == 0.0
 
     def test_triangle_violation_named(self):
@@ -59,6 +62,12 @@ class TestParsing:
         text = json.dumps({"schema": 1, "kind": "line", "beta": beta, "voters": [1.0]})
         with pytest.raises(DocumentError, match="beta"):
             parse_election(text)
+
+    def test_unknown_kind_rejected(self):
+        text = json.dumps({"schema": 1, "kind": "plane", "beta": 1.0, "voters": [1.0]})
+        with pytest.raises(DocumentError) as err:
+            parse_election(text)
+        assert str(err.value) == "kind: must be one of ('line', 'metric'), got 'plane'"
 
     def test_syntax_error_reports_location(self):
         with pytest.raises(DocumentError, match="line 1"):
@@ -110,8 +119,8 @@ class TestParsing:
     @pytest.mark.parametrize(
         "doc",
         [
-            ElectionDocument("line", 0.25, (0.0, -1.5, 2.25), {"a": "b"}),
-            ElectionDocument("metric", 1.0, ((0.5, 0.5), (3.0, 1.0))),
+            ElectionDocument(0.25, LineElection((0.0, -1.5, 2.25)), {"a": "b"}),
+            ElectionDocument(1.0, MetricElection(((0.5, 0.5), (3.0, 1.0)))),
         ],
     )
     def test_round_trip(self, doc):
@@ -211,7 +220,7 @@ class TestErrorParity:
     def test_good_document_parses(self):
         for kind in FAULTS:
             doc = parse_election(faulty_document(kind, {}))
-            assert len(doc.voters) == N_FAULTY
+            assert len(doc.election) == N_FAULTY
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -224,15 +233,15 @@ metadata = st.dictionaries(st.text(max_size=5), st.text(max_size=5), max_size=3)
 class TestArrayDocuments:
     @given(st.lists(finite_floats, min_size=1, max_size=30), st.floats(0.0, 1.0), metadata)
     def test_line_round_trip(self, voters, beta, meta):
-        doc = ElectionDocument("line", beta, tuple(voters), meta)
+        doc = ElectionDocument(beta, LineElection(voters), meta)
         assert parse_election(serialize_election(doc)) == doc
 
     @given(st.lists(distance_pairs, min_size=1, max_size=30), st.floats(0.0, 1.0), metadata)
     def test_metric_round_trip(self, pairs, beta, meta):
-        doc = ElectionDocument("metric", beta, tuple(pairs), meta)
+        doc = ElectionDocument(beta, MetricElection(pairs), meta)
         parsed = parse_election(serialize_election(doc))
         assert parsed == doc
-        assert parsed.voters == tuple(pairs)
+        assert parsed.election.pairs == tuple(pairs)
 
     def test_large_integers_convert_like_float(self):
         ints = [2**53 + 1, -(2**53 + 3), 2**63 + 12345, 2**64 + 1, 10**300 + 7]
@@ -240,32 +249,39 @@ class TestArrayDocuments:
         line = parse_election(
             json.dumps({"schema": 1, "kind": "line", "beta": 1.0, "voters": ints})
         )
-        assert line.voters == tuple(float(v) for v in ints)
+        assert line.election.positions == tuple(float(v) for v in ints)
         pairs = [[abs(v), 2**60 + 1] for v in ints]
         metric = parse_election(
             json.dumps({"schema": 1, "kind": "metric", "beta": 1.0, "voters": pairs})
         )
-        assert metric.voters == tuple((float(a), float(b)) for a, b in pairs)
+        assert metric.election.pairs == tuple((float(a), float(b)) for a, b in pairs)
 
     def test_parsed_election_is_returned_as_is(self):
+        # A --beta override replaces the beta and keeps the parsed election.
         doc = parse_election(MINIMAL_LINE)
-        assert doc.to_line() is doc.to_line() is doc.election
+        assert dataclasses.replace(doc, beta=0.5).election is doc.election
         metric = parse_election(
             json.dumps({"schema": 1, "kind": "metric", "beta": 1.0, "voters": [[1, 2]]})
         )
-        assert metric.to_metric() is metric.election
+        assert isinstance(metric.election, MetricElection)
+
+    def test_kind_is_read_from_the_election(self):
+        doc = ElectionDocument(1.0, MetricElection([(0.4, 0.8)]), {"a": "b"})
+        assert doc.kind == "metric"
+        line = dataclasses.replace(doc, election=LineElection([0.25]))
+        assert line.kind == "line"
+        assert [f.name for f in dataclasses.fields(doc)] == ["beta", "election", "metadata"]
 
     def test_voters_are_built_on_first_access(self):
         doc = parse_election(faulty_document("line", {}))
         assert "positions" not in vars(doc.election)
-        assert doc.voters[:4] == (0.25, 1.5, -0.75, 3.0)
-        assert doc.voters is doc.election.positions
+        assert doc.election.positions[:4] == (0.25, 1.5, -0.75, 3.0)
+        assert "positions" in vars(doc.election)
 
     def test_document_of_invalid_voters_is_rejected(self):
-        with pytest.raises(ValueError, match="voter 1 has non-finite position"):
-            ElectionDocument("line", 1.0, (0.5, float("inf")))
-        with pytest.raises(DocumentError, match="kind"):
-            ElectionDocument("plane", 1.0, (0.5,))
+        # Raw voters are not an election; only the parser builds one.
+        with pytest.raises(TypeError, match="expected a line or metric election"):
+            ElectionDocument(1.0, (0.5, 1.0))
 
 
 class TestCli:
@@ -381,7 +397,7 @@ class TestCli:
         reduced = parse_election(result.output)
         assert reduced.metadata["reduced"] == "winner"
         assert reduced.metadata["steps"] == "4"
-        assert sorted(set(reduced.voters)) == pytest.approx([1.92 / 7, 2.575], abs=1e-12)
+        assert sorted(set(reduced.election.positions)) == pytest.approx([1.92 / 7, 2.575], abs=1e-12)
 
     def test_reduce_writes_file(self, tmp_path):
         path = write(tmp_path, "e.json", MINIMAL_LINE)
@@ -453,6 +469,63 @@ class TestCli:
         result = self.runner.invoke(main, ["verify", "--seed", "1"])
         assert result.exit_code == 2
         assert "FAIL" in result.output
+
+
+OVERFLOW_LINE = '{"schema": 1, "kind": "line", "beta": 1.0, "voters": [1e308, 1e308]}'
+OVERFLOW_METRIC = (
+    '{"schema": 1, "kind": "metric", "beta": 1.0,'
+    ' "voters": [[1e308, 1e308], [1e308, 1e308]]}'
+)
+METRIC = '{"schema": 1, "kind": "metric", "beta": 1.0, "voters": [[0.4, 0.8]]}'
+SOCIAL_COSTS = "error: the social costs exceed the float range\n"
+CURVE_RANGE = "error: --zmin, --zmax and their span must be finite, got "
+
+# Invalid input to any command: the group's error boundary prints one
+# ``error:`` line, nothing on stdout, and exits 1 through SystemExit.
+CONTRACT_CASES = [
+    (["curve", "--zmin", "nan"], CURVE_RANGE + "nan, 2.0\n"),
+    (["curve", "--zmax", "inf"], CURVE_RANGE + "-1.0, inf\n"),
+    (["curve", "--zmin", "-1e308", "--zmax", "1e308"], CURVE_RANGE + "-1e+308, 1e+308\n"),
+    (["verify", "--seed", "1", "--trials", "1", "--alpha", "nan"],
+     "error: alpha must lie in [1e-100, 1e50], got nan\n"),
+    (["verify", "--seed", "1", "--trials", "1", "--alpha", "inf"],
+     "error: alpha must lie in [1e-100, 1e50], got inf\n"),
+    (["verify", "--seed", "1", "--trials", "1", "--alpha", "1e-200"],
+     "error: alpha must lie in [1e-100, 1e50], got 1e-200\n"),
+    (["verify", "--seed", "1", "--trials", "1", "--alpha", "1e200"],
+     "error: alpha must lie in [1e-100, 1e50], got 1e+200\n"),
+    (["eval", "{overflow_line}"], SOCIAL_COSTS),
+    (["eval", "{overflow_metric}"], SOCIAL_COSTS),
+    (["simulate", "{overflow_line}", "--samples", "10", "--seed", "1"], SOCIAL_COSTS),
+    (["reduce", "{overflow_line}"], SOCIAL_COSTS),
+    (["metric-reduce", "{overflow_metric}"], SOCIAL_COSTS),
+    (["eval", "{missing}"], "error: cannot read {missing}: [Errno 2] No such file or "
+     "directory: '{missing}'\n"),
+    (["simulate", "{metric}", "--samples", "10", "--seed", "1"],
+     "error: simulate supports line elections only\n"),
+    (["reduce", "{metric}"], "error: reduce supports line elections only\n"),
+    (["reduce", "{metric}", "--beta", "2"], "error: reduce supports line elections only\n"),
+    (["metric-reduce", "{line}"], "error: metric-reduce supports metric elections only\n"),
+    (["eval", "{line}", "--beta", "2"], "error: beta must lie in [0, 1], got 2.0\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, message", CONTRACT_CASES, ids=[" ".join(args) for args, _ in CONTRACT_CASES]
+)
+def test_invalid_input_is_one_error_line_and_exit_one(tmp_path, args, message):
+    paths = {
+        "line": write(tmp_path, "line.json", MINIMAL_LINE),
+        "metric": write(tmp_path, "metric.json", METRIC),
+        "overflow_line": write(tmp_path, "overflow_line.json", OVERFLOW_LINE),
+        "overflow_metric": write(tmp_path, "overflow_metric.json", OVERFLOW_METRIC),
+        "missing": str(tmp_path / "missing.json"),
+    }
+    result = CliRunner().invoke(main, [arg.format(**paths) for arg in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == message.format(**paths)
 
 
 # Every option of every command.  Adding or removing a knob must show up here

@@ -270,6 +270,16 @@ class TestSocialCosts:
     def test_single_voter(self):
         assert social_costs(LineElection([1.5])) == (1.5, 0.5)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "make, voters",
+        [(LineElection, [1e308, 1e308]), (MetricElection, [(1e308, 1e308)] * 2)],
+        ids=["line", "metric"],
+    )
+    def test_sums_beyond_the_float_range_are_rejected(self, make, voters):
+        with pytest.raises(ValueError, match="social costs exceed the float range"):
+            social_costs(make(voters))
+
 
 class TestExpectedVotesAndWinner:
     def test_both_at_left(self):

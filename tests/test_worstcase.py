@@ -376,6 +376,9 @@ class TestSweep:
         assert result.output == text
 
 
+_GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+
+
 class TestVoteThreshold:
     def test_reference_value(self):
         assert vote_count_threshold(0.1) == pytest.approx(147.84975, abs=1e-4)
@@ -398,6 +401,22 @@ class TestVoteThreshold:
             vote_count_threshold(0.0)
         with pytest.raises(ValueError):
             vote_count_threshold((1.0 + math.sqrt(5.0)) / 2.0)
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [math.nan, math.inf, -1.0, 1e200, 1e-200, 1.01e50, 0.99e-100, _GOLDEN_RATIO],
+    )
+    def test_invalid_or_extreme_alpha_names_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            vote_count_threshold(alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-100, 1e-60, 1e-3, 0.1, 3.0, 1e40, 1e50])
+    def test_accurate_across_the_domain(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            exact = (a + 1) ** 3 / (a**2 * (a - mpmath.sqrt(a + 1)) ** 2)
+            assert vote_count_threshold(alpha) == pytest.approx(float(exact), rel=1e-14)
 
 
 class TestVoteMoments:
