@@ -5,6 +5,14 @@ applies the move, and certifies it numerically; canonicalization audits
 check the shape of each form, whose chain certified it end to end.  The same
 generators back the test suite and the ``verify`` command, so a shipped
 binary can re-run the whole audit from a single seed.
+
+The configured samplers draw candidate elections until one meets the
+configuration.  A candidate costs two generator calls, its region sizes and
+then its voters' uniforms, which give the same elections and leave the same
+generator state as drawing each region with ``rng.uniform``.  A screen in
+plain floats rejects the candidates that surely fail; only the survivors are
+built as elections, and only the exact rule (``fsum`` costs, the tie-aware
+expected winner, region counts) accepts one.
 """
 
 from __future__ import annotations
@@ -63,16 +71,26 @@ def random_election(
     return LineElection(rng.uniform(lo, hi, size=n))
 
 
+# Whether a position lies in region A, B, C or D of ``model.region_of``; for
+# C only its interior, as 1/2 is indifferent.
+_IN_REGION = {
+    "A": lambda x: x < 0.0,
+    "B": lambda x: 0.0 <= x < 0.5,
+    "C": lambda x: 0.5 < x < 1.0,
+    "D": lambda x: x >= 1.0,
+}
+
+
 def _meets(e: LineElection, require: tuple[str, ...]) -> bool:
     return all(len(_indices_in(e, r)) >= require.count(r) for r in set(require))
 
 
-# For each winner, the range of voter counts and the span of positions
-# drawn in regions A, B, C and D.
+# For each winner, the voter counts drawn in regions A, B, C and D (at least
+# the first array, below the second) and the span of their positions.
 _CONFIGURATIONS = {
-    LEFT: (((0, 3), (1, 5), (0, 3), (1, 5)),
+    LEFT: ((np.array([0, 1, 0, 1]), np.array([3, 5, 3, 5])),
            ((-1.5, -1e-9), (0.0, 0.5), (0.5 + 1e-9, 1.0), (1.0, 3.0))),
-    RIGHT: (((0, 3), (0, 3), (0, 3), (1, 6)),
+    RIGHT: ((np.array([0, 0, 0, 1]), np.array([3, 3, 3, 6])),
             ((-1.0, -1e-9), (0.25, 0.5), (0.5 + 1e-9, 1.0), (1.0, 2.0))),
 }
 
@@ -81,22 +99,64 @@ _CONFIGURATIONS = {
 _MAX_TRIES = 4000
 _MAX_VALID_C_TRIES = 2000
 
+# The screen's slack, in machine epsilons per voter, times the summed terms.
+_SCREEN_EPS = 8.0
+
 
 def _configured_election(
     rng: np.random.Generator, beta: float, winner: str, require: tuple
 ) -> LineElection:
-    """Random election that ``winner`` leads on expected votes, right optimal."""
-    counts, spans = _CONFIGURATIONS[winner]
+    """Random election that ``winner`` leads on expected votes, right optimal.
+
+    Each candidate costs two generator calls: the four region sizes, then one
+    uniform per voter, scaled into its region's span as ``rng.uniform``
+    scales it.  :func:`_may_accept` discards most candidates in plain floats;
+    only the exact rule accepts.
+    """
+    beta = model.check_beta(beta)
+    (lows, highs), spans = _CONFIGURATIONS[winner]
     for _ in range(_MAX_TRIES):
-        sizes = [int(rng.integers(lo, hi)) for lo, hi in counts]
-        drawn = [rng.uniform(lo, hi, size=n) for (lo, hi), n in zip(spans, sizes)]
-        e = LineElection(np.concatenate(drawn))
+        sizes = rng.integers(lows, highs).tolist()
+        u = iter(rng.random(sum(sizes)).tolist())
+        x = [lo + (hi - lo) * next(u) for (lo, hi), n in zip(spans, sizes) for _ in range(n)]
+        if not _may_accept(x, beta, winner, require):
+            continue
+        e = LineElection(x)
         sc_left, sc_right = model.social_costs(e)
-        # The cheap cost test first: a third of left-leading draws fail it.
         if sc_right < sc_left and model.expected_winner(e, beta) == winner:
             if _meets(e, require):
                 return e
     raise RuntimeError(f"no {winner}-leading election in {_MAX_TRIES} draws")
+
+
+def _may_accept(x: list[float], beta: float, winner: str, require: tuple) -> bool:
+    """False only when the exact accept rule surely rejects positions ``x``.
+
+    Region counts are exact.  The costs and expected votes are plain float
+    sums, each within ``n * eps`` times the total of its terms of the
+    ``fsum`` the exact rule takes; a vote term may also differ from numpy's
+    by the last bits of its power.  A verdict within ``_SCREEN_EPS * n * eps``
+    of the sums' totals passes on to the exact rule, which never accepts a
+    lead of at most ``WINNER_TIE_TOL``.
+    """
+    for r in set(require):
+        inside = _IN_REGION[r]
+        if sum(1 for v in x if inside(v)) < require.count(r):
+            return False
+    sc_left = sc_right = votes_left = votes_right = 0.0
+    for v in x:
+        d_left, d_right = abs(v), abs(v - 1.0)
+        sc_left += d_left
+        sc_right += d_right
+        if d_left < d_right:
+            votes_left += ((d_right - d_left) / (d_left + d_right)) ** beta
+        elif d_right < d_left:
+            votes_right += ((d_left - d_right) / (d_left + d_right)) ** beta
+    slack = _SCREEN_EPS * len(x) * model._EPS
+    if sc_right - sc_left >= slack * (sc_left + sc_right):
+        return False
+    lead = votes_left - votes_right if winner == LEFT else votes_right - votes_left
+    return lead + slack * (votes_left + votes_right) > model.WINNER_TIE_TOL
 
 
 def random_left_leading_election(
@@ -134,9 +194,8 @@ def random_euclidean_election(
 
 def _indices_in(e: LineElection, region: str) -> list[int]:
     """Voters in a region; for C only its interior, as 1/2 is indifferent."""
-    if region == "C":
-        return [i for i, x in enumerate(e.positions) if 0.5 < x < 1.0]
-    return [i for i, x in enumerate(e.positions) if model.region_of(x) == region]
+    inside = _IN_REGION[region]
+    return [i for i, x in enumerate(e.positions) if inside(x)]
 
 
 def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:

@@ -46,6 +46,7 @@ __all__ = [
     "sweep_beta",
     "sweep_csv",
     "witness_election",
+    "check_count",
     "generate_gate_elections",
     "verify_distortion_bound",
 ]
@@ -311,6 +312,12 @@ def verify_distortion_bound(
     return checks
 
 
+def check_count(count: int) -> None:
+    """Raise ``ValueError`` unless a number of gate elections is at least 0."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+
+
 def generate_gate_elections(
     alpha: float, beta: float, count: int, seed: int
 ) -> list[LineElection]:
@@ -321,8 +328,7 @@ def generate_gate_elections(
     :func:`vote_count_threshold` and the right candidate is strictly optimal.
     """
     beta = model.check_beta(beta)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    check_count(count)
     threshold = vote_count_threshold(alpha)
     rng = np.random.default_rng(seed)
     out: list[LineElection] = []

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votedist import displace, exact, model
+from votedist import displace, exact, model, verification
 from votedist.displace import (
     CanonicalForm,
     ValidityCertificate,
@@ -135,6 +135,66 @@ def reference_canonical_form(canonicalize, e, beta, certify=True):
 
     chain.collapse(lambda x: x >= 1.0, "D_geometric_merge", displace._geometric_limit)
     return chain.finish()
+
+
+# The sequential sampler that drew each candidate with one generator call
+# per region count and per region, and built and evaluated every candidate,
+# copied verbatim (with its configuration table, and the module's names
+# qualified) as the reference for the streams of
+# ``verification._configured_election``.
+REFERENCE_CONFIGURATIONS = {
+    LEFT: (((0, 3), (1, 5), (0, 3), (1, 5)),
+           ((-1.5, -1e-9), (0.0, 0.5), (0.5 + 1e-9, 1.0), (1.0, 3.0))),
+    RIGHT: (((0, 3), (0, 3), (0, 3), (1, 6)),
+            ((-1.0, -1e-9), (0.25, 0.5), (0.5 + 1e-9, 1.0), (1.0, 2.0))),
+}
+
+
+def reference_configured_election(rng, beta, winner, require):
+    counts, spans = REFERENCE_CONFIGURATIONS[winner]
+    for _ in range(verification._MAX_TRIES):
+        sizes = [int(rng.integers(lo, hi)) for lo, hi in counts]
+        drawn = [rng.uniform(lo, hi, size=n) for (lo, hi), n in zip(spans, sizes)]
+        e = LineElection(np.concatenate(drawn))
+        sc_left, sc_right = model.social_costs(e)
+        # The cheap cost test first: a third of left-leading draws fail it.
+        if sc_right < sc_left and model.expected_winner(e, beta) == winner:
+            if verification._meets(e, require):
+                return e
+    raise RuntimeError(f"no {winner}-leading election in {verification._MAX_TRIES} draws")
+
+
+def exact_rule_accepts(x, beta, winner, require):
+    """The sampler's accept rule, on positions ``x``."""
+    e = LineElection(x)
+    sc_left, sc_right = model.social_costs(e)
+    return (
+        sc_right < sc_left
+        and model.expected_winner(e, beta) == winner
+        and verification._meets(e, require)
+    )
+
+
+# Every ``require`` the suites pass to the samplers.
+SUITE_REQUIRES = ((), ("A",), ("B", "C"), ("B", "B"), ("C",), ("D", "D"))
+
+# Region boundaries, and dyadic rationals, whose mirror images are exact.
+BOUNDARIES = st.sampled_from([0.0, 0.5, 1.0])
+DYADIC = st.integers(-2 * 2**50, 3 * 2**50).map(lambda k: k / 2**50) | BOUNDARIES
+# A voter 2**-60 to 2**-20 right of the midpoint, which makes the right
+# candidate optimal and the leader of a mirrored election by a hair.
+HAIR = st.integers(20, 60).map(lambda k: 0.5 + 2.0**-k)
+
+
+@st.composite
+def screen_positions(draw):
+    """1-17 positions in [-2, 3]; half of them mirrored pairs ``x, 1 - x``,
+    whose costs and votes tie exactly, and one voter to tip the tie."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=17))
+    xs = draw(st.lists(DYADIC, min_size=1, max_size=8))
+    xs += [1.0 - x for x in xs] + [draw(HAIR)]
+    return draw(st.permutations(xs))
 
 
 def suite_elections(trials, seed):
@@ -431,6 +491,52 @@ class TestCanonicalizationSuites:
         # C-to-D crossing was a step of its own; 378 when every certificate
         # measured both of its elections.
         assert calls == {"expected_distortion": 162, "winner_distortion": 0}
+
+
+class TestConfiguredSampler:
+    """Two generator calls and a float screen per candidate draw the same
+    elections as the sequential loop, and the screen never rejects what the
+    exact rule would accept."""
+
+    @pytest.mark.parametrize("winner", [LEFT, RIGHT])
+    def test_streams_match_the_sequential_loop(self, winner):
+        betas = (0.0, 1.0, 0.37, random_beta)
+        for seed in range(200):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k, require in enumerate(SUITE_REQUIRES):
+                beta = betas[(seed + k) % len(betas)]
+                if beta is random_beta:
+                    beta = random_beta(rng)
+                    assert random_beta(ref) == beta
+                e = verification._configured_election(rng, beta, winner, require)
+                expected = reference_configured_election(ref, beta, winner, require)
+                assert e.array.tobytes() == expected.array.tobytes()
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_exhaustion_matches_the_sequential_loop(self):
+        # At most two A voters are drawn for a left-leading election.
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        message = "no left-leading election in 4000 draws"
+        with pytest.raises(RuntimeError, match=message):
+            verification._configured_election(rng, 0.5, LEFT, ("A", "A", "A"))
+        with pytest.raises(RuntimeError, match=message):
+            reference_configured_election(ref, 0.5, LEFT, ("A", "A", "A"))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.5, math.nan])
+    @pytest.mark.parametrize("winner", [LEFT, RIGHT])
+    def test_invalid_beta_raises_as_in_the_sequential_loop(self, winner, beta):
+        for sampler in (verification._configured_election, reference_configured_election):
+            with pytest.raises(ValueError, match="beta must lie in"):
+                sampler(np.random.default_rng(1), beta, winner, ())
+
+    @settings(max_examples=200, deadline=None)
+    @given(screen_positions(), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    def test_screen_passes_whatever_the_exact_rule_accepts(self, x, beta):
+        for winner in (LEFT, RIGHT):
+            for require in SUITE_REQUIRES:
+                if exact_rule_accepts(x, beta, winner, require):
+                    assert verification._may_accept(x, beta, winner, require)
 
 
 class TestCanonicalizeExpectedDistortion:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -17,6 +18,8 @@ from votedist.metric import MetricElection
 from votedist.model import LineElection
 
 from conftest import two_block_election
+
+ALPHA_RANGE = "error: alpha must lie in [1e-100, 1e50], got "
 
 # An integer literal beyond the float range; JSON reads it as an int.
 HUGE_INT = "9" * 400
@@ -444,6 +447,27 @@ class TestCli:
         assert result.stderr == message
         assert "ok" not in result.stdout
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--beta", "2", "--alpha", "0"], "error: beta must lie in [0, 1], got 2.0\n"),
+            (["--alpha", "0", "--bound-count", "-1"], ALPHA_RANGE + "0.0\n"),
+            (["--trials", "0", "--alpha", "0"], ALPHA_RANGE + "0.0\n"),
+            (["--bound-count", "-1", "--trials", "0"], "error: count must be >= 0, got -1\n"),
+        ],
+    )
+    def test_verify_checks_its_options_before_any_suite(self, monkeypatch, args, message):
+        from votedist import verification
+
+        def unreachable(*args):
+            raise AssertionError("a suite ran before the options were checked")
+
+        monkeypatch.setattr(verification, "displacement_suites", unreachable)
+        result = self.runner.invoke(main, ["verify", "--seed", "1", *args])
+        assert isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.stderr == message
+
     def test_verify_bound_count_zero_skips_the_audit(self):
         result = self.runner.invoke(
             main, ["verify", "--seed", "1", "--trials", "1", "--bound-count", "0"]
@@ -481,19 +505,16 @@ SOCIAL_COSTS = "error: the social costs exceed the float range\n"
 CURVE_RANGE = "error: --zmin, --zmax and their span must be finite, got "
 
 # Invalid input to any command: the group's error boundary prints one
-# ``error:`` line, nothing on stdout, and exits 1 through SystemExit.
+# ``error:`` line, nothing on stdout, and exits 1 through SystemExit.  No
+# numpy warning comes before it, so the cases run with warnings as errors.
 CONTRACT_CASES = [
     (["curve", "--zmin", "nan"], CURVE_RANGE + "nan, 2.0\n"),
     (["curve", "--zmax", "inf"], CURVE_RANGE + "-1.0, inf\n"),
     (["curve", "--zmin", "-1e308", "--zmax", "1e308"], CURVE_RANGE + "-1e+308, 1e+308\n"),
-    (["verify", "--seed", "1", "--trials", "1", "--alpha", "nan"],
-     "error: alpha must lie in [1e-100, 1e50], got nan\n"),
-    (["verify", "--seed", "1", "--trials", "1", "--alpha", "inf"],
-     "error: alpha must lie in [1e-100, 1e50], got inf\n"),
-    (["verify", "--seed", "1", "--trials", "1", "--alpha", "1e-200"],
-     "error: alpha must lie in [1e-100, 1e50], got 1e-200\n"),
-    (["verify", "--seed", "1", "--trials", "1", "--alpha", "1e200"],
-     "error: alpha must lie in [1e-100, 1e50], got 1e+200\n"),
+    (["verify", "--seed", "1", "--trials", "1", "--alpha", "nan"], ALPHA_RANGE + "nan\n"),
+    (["verify", "--seed", "1", "--trials", "1", "--alpha", "inf"], ALPHA_RANGE + "inf\n"),
+    (["verify", "--seed", "1", "--trials", "1", "--alpha", "1e-200"], ALPHA_RANGE + "1e-200\n"),
+    (["verify", "--seed", "1", "--trials", "1", "--alpha", "1e200"], ALPHA_RANGE + "1e+200\n"),
     (["eval", "{overflow_line}"], SOCIAL_COSTS),
     (["eval", "{overflow_metric}"], SOCIAL_COSTS),
     (["simulate", "{overflow_line}", "--samples", "10", "--seed", "1"], SOCIAL_COSTS),
@@ -521,11 +542,27 @@ def test_invalid_input_is_one_error_line_and_exit_one(tmp_path, args, message):
         "overflow_metric": write(tmp_path, "overflow_metric.json", OVERFLOW_METRIC),
         "missing": str(tmp_path / "missing.json"),
     }
-    result = CliRunner().invoke(main, [arg.format(**paths) for arg in args])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = CliRunner().invoke(main, [arg.format(**paths) for arg in args])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     assert result.stderr == message.format(**paths)
+
+
+@pytest.mark.parametrize(
+    "command", [["eval"], ["reduce"], ["simulate", "--samples", "10", "--seed", "1"]]
+)
+def test_voters_near_the_float_limit_run_without_warnings(tmp_path, command):
+    # |x| + |x - 1| overflows for this voter, which is still a valid one.
+    path = write(tmp_path, "e.json", '{"schema": 1, "kind": "line", "beta": 0.5,'
+                 ' "voters": [-1.7e308, 0.3]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = CliRunner().invoke(main, [command[0], path, *command[1:]])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
 
 
 # Every option of every command.  Adding or removing a knob must show up here
