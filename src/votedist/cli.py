@@ -2,15 +2,18 @@
 
 Every command reads election files in the JSON schema of
 :mod:`votedist.documents`, writes deterministic text (CSV by default) to
-stdout or ``--out``, and exits 0 on success, 1 on a validation error, 2 on a
+stdout or ``--out``, and exits 0 on success, 1 on invalid input, 2 on a
 certified property failure.  Randomized commands require an explicit
 ``--seed``; there is no wall-clock default.
 
 Commands raise ``ValueError`` (``DocumentError`` is one) on invalid input
 and do not catch it: the group ``main`` is the single error boundary that
-turns it into one ``error: <message>`` line on stderr and exit 1.  Every
-election file is read by ``_load``, which also checks the document's kind
-and applies ``--beta``.
+turns it, and click's usage errors (an unknown command, a missing or
+malformed option), into one ``error: <message>`` line on stderr and exit 1,
+so a script can tell invalid input from a failed audit.  Only errors in the
+group's own arguments (``votedist --bogus``, or no command at all) keep
+click's usage block and exit 2.  Every election file is read by ``_load``,
+which also checks the document's kind and applies ``--beta``.
 """
 
 from __future__ import annotations
@@ -74,11 +77,12 @@ def _load(path: str, beta: float | None, kind: str | None = None) -> ElectionDoc
 class _Main(click.Group):
     """The single error boundary of every command.
 
-    A ``ValueError`` (a ``DocumentError`` among them) prints
-    ``error: <message>`` on stderr and exits 1.  Commands run with numpy's
-    overflow warnings off: voters near the float limit overflow intermediate
-    sums, which the checks report or the results absorb, and a warning line
-    would break the one-line contract.
+    A ``ValueError`` (a ``DocumentError`` among them) or a click usage error
+    prints ``error: <message>`` on stderr and exits 1; a usage error's
+    message names the option at fault, as click's own usage block does.
+    Commands run with numpy's overflow warnings off: voters near the float
+    limit overflow intermediate sums, which the checks report or the results
+    absorb, and a warning line would break the one-line contract.
     """
 
     def invoke(self, ctx):
@@ -86,8 +90,11 @@ class _Main(click.Group):
             with np.errstate(over="ignore"):
                 return super().invoke(ctx)
         except ValueError as err:
-            click.echo(f"error: {err}", err=True)
-            sys.exit(EXIT_VALIDATION)
+            message = str(err)
+        except click.UsageError as err:
+            message = err.format_message()
+        click.echo(f"error: {message}", err=True)
+        sys.exit(EXIT_VALIDATION)
 
 
 election_argument = click.argument("election_file", type=click.Path(dir_okay=False))

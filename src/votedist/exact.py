@@ -12,9 +12,13 @@ Brunner, CSDA 2018): level k holds the PMFs of runs of ``2**k`` neighbouring
 voters and multiplies neighbouring rows pairwise by batched real FFTs, one
 numpy call per level; the FFT's small negative noise is clipped to 0.  Sure
 voters (p = 0 or 1) only shift the PMF and stay out of the tree, so the
-entries they rule out are exactly 0.  Up to ``SCALAR_LIMIT`` voters the
-factors are multiplied one at a time in Python floats instead.  Sorting
-makes the result bit-identical under any order of the voters.
+entries they rule out are exactly 0.  Up to ``model.SCALAR_LIMIT`` voters
+the factors are multiplied one at a time in Python floats instead.  Sorting
+makes the result bit-identical under any order of the voters.  The win
+probabilities are sums of products of the two PMFs, each taken by one
+``np.add.reduce``.  A BLAS dot product would split a sum of more than
+about 10**4 terms across threads, so its last bits would depend on the
+thread count; the reduction runs in one thread in a fixed order.
 
 Complexity.  Level k costs O(n k), so the whole tree is O(n log^2 n) time
 and O(n) memory; the sequential product it replaces was O(n^2).  Measured
@@ -34,11 +38,18 @@ probability below ``TILT_BELOW`` from an exponentially tilted PMF, which
 keeps it accurate in relative terms down to underflow, and takes the other
 as its complement.
 
-Crossover.  There is none inside the tree: on the same machine, shifted
-multiply-adds for the narrow levels timed within the run-to-run noise
-(about 15%) of the FFT at every width from 3 to 33, at n = 1e3 to 1e5, so
-every level uses the FFT.  The scalar product beats the tree up to about
-40 voters (14 us against 45 us at n = 8).
+Crossover.  ``model.SCALAR_LIMIT`` selects the path of the whole
+evaluation by the number of voters.  Up to it, an election goes from its
+distances to its win probabilities in Python floats: each side's PMF is the
+scalar product, and the products of the two PMFs are formed in plain floats
+and summed by the same reduction the array path ends in, so both paths
+agree bit for bit.  Above it, :func:`vote_pmf` builds each side's PMF, with
+the tree for a side of more than the limit, and a small win probability is
+recomputed under the tilt.  The limit is where the scalar PMF stops beating
+the tree, about 48 voters on the same machine; evaluation in floats alone
+would pay up to about 100.  There is no crossover inside the tree: on the same machine, shifted multiply-adds for the narrow levels timed
+within the run-to-run noise (about 15%) of the FFT at every width from 3 to
+33, at n = 1e3 to 1e5, so every level uses the FFT.
 
 There is no size limit: evaluation, the displacement certificates and the
 bound audit (:func:`votedist.worstcase.verify_distortion_bound`) are exact at
@@ -72,9 +83,6 @@ __all__ = [
 
 ENUMERATION_LIMIT = 20
 
-#: Up to this many voters the PMF is built one factor at a time.
-SCALAR_LIMIT = 40
-
 #: Below this, a win probability from the product tree is recomputed under
 #: an exponential tilt.  Above it the tree's absolute error, 1.4e-14 on
 #: 10**4 voters a side, is at most about 1e-11 of the value.
@@ -107,8 +115,8 @@ def vote_pmf(probabilities: Iterable[float]) -> np.ndarray:
         i = int(np.flatnonzero(~((flat >= 0.0) & (flat <= 1.0)))[0])
         raise ValueError(f"probability {i} out of range: {flat[i]!r}")
     n = len(p)
-    if n <= SCALAR_LIMIT:
-        return _scalar_product(p.tolist())
+    if n <= model.SCALAR_LIMIT:
+        return np.array(_scalar_product(p.tolist()))
     # Sure voters (p = 0 or 1, sorted to the two ends) only shift the PMF;
     # keeping them out of the tree keeps the entries they rule out exactly 0.
     start = int(np.searchsorted(p, 0.0, side="right"))
@@ -117,20 +125,20 @@ def vote_pmf(probabilities: Iterable[float]) -> np.ndarray:
     pmf = np.zeros(n + 1)
     pmf[n - stop : n - start + 1] = (
         _scalar_product(unsure.tolist())
-        if len(unsure) <= SCALAR_LIMIT
+        if len(unsure) <= model.SCALAR_LIMIT
         else _tree_product(unsure)
     )
     return pmf
 
 
-def _scalar_product(p: list[float]) -> np.ndarray:
+def _scalar_product(p: list[float]) -> list[float]:
     # One factor at a time in Python floats: below SCALAR_LIMIT voters
     # numpy's per-call cost would exceed the arithmetic.
     pmf = [1.0]
     for x in p:
         q = 1.0 - x
         pmf = [a * q + b * x for a, b in zip(pmf + [0.0], [0.0] + pmf)]
-    return np.array(pmf)
+    return pmf
 
 
 def _tree_product(p: np.ndarray) -> np.ndarray:
@@ -179,10 +187,30 @@ def _win_probs(pmf_left: np.ndarray, pmf_right: np.ndarray) -> "WinProbabilities
     r[: len(pmf_right)] = pmf_right
     r_below = np.concatenate(([0.0], np.cumsum(r)[:-1]))  # P(R < k)
     l_below = np.concatenate(([0.0], np.cumsum(l)[:-1]))  # P(L < k)
-    p_eq = float(np.dot(l, r))
-    p_left = float(np.dot(l, r_below)) + 0.5 * p_eq
-    p_right = float(np.dot(r, l_below)) + 0.5 * p_eq
-    return WinProbabilities(p_left, p_right)
+    return _fair_coin(np.array([l * r, l * r_below, r * l_below]))
+
+
+def _scalar_win_probs(pmf_left: list[float], pmf_right: list[float]) -> "WinProbabilities":
+    # _win_probs in Python floats: the running sums are cumsum's, in its
+    # order, so the products and the reduction are the same.
+    m = max(len(pmf_left), len(pmf_right))
+    l = pmf_left + [0.0] * (m - len(pmf_left))
+    r = pmf_right + [0.0] * (m - len(pmf_right))
+    ties, left_ahead, right_ahead = [], [], []
+    l_below = r_below = 0.0
+    for a, b in zip(l, r):
+        ties.append(a * b)
+        left_ahead.append(a * r_below)
+        right_ahead.append(b * l_below)
+        l_below += a
+        r_below += b
+    return _fair_coin(np.array([ties, left_ahead, right_ahead]))
+
+
+def _fair_coin(products: np.ndarray) -> "WinProbabilities":
+    # Rows: P(L = R = k), P(L = k > R), P(R = k > L).
+    p_eq, p_left, p_right = np.add.reduce(products, axis=1).tolist()
+    return WinProbabilities(p_left + 0.5 * p_eq, p_right + 0.5 * p_eq)
 
 
 def win_probabilities(
@@ -192,13 +220,20 @@ def win_probabilities(
 
     ``e`` is a line or a metric election; indifferent voters never vote.
     """
-    return _win_from_voters(*model.voter_arrays(*e.distances(), beta))
+    return _win_from_sides(*model._sides(e, beta))
 
 
-def _win_from_voters(side: np.ndarray, p: np.ndarray) -> WinProbabilities:
-    left, right = p[side < 0], p[side > 0]
+def _win_from_sides(left, right) -> WinProbabilities:
+    """Win probabilities of the two sides' participation, as from ``model._sides``.
+
+    Lists stay in Python floats; arrays take the array path.
+    """
+    if isinstance(left, list):
+        return _scalar_win_probs(
+            _scalar_product(sorted(left)), _scalar_product(sorted(right))
+        )
     win = _win_probs(vote_pmf(left), vote_pmf(right))
-    if max(len(left), len(right)) > SCALAR_LIMIT:
+    if max(len(left), len(right)) > model.SCALAR_LIMIT:
         # The product tree is accurate in absolute terms only: a small win
         # probability is recomputed to full relative accuracy, and the other
         # one is its complement.
@@ -256,15 +291,15 @@ def _trailing_win(trail: np.ndarray, lead: np.ndarray) -> float:
         log_m = math.fsum(
             np.logaddexp(np.log1p(-trail), np.log(trail) + theta).tolist()
         ) + math.fsum(np.logaddexp(np.log1p(-lead), np.log(lead) - theta).tolist())
-    return math.exp(log_m) * float(np.dot(weights, tilted_pmf))
+    return math.exp(log_m) * float(np.add.reduce(weights * tilted_pmf))
 
 
 def expected_distortion(
     e: LineElection | MetricElection, beta: float
 ) -> DistortionReport:
     """Full report with exact win probabilities and expected distortion."""
-    side, p = model.voter_arrays(*e.distances(), beta)  # once for both uses
-    return model._report(e, model._votes(side, p), _win_from_voters(side, p))
+    left, right = model._sides(e, beta)  # once for both uses
+    return model._report(e, model._votes(left, right), _win_from_sides(left, right))
 
 
 def enumerate_oracle(
@@ -303,7 +338,7 @@ def enumerate_oracle(
     p_left_win = np.where(
         count_left > count_right, 1.0, np.where(count_left == count_right, 0.5, 0.0)
     )
-    p_left = float(np.dot(outcome_prob, p_left_win))
+    p_left = float(np.add.reduce(outcome_prob * p_left_win))
 
     sc_left, sc_right = model.social_costs(e)
     _, dist_left, dist_right = model.distortion_pair(sc_left, sc_right)

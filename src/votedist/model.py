@@ -18,14 +18,21 @@ expected winner maximizes the expected number of cast votes, and the expected
 distortion weights each candidate's distortion by its probability of winning
 the majority contest (ties broken by a fair coin).
 
-A voter is fully described by her distance pair to the two candidates.
-:func:`voter_arrays` turns the pairs of a whole election into numpy arrays
-of preferred sides and participation probabilities; a line election's pairs
-are ``(|x|, |x - 1|)``, and metric elections (:mod:`votedist.metric`) list
-theirs directly, so both kinds share every evaluation path.  An election
-holds its voters as one validated, read-only float64 array (``array``) and
-computes its distance arrays once; the tuple views ``positions`` and
-``pairs`` are built only when read.
+A voter is fully described by her distance pair to the two candidates; a
+line election's pairs are ``(|x|, |x - 1|)``, and metric elections
+(:mod:`votedist.metric`) list theirs directly, so both kinds share every
+evaluation path.  An election holds its voters as one validated, read-only
+float64 array (``array``); the tuple views ``positions`` and ``pairs`` are
+built only when read.
+
+An election is evaluated along one of two paths, chosen by its size alone.
+Above ``SCALAR_LIMIT`` voters it takes the array path: :func:`voter_arrays`
+turns the distance arrays into numpy arrays of preferred sides and
+participation probabilities.  Up to ``SCALAR_LIMIT`` voters numpy's per-call
+cost would exceed the arithmetic, so distances, sides and totals are
+computed in Python floats, and only the power that gives each participation
+probability is one numpy call.  The operations are the same, so both paths
+give the same floats bit for bit.
 
 Everything here is an immutable value or a pure function; all types are safe
 to share across threads.
@@ -74,6 +81,13 @@ TIE = "tie"
 INDIFFERENT = "indifferent"
 
 _EPS = sys.float_info.epsilon
+
+#: Elections of at most this many voters are evaluated in Python floats, here
+#: and in :mod:`votedist.exact`, whose scalar PMF it also bounds.  On 2 cores
+#: (Python 3.11, numpy 2.4.6) the scalar PMF beats the product tree up to
+#: about 48 voters; with the PMFs fixed, evaluation in floats beats the
+#: array path by 5-10% up to about 100 voters, so the PMF sets the limit.
+SCALAR_LIMIT = 40
 
 #: Absolute tolerance below which expected vote counts are reported as a tie.
 WINNER_TIE_TOL = 1e-12
@@ -136,9 +150,12 @@ class _VoterArray:
 
     @cached_property
     def _social_costs(self) -> tuple[float, float]:
-        d_left, d_right = self._distances
+        if len(self) <= SCALAR_LIMIT:
+            d_left, d_right = self._distance_lists
+        else:
+            d_left, d_right = (d.tolist() for d in self._distances)
         try:
-            return math.fsum(d_left.tolist()), math.fsum(d_right.tolist())
+            return math.fsum(d_left), math.fsum(d_right)
         except OverflowError:
             raise ValueError("the social costs exceed the float range") from None
 
@@ -192,6 +209,11 @@ class LineElection(_VoterArray):
         d = np.abs(np.array([self.array, self.array - 1.0]))
         d.flags.writeable = False
         return d[0], d[1]
+
+    @cached_property
+    def _distance_lists(self) -> tuple[list[float], list[float]]:
+        x = self.array.tolist()
+        return [abs(v) for v in x], [abs(v - 1.0) for v in x]
 
     def replace(self, assignments: dict[int, float]) -> "LineElection":
         """Copy of the election with the given voters moved to new positions.
@@ -291,8 +313,9 @@ def profile(x: float, beta: float) -> VoterProfile:
 def voter_arrays(d_left, d_right, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Preferred side and participation probability of every voter.
 
-    Takes the voters' distances to the left and the right candidate, as from
-    ``election.distances()``.  ``side`` is -1 (left), +1 (right) or 0
+    The array path of the engines, for elections above ``SCALAR_LIMIT``
+    voters.  Takes the voters' distances to the left and the right
+    candidate, as from ``election.distances()``.  ``side`` is -1 (left), +1 (right) or 0
     (indifferent); ``p`` is :func:`participation_probability`, so an
     indifferent voter gets 0 for every ``beta``, including 0.  Line voters
     so far out that both distances round to the same float (``|x| >= 2**53``)
@@ -341,6 +364,38 @@ def region_of(x: float) -> str:
 # which it reads faster than arrays.
 
 
+def _sides(
+    e: LineElection | MetricElection, beta: float
+) -> tuple[list[float], list[float]] | tuple[np.ndarray, np.ndarray]:
+    """Participation probabilities of the voters preferring left, and right.
+
+    Picks the evaluation path: lists of Python floats for an election of at
+    most ``SCALAR_LIMIT`` voters, arrays from :func:`voter_arrays` above it.
+    The list path repeats each rounded operation of :func:`voter_arrays`
+    and calls numpy for the power alone, so both give the same floats in the
+    same voter order, and raise the same errors.
+    """
+    if len(e) > SCALAR_LIMIT:
+        side, p = voter_arrays(*e.distances(), beta)
+        return p[side < 0], p[side > 0]
+    beta = check_beta(beta)
+    prefers_right, ratios = [], []
+    for d_left, d_right in zip(*e._distance_lists):
+        total = d_left + d_right
+        if not (d_left >= 0.0 and d_right >= 0.0 and total > 0.0):
+            raise ValueError("distances must be nonnegative and not both zero")
+        if d_left != d_right:
+            prefers_right.append(d_left > d_right)
+            ratios.append(abs(d_left - d_right) / total)
+    if beta == 0.0:
+        p = [1.0] * len(ratios)
+    else:
+        p = (np.array(ratios) ** beta).tolist()
+    left = [q for q, r in zip(p, prefers_right) if not r]
+    right = [q for q, r in zip(p, prefers_right) if r]
+    return left, right
+
+
 def social_costs(e: LineElection | MetricElection) -> tuple[float, float]:
     """Summed voter distances to the left and right candidate."""
     return e._social_costs
@@ -348,11 +403,14 @@ def social_costs(e: LineElection | MetricElection) -> tuple[float, float]:
 
 def expected_votes(e: LineElection | MetricElection, beta: float) -> tuple[float, float]:
     """Expected number of cast votes for each candidate."""
-    return _votes(*voter_arrays(*e.distances(), beta))
+    return _votes(*_sides(e, beta))
 
 
-def _votes(side: np.ndarray, p: np.ndarray) -> tuple[float, float]:
-    return math.fsum(p[side < 0].tolist()), math.fsum(p[side > 0].tolist())
+def _votes(left, right) -> tuple[float, float]:
+    """Summed participation of each side, given as by :func:`_sides`."""
+    if isinstance(left, np.ndarray):
+        left, right = left.tolist(), right.tolist()
+    return math.fsum(left), math.fsum(right)
 
 
 def _winner(votes_left: float, votes_right: float) -> str:

@@ -11,8 +11,9 @@ configuration.  A candidate costs two generator calls, its region sizes and
 then its voters' uniforms, which give the same elections and leave the same
 generator state as drawing each region with ``rng.uniform``.  A screen in
 plain floats rejects the candidates that surely fail; only the survivors are
-built as elections, and only the exact rule (``fsum`` costs, the tie-aware
-expected winner, region counts) accepts one.
+built as elections, and only the exact rule (``fsum`` costs and the
+tie-aware expected winner) accepts one.  The screen's region counts are
+exact, so they are the rule's region test.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ _IN_REGION = {
 }
 
 
-def _meets(e: LineElection, require: tuple[str, ...]) -> bool:
-    return all(len(_indices_in(e, r)) >= require.count(r) for r in set(require))
-
-
 # For each winner, the voter counts drawn in regions A, B, C and D (at least
 # the first array, below the second) and the span of their positions.
 _CONFIGURATIONS = {
@@ -110,8 +107,8 @@ def _configured_election(
 
     Each candidate costs two generator calls: the four region sizes, then one
     uniform per voter, scaled into its region's span as ``rng.uniform``
-    scales it.  :func:`_may_accept` discards most candidates in plain floats;
-    only the exact rule accepts.
+    scales it.  :func:`_may_accept` discards most candidates in plain floats
+    and is the region test; only the exact rule on costs and votes accepts.
     """
     beta = model.check_beta(beta)
     (lows, highs), spans = _CONFIGURATIONS[winner]
@@ -124,20 +121,21 @@ def _configured_election(
         e = LineElection(x)
         sc_left, sc_right = model.social_costs(e)
         if sc_right < sc_left and model.expected_winner(e, beta) == winner:
-            if _meets(e, require):
-                return e
+            return e
     raise RuntimeError(f"no {winner}-leading election in {_MAX_TRIES} draws")
 
 
 def _may_accept(x: list[float], beta: float, winner: str, require: tuple) -> bool:
     """False only when the exact accept rule surely rejects positions ``x``.
 
-    Region counts are exact.  The costs and expected votes are plain float
-    sums, each within ``n * eps`` times the total of its terms of the
-    ``fsum`` the exact rule takes; a vote term may also differ from numpy's
-    by the last bits of its power.  A verdict within ``_SCREEN_EPS * n * eps``
-    of the sums' totals passes on to the exact rule, which never accepts a
-    lead of at most ``WINNER_TIE_TOL``.
+    Region counts are exact: they read the same floats that
+    ``LineElection(x)`` stores, so a candidate that passes them meets
+    ``require``, and the exact rule does not count again.  The costs and
+    expected votes are plain float sums, each within ``n * eps`` times the
+    total of its terms of the ``fsum`` the exact rule takes; a vote term may
+    also differ from numpy's by the last bits of its power.  A verdict within
+    ``_SCREEN_EPS * n * eps`` of the sums' totals passes on to the exact
+    rule, which never accepts a lead of at most ``WINNER_TIE_TOL``.
     """
     for r in set(require):
         inside = _IN_REGION[r]

@@ -34,6 +34,20 @@ MINIMAL_LINE = """
 """
 
 
+# ``verify --seed 1``, ``2`` and ``3`` at the default options.
+VERIFY_DEFAULTS_OUTPUT = (
+    "ok   A_to_zero: 200/200\n"
+    "ok   BC_pair: 200/200\n"
+    "ok   same_region_merge: 200/200\n"
+    "ok   A_to_B_map: 200/200\n"
+    "ok   C_to_D_map: 200/200\n"
+    "ok   D_geometric_merge: 200/200\n"
+    "ok   canonical_winner_form: 50/50\n"
+    "ok   canonical_expected_form: 50/50\n"
+    "ok   expected_distortion_bound: 25/25\n"
+)
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -426,6 +440,12 @@ class TestCli:
         result = self.runner.invoke(main, ["metric-reduce", path])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_verify_at_the_defaults_is_pinned(self, seed):
+        result = self.runner.invoke(main, ["verify", "--seed", seed])
+        assert result.exit_code == 0
+        assert result.output == VERIFY_DEFAULTS_OUTPUT
+
     def test_verify_small_run_passes(self):
         result = self.runner.invoke(
             main,
@@ -549,6 +569,29 @@ def test_invalid_input_is_one_error_line_and_exit_one(tmp_path, args, message):
     assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     assert result.stderr == message.format(**paths)
+
+
+# Click's usage errors go through the same boundary: exit 1 and one line that
+# names the argument or option at fault, so exit 2 stays a failed audit.
+USAGE_CASES = [
+    (["eval", "{dir}"], "error: Invalid value for 'ELECTION_FILE': "),
+    (["simulate", "{line}", "--samples", "10"], "error: Missing option '--seed'"),
+    (["simulate", "{line}", "--samples", "abc", "--seed", "1"],
+     "error: Invalid value for '--samples': "),
+]
+
+
+@pytest.mark.parametrize(
+    "args, prefix", USAGE_CASES, ids=[" ".join(args) for args, _ in USAGE_CASES]
+)
+def test_usage_errors_are_one_error_line_and_exit_one(tmp_path, args, prefix):
+    paths = {"dir": str(tmp_path), "line": write(tmp_path, "line.json", MINIMAL_LINE)}
+    result = CliRunner().invoke(main, [arg.format(**paths) for arg in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith(prefix)
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
 
 
 @pytest.mark.parametrize(

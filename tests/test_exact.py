@@ -1,13 +1,18 @@
 import contextlib
 import dataclasses
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import votedist
 from votedist import exact, model
 from votedist.exact import enumerate_oracle, expected_distortion, vote_pmf, win_probabilities
 from votedist.metric import MetricElection
@@ -26,7 +31,8 @@ long_probability_lists = st.lists(
 
 EPS = np.finfo(float).eps
 
-#: Engine settings under test: as shipped, and the product tree for every size.
+#: Engine settings under test: as shipped, and the array path and the
+#: product tree for every size.
 ENGINES = {
     "default": {},
     "tree": {"SCALAR_LIMIT": 0},
@@ -35,14 +41,14 @@ ENGINES = {
 
 @contextlib.contextmanager
 def engine(name):
-    saved = {k: getattr(exact, k) for k in ENGINES[name]}
+    saved = {k: getattr(model, k) for k in ENGINES[name]}
     for k, v in ENGINES[name].items():
-        setattr(exact, k, v)
+        setattr(model, k, v)
     try:
         yield
     finally:
         for k, v in saved.items():
-            setattr(exact, k, v)
+            setattr(model, k, v)
 
 
 def reference_pmf(probabilities):
@@ -310,11 +316,11 @@ class TestExpectedDistortion:
                 composed = model.distortion_report(e, beta, win_probabilities(e, beta))
                 calls = []
 
-                def counted(*args, _f=model.voter_arrays):
+                def counted(*args, _f=model._sides):
                     calls.append(1)
                     return _f(*args)
 
-                monkeypatch.setattr(model, "voter_arrays", counted)
+                monkeypatch.setattr(model, "_sides", counted)
                 assert expected_distortion(e, beta) == composed  # bit for bit
                 monkeypatch.undo()
                 assert len(calls) == 1
@@ -383,3 +389,121 @@ class TestEnumerateOracle:
             oracle_win, oracle_dbar = enumerate_oracle(e, beta)
             assert win.p_left == pytest.approx(oracle_win.p_left, abs=1e-12)
             assert report.expected_distortion == pytest.approx(oracle_dbar, abs=1e-12)
+
+
+# Voters at the candidates, at the midpoint, beyond 2**53 (where x - 1 is
+# rounded, to x itself from 2**54 on) and near the float limit.
+SPECIAL_POSITIONS = [0.0, 0.5, 1.0, 2.0**53, -(2.0**53), 2.0**53 + 2.0, 3.0 * 2**60, -1e300]
+SPECIAL_PAIRS = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.5), (2.0**53, 2.0**53 + 1.0),
+                 (1e300, 1e300)]
+
+
+@st.composite
+def small_elections(draw):
+    """Line or metric elections of 1 to SCALAR_LIMIT voters, with duplicates."""
+    n = draw(st.integers(1, model.SCALAR_LIMIT))
+    if draw(st.booleans()):
+        voter = st.sampled_from(SPECIAL_POSITIONS) | st.floats(-3.0, 4.0)
+        kind = LineElection
+    else:
+        near = st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)).map(
+            lambda d: (d[0], max(d[1], 1.0 - d[0]))
+        )
+        voter = st.sampled_from(SPECIAL_PAIRS) | near
+        kind = MetricElection
+    distinct = draw(st.lists(voter, min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    return kind([distinct[i] for i in picks])
+
+
+def array_path(e, beta):
+    """Costs, votes, winner, win probabilities and report by the array path."""
+    side, p = model.voter_arrays(*e.distances(), beta)
+    left, right = p[side < 0], p[side > 0]
+    costs = tuple(math.fsum(d.tolist()) for d in e.distances())
+    votes = model._votes(left, right)
+    win = exact._win_from_sides(left, right)
+    return costs, votes, model._winner(*votes), win, model._report(e, votes, win)
+
+
+def hexed(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestListPath:
+    """Elections of at most SCALAR_LIMIT voters are evaluated in Python
+    floats; every result is the array path's, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        e=small_elections(),
+        beta=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    def test_agrees_with_the_array_path_bit_for_bit(self, e, beta):
+        costs, votes, winner, win, report = array_path(e, beta)
+        assert isinstance(model._sides(e, beta)[0], list)
+        assert hexed(model.social_costs(e)) == hexed(costs)
+        assert hexed(model.expected_votes(e, beta)) == hexed(votes)
+        assert model.expected_winner(e, beta) == winner
+        assert hexed(win_probabilities(e, beta)) == hexed(win)
+        assert hexed(vars(expected_distortion(e, beta)).values()) == hexed(
+            vars(report).values()
+        )
+
+    @pytest.mark.parametrize("beta", [-0.1, 1.5, math.nan])
+    def test_invalid_beta_reads_the_same(self, beta):
+        small = LineElection([0.2, 1.5])
+        with pytest.raises(ValueError) as on_lists:
+            model._sides(small, beta)
+        with pytest.raises(ValueError) as on_arrays:
+            model.voter_arrays(*small.distances(), beta)
+        assert str(on_lists.value) == str(on_arrays.value)
+        large = LineElection([0.2, 1.5] * model.SCALAR_LIMIT)
+        for evaluate in (model.expected_votes, win_probabilities, expected_distortion):
+            for e in (small, large):
+                with pytest.raises(ValueError, match=r"^beta must lie in \[0, 1\]"):
+                    evaluate(e, beta)
+
+    @pytest.mark.parametrize(
+        "pair", [(-1.0, 2.0), (2.0, -1.0), (0.0, 0.0), (math.nan, 1.0), (1.0, math.nan)]
+    )
+    def test_invalid_distance_reads_the_same(self, pair):
+        # Elections check their voters; only an unchecked one reaches the
+        # evaluation with a distance pair that is not one.
+        for n in (1, model.SCALAR_LIMIT, model.SCALAR_LIMIT + 1):
+            e = MetricElection._trusted(np.array([(0.4, 0.8)] * (n - 1) + [pair]))
+            with pytest.raises(ValueError) as on_arrays:
+                model.voter_arrays(*e.distances(), 0.5)
+            with pytest.raises(ValueError) as evaluated:
+                expected_distortion(e, 0.5)
+            assert str(evaluated.value) == str(on_arrays.value)
+
+
+# Evaluates a 20,000-voter planar election and prints every report field.
+_REPORT_SCRIPT = """
+import numpy as np
+from votedist.exact import expected_distortion
+from votedist.metric import MetricElection
+
+rng = np.random.default_rng(20261018)
+x, y = rng.uniform(-1.0, 2.0, 20_000), rng.uniform(-1.5, 1.5, 20_000)
+e = MetricElection(np.column_stack([np.hypot(x, y), np.hypot(x - 1.0, y)]))
+for beta in (0.7, 1.0):
+    for name, value in vars(expected_distortion(e, beta)).items():
+        print(name, value.hex() if isinstance(value, float) else value)
+"""
+
+
+def test_report_does_not_depend_on_the_blas_thread_count():
+    # A BLAS dot product of 10**4 terms is split across threads, and the
+    # split moves its last bits; the engine's reductions run in one thread.
+    src = str(Path(votedist.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        run = subprocess.run([sys.executable, "-c", _REPORT_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 22
