@@ -30,7 +30,7 @@ for trial in range(4000):
     value = expected_distortion(e, BETA).expected_distortion
     if value > best_value:
         best_value, best_election = value, e
-    form = canonicalize_expected_distortion(e, BETA, certify=False)
+    form = canonicalize_expected_distortion(e, BETA)
     if form.applied:
         value = expected_distortion(form.election, BETA).expected_distortion
         if value > best_value:

@@ -8,12 +8,11 @@ certified property failure.  Randomized commands require an explicit
 
 Commands raise ``ValueError`` (``DocumentError`` is one) on invalid input
 and do not catch it: the group ``main`` is the single error boundary that
-turns it, and click's usage errors (an unknown command, a missing or
-malformed option), into one ``error: <message>`` line on stderr and exit 1,
-so a script can tell invalid input from a failed audit.  Only errors in the
-group's own arguments (``votedist --bogus``, or no command at all) keep
-click's usage block and exit 2.  Every election file is read by ``_load``,
-which also checks the document's kind and applies ``--beta``.
+turns it, and click's usage errors (an unknown command or option, a missing
+command, a missing or malformed option), into one ``error: <message>`` line
+on stderr and exit 1, so a script can tell invalid input from a failed
+audit.  Every election file is read by ``_load``, which also checks the
+document's kind and applies ``--beta``.
 """
 
 from __future__ import annotations
@@ -77,18 +76,26 @@ def _load(path: str, beta: float | None, kind: str | None = None) -> ElectionDoc
 class _Main(click.Group):
     """The single error boundary of every command.
 
-    A ``ValueError`` (a ``DocumentError`` among them) or a click usage error
-    prints ``error: <message>`` on stderr and exits 1; a usage error's
-    message names the option at fault, as click's own usage block does.
-    Commands run with numpy's overflow warnings off: voters near the float
-    limit overflow intermediate sums, which the checks report or the results
-    absorb, and a warning line would break the one-line contract.
+    A ``ValueError`` (a ``DocumentError`` among them) or a click usage error,
+    in the group's own arguments or in a command's, prints
+    ``error: <message>`` on stderr and exits 1; a usage error's message names
+    the option at fault, as click's own usage block does.  Commands run with
+    numpy's overflow warnings off: voters near the float limit overflow
+    intermediate sums, which the checks report or the results absorb, and a
+    warning line would break the one-line contract.
     """
 
+    def make_context(self, info_name, args, parent=None, **extra):
+        return self._guarded(super().make_context, info_name, args, parent, **extra)
+
     def invoke(self, ctx):
+        return self._guarded(super().invoke, ctx)
+
+    @staticmethod
+    def _guarded(call, *args, **kwargs):
         try:
             with np.errstate(over="ignore"):
-                return super().invoke(ctx)
+                return call(*args, **kwargs)
         except ValueError as err:
             message = str(err)
         except click.UsageError as err:
@@ -112,7 +119,7 @@ beta_option = click.option(
 )
 
 
-@click.group(cls=_Main)
+@click.group(cls=_Main, no_args_is_help=False)
 def main() -> None:
     """Distortion of two-candidate elections with distance-based abstention."""
 

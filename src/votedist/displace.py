@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from . import exact, model
 from .model import LEFT, RIGHT, TIE, LineElection
@@ -103,9 +103,9 @@ class CanonicalForm:
     """Result of a canonicalization.
 
     ``applied`` is False when the election was not in the configuration the
-    procedure reduces (it is then returned unchanged).  When certification is
-    on, ``certificates`` holds one entry per step plus a final end-to-end
-    certificate comparing input to output.
+    procedure reduces (it is then returned unchanged).  ``certificates``
+    holds one entry per step plus a final end-to-end certificate comparing
+    input to output.
     """
 
     election: LineElection
@@ -306,19 +306,17 @@ def _bc_pairing(positions: tuple[float, ...]) -> dict[int, float]:
 class _Chain:
     """Bookkeeping for a certified sequence of displacements.
 
-    With a ``measure``, each election is measured once, when reached; each
+    Each election is measured once by ``measure``, when reached; each
     certificate pairs two of these measurements.
     """
 
-    def __init__(
-        self, e: LineElection, measure: Optional[Callable], winner_preserving: bool
-    ):
+    def __init__(self, e: LineElection, measure: Callable, winner_preserving: bool):
         self.current = e
         self.measure = measure
         self.winner_preserving = winner_preserving
         self.steps: list[Displacement] = []
         self.certificates: list[ValidityCertificate] = []
-        self.measured = [measure(e)] if measure is not None else None
+        self.measured = [measure(e)]
 
     def _certify(self, what: str, since: int = -2) -> None:
         """Certify the last measurement against the one at index ``since``."""
@@ -336,14 +334,12 @@ class _Chain:
         self.steps.append(
             Displacement(kind, tuple(assignments), tuple(assignments.values()))
         )
-        if self.measure is not None:
-            self.measured.append(self.measure(nxt))
-            self._certify(f"displacement {kind} of {len(assignments)} voters regressed")
+        self.measured.append(self.measure(nxt))
+        self._certify(f"displacement {kind} of {len(assignments)} voters regressed")
         self.current = nxt
 
     def finish(self) -> CanonicalForm:
-        if self.measure is not None:
-            self._certify("end-to-end certificate failed", since=0)
+        self._certify("end-to-end certificate failed", since=0)
         return CanonicalForm(
             election=self.current,
             applied=True,
@@ -352,9 +348,7 @@ class _Chain:
         )
 
 
-def canonicalize_expected_winner(
-    e: LineElection, beta: float, certify: bool = True
-) -> CanonicalForm:
+def canonicalize_expected_winner(e: LineElection, beta: float) -> CanonicalForm:
     """Reduce an election to two points without lowering D(expected winner).
 
     Applies only when the left candidate is strictly the expected winner and
@@ -369,8 +363,7 @@ def canonicalize_expected_winner(
     if model.expected_winner(e, beta) != LEFT or not sc_right < sc_left:
         return CanonicalForm(e, applied=False, steps=(), certificates=())
 
-    measure = (lambda x: _measure_winner(x, beta)) if certify else None
-    chain = _Chain(e, measure, winner_preserving=True)
+    chain = _Chain(e, lambda x: _measure_winner(x, beta), winner_preserving=True)
 
     chain.apply("A_to_zero", {i: 0.0 for i, x in enumerate(e.positions) if x < 0.0})
     chain.apply("BC_pair", _bc_pairing(chain.current.positions))
@@ -380,9 +373,7 @@ def canonicalize_expected_winner(
     return chain.finish()
 
 
-def canonicalize_expected_distortion(
-    e: LineElection, beta: float, certify: bool = True
-) -> CanonicalForm:
+def canonicalize_expected_distortion(e: LineElection, beta: float) -> CanonicalForm:
     """Empty region A, drain C where valid, fuse D; never lowering D-bar.
 
     Applies when the right candidate is strictly optimal and strictly the
@@ -408,8 +399,7 @@ def canonicalize_expected_distortion(
     if model.expected_winner(e, beta) != RIGHT or not sc_right < sc_left:
         return CanonicalForm(e, applied=False, steps=(), certificates=())
 
-    measure = (lambda x: _measure_expected(x, beta)) if certify else None
-    chain = _Chain(e, measure, winner_preserving=False)
+    chain = _Chain(e, lambda x: _measure_expected(x, beta), winner_preserving=False)
 
     chain.apply(
         "A_to_B_map", {i: _a_to_b(x) for i, x in enumerate(e.positions) if x < 0.0}

@@ -12,13 +12,13 @@ Brunner, CSDA 2018): level k holds the PMFs of runs of ``2**k`` neighbouring
 voters and multiplies neighbouring rows pairwise by batched real FFTs, one
 numpy call per level; the FFT's small negative noise is clipped to 0.  Sure
 voters (p = 0 or 1) only shift the PMF and stay out of the tree, so the
-entries they rule out are exactly 0.  Up to ``model.SCALAR_LIMIT`` voters
-the factors are multiplied one at a time in Python floats instead.  Sorting
-makes the result bit-identical under any order of the voters.  The win
-probabilities are sums of products of the two PMFs, each taken by one
-``np.add.reduce``.  A BLAS dot product would split a sum of more than
-about 10**4 terms across threads, so its last bits would depend on the
-thread count; the reduction runs in one thread in a fixed order.
+entries they rule out are exactly 0.  Up to ``model.SCALAR_LIMIT`` unsure
+voters the factors are multiplied one at a time in Python floats instead.
+Sorting makes the result bit-identical under any order of the voters.  The
+win probabilities are sums of products of the two PMFs, each taken by one
+``np.add.reduce``.  A BLAS dot product would split a sum of more than about
+10**4 terms across threads, so its last bits would depend on the thread
+count; the reduction runs in one thread in a fixed order.
 
 Complexity.  Level k costs O(n k), so the whole tree is O(n log^2 n) time
 and O(n) memory; the sequential product it replaces was O(n^2).  Measured
@@ -47,9 +47,10 @@ agree bit for bit.  Above it, :func:`vote_pmf` builds each side's PMF, with
 the tree for a side of more than the limit, and a small win probability is
 recomputed under the tilt.  The limit is where the scalar PMF stops beating
 the tree, about 48 voters on the same machine; evaluation in floats alone
-would pay up to about 100.  There is no crossover inside the tree: on the same machine, shifted multiply-adds for the narrow levels timed
-within the run-to-run noise (about 15%) of the FFT at every width from 3 to
-33, at n = 1e3 to 1e5, so every level uses the FFT.
+would pay up to about 100.  There is no crossover inside the tree: on the
+same machine, shifted multiply-adds for the narrow levels timed within the
+run-to-run noise (about 15%) of the FFT at every width from 3 to 33, at
+n = 1e3 to 1e5, so every level uses the FFT.
 
 There is no size limit: evaluation, the displacement certificates and the
 bound audit (:func:`votedist.worstcase.verify_distortion_bound`) are exact at
@@ -115,8 +116,6 @@ def vote_pmf(probabilities: Iterable[float]) -> np.ndarray:
         i = int(np.flatnonzero(~((flat >= 0.0) & (flat <= 1.0)))[0])
         raise ValueError(f"probability {i} out of range: {flat[i]!r}")
     n = len(p)
-    if n <= model.SCALAR_LIMIT:
-        return np.array(_scalar_product(p.tolist()))
     # Sure voters (p = 0 or 1, sorted to the two ends) only shift the PMF;
     # keeping them out of the tree keeps the entries they rule out exactly 0.
     start = int(np.searchsorted(p, 0.0, side="right"))

@@ -212,8 +212,7 @@ class LineElection(_VoterArray):
 
     @cached_property
     def _distance_lists(self) -> tuple[list[float], list[float]]:
-        x = self.array.tolist()
-        return [abs(v) for v in x], [abs(v - 1.0) for v in x]
+        return _line_distances(self.array.tolist())
 
     def replace(self, assignments: dict[int, float]) -> "LineElection":
         """Copy of the election with the given voters moved to new positions.
@@ -228,6 +227,11 @@ class LineElection(_VoterArray):
                 raise ValueError(f"voter {i} has non-finite position {v!r}")
             x[i] = v
         return LineElection._trusted(x)
+
+
+def _line_distances(x: list[float]) -> tuple[list[float], list[float]]:
+    """Distances of positions ``x`` to the left and the right candidate."""
+    return [abs(v) for v in x], [abs(v - 1.0) for v in x]
 
 
 @dataclass(frozen=True)
@@ -369,24 +373,33 @@ def _sides(
 ) -> tuple[list[float], list[float]] | tuple[np.ndarray, np.ndarray]:
     """Participation probabilities of the voters preferring left, and right.
 
-    Picks the evaluation path: lists of Python floats for an election of at
-    most ``SCALAR_LIMIT`` voters, arrays from :func:`voter_arrays` above it.
-    The list path repeats each rounded operation of :func:`voter_arrays`
-    and calls numpy for the power alone, so both give the same floats in the
-    same voter order, and raise the same errors.
+    Picks the evaluation path: lists of Python floats from
+    :func:`_scalar_sides` for an election of at most ``SCALAR_LIMIT`` voters,
+    arrays from :func:`voter_arrays` above it.
     """
     if len(e) > SCALAR_LIMIT:
         side, p = voter_arrays(*e.distances(), beta)
         return p[side < 0], p[side > 0]
-    beta = check_beta(beta)
+    return _scalar_sides(*e._distance_lists, check_beta(beta))
+
+
+def _scalar_sides(
+    d_left: list[float], d_right: list[float], beta: float
+) -> tuple[list[float], list[float]]:
+    """:func:`_sides` on the lists of the voters' distances, for a checked beta.
+
+    Repeats each rounded operation of :func:`voter_arrays` and calls numpy
+    for the power alone, so both give the same floats in the same voter
+    order, and raise the same errors.
+    """
     prefers_right, ratios = [], []
-    for d_left, d_right in zip(*e._distance_lists):
-        total = d_left + d_right
-        if not (d_left >= 0.0 and d_right >= 0.0 and total > 0.0):
+    for dl, dr in zip(d_left, d_right):
+        total = dl + dr
+        if not (dl >= 0.0 and dr >= 0.0 and total > 0.0):
             raise ValueError("distances must be nonnegative and not both zero")
-        if d_left != d_right:
-            prefers_right.append(d_left > d_right)
-            ratios.append(abs(d_left - d_right) / total)
+        if dl != dr:
+            prefers_right.append(dl > dr)
+            ratios.append(abs(dl - dr) / total)
     if beta == 0.0:
         p = [1.0] * len(ratios)
     else:

@@ -9,11 +9,9 @@ binary can re-run the whole audit from a single seed.
 The configured samplers draw candidate elections until one meets the
 configuration.  A candidate costs two generator calls, its region sizes and
 then its voters' uniforms, which give the same elections and leave the same
-generator state as drawing each region with ``rng.uniform``.  A screen in
-plain floats rejects the candidates that surely fail; only the survivors are
-built as elections, and only the exact rule (``fsum`` costs and the
-tie-aware expected winner) accepts one.  The screen's region counts are
-exact, so they are the rule's region test.
+generator state as drawing each region with ``rng.uniform``.  The exact rule
+(``fsum`` costs and the tie-aware expected winner) runs on the candidate's
+position list, and only the candidate it accepts is built as an election.
 """
 
 from __future__ import annotations
@@ -96,9 +94,6 @@ _CONFIGURATIONS = {
 _MAX_TRIES = 4000
 _MAX_VALID_C_TRIES = 2000
 
-# The screen's slack, in machine epsilons per voter, times the summed terms.
-_SCREEN_EPS = 8.0
-
 
 def _configured_election(
     rng: np.random.Generator, beta: float, winner: str, require: tuple
@@ -107,8 +102,7 @@ def _configured_election(
 
     Each candidate costs two generator calls: the four region sizes, then one
     uniform per voter, scaled into its region's span as ``rng.uniform``
-    scales it.  :func:`_may_accept` discards most candidates in plain floats
-    and is the region test; only the exact rule on costs and votes accepts.
+    scales it.  :func:`_accepts` decides on the position list.
     """
     beta = model.check_beta(beta)
     (lows, highs), spans = _CONFIGURATIONS[winner]
@@ -116,45 +110,30 @@ def _configured_election(
         sizes = rng.integers(lows, highs).tolist()
         u = iter(rng.random(sum(sizes)).tolist())
         x = [lo + (hi - lo) * next(u) for (lo, hi), n in zip(spans, sizes) for _ in range(n)]
-        if not _may_accept(x, beta, winner, require):
-            continue
-        e = LineElection(x)
-        sc_left, sc_right = model.social_costs(e)
-        if sc_right < sc_left and model.expected_winner(e, beta) == winner:
-            return e
+        if _accepts(x, beta, winner, require):
+            return LineElection(x)
     raise RuntimeError(f"no {winner}-leading election in {_MAX_TRIES} draws")
 
 
-def _may_accept(x: list[float], beta: float, winner: str, require: tuple) -> bool:
-    """False only when the exact accept rule surely rejects positions ``x``.
+def _meets(x: list[float], require: tuple) -> bool:
+    """Whether positions ``x`` occupy the regions of ``require``, with multiplicity."""
+    return all(sum(map(_IN_REGION[r], x)) >= require.count(r) for r in set(require))
 
-    Region counts are exact: they read the same floats that
-    ``LineElection(x)`` stores, so a candidate that passes them meets
-    ``require``, and the exact rule does not count again.  The costs and
-    expected votes are plain float sums, each within ``n * eps`` times the
-    total of its terms of the ``fsum`` the exact rule takes; a vote term may
-    also differ from numpy's by the last bits of its power.  A verdict within
-    ``_SCREEN_EPS * n * eps`` of the sums' totals passes on to the exact
-    rule, which never accepts a lead of at most ``WINNER_TIE_TOL``.
+
+def _accepts(x: list[float], beta: float, winner: str, require: tuple) -> bool:
+    """The sampler's accept rule on positions ``x``, for a checked ``beta``.
+
+    ``x`` meets ``require``, right is strictly optimal and ``winner`` is the
+    expected winner, each read from the same floats and by the same
+    operations as ``social_costs`` and ``expected_winner`` of
+    ``LineElection(x)`` at up to ``model.SCALAR_LIMIT`` voters.
     """
-    for r in set(require):
-        inside = _IN_REGION[r]
-        if sum(1 for v in x if inside(v)) < require.count(r):
-            return False
-    sc_left = sc_right = votes_left = votes_right = 0.0
-    for v in x:
-        d_left, d_right = abs(v), abs(v - 1.0)
-        sc_left += d_left
-        sc_right += d_right
-        if d_left < d_right:
-            votes_left += ((d_right - d_left) / (d_left + d_right)) ** beta
-        elif d_right < d_left:
-            votes_right += ((d_left - d_right) / (d_left + d_right)) ** beta
-    slack = _SCREEN_EPS * len(x) * model._EPS
-    if sc_right - sc_left >= slack * (sc_left + sc_right):
+    if not _meets(x, require):
         return False
-    lead = votes_left - votes_right if winner == LEFT else votes_right - votes_left
-    return lead + slack * (votes_left + votes_right) > model.WINNER_TIE_TOL
+    d_left, d_right = model._line_distances(x)
+    if not math.fsum(d_right) < math.fsum(d_left):
+        return False
+    return model._winner(*model._votes(*model._scalar_sides(d_left, d_right, beta))) == winner
 
 
 def random_left_leading_election(
@@ -295,34 +274,27 @@ def canonicalization_suites(trials: int, seed: int) -> list[SuiteResult]:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    winner_failures = 0
-    for _ in range(trials):
-        beta = random_beta(rng)
-        e = random_left_leading_election(rng, beta)
-        try:
-            form = displace.canonicalize_expected_winner(e, beta)
-        except displace.CertificateError:
-            winner_failures += 1
-            continue
-        if not (form.applied and _winner_form_ok(form)):
-            winner_failures += 1
-
-    expected_failures = 0
-    for _ in range(trials):
-        beta = random_beta(rng)
-        e = random_right_leading_election(rng, beta)
-        try:
-            form = displace.canonicalize_expected_distortion(e, beta)
-        except displace.CertificateError:
-            expected_failures += 1
-            continue
-        if not (form.applied and _expected_form_ok(form)):
-            expected_failures += 1
-
-    return [
-        SuiteResult("canonical_winner_form", trials, winner_failures),
-        SuiteResult("canonical_expected_form", trials, expected_failures),
-    ]
+    suites = (
+        ("canonical_winner_form", random_left_leading_election,
+         displace.canonicalize_expected_winner, _winner_form_ok),
+        ("canonical_expected_form", random_right_leading_election,
+         displace.canonicalize_expected_distortion, _expected_form_ok),
+    )
+    results = []
+    for name, sampler, canonicalize, form_ok in suites:
+        failures = 0
+        for _ in range(trials):
+            beta = random_beta(rng)
+            e = sampler(rng, beta)
+            try:
+                form = canonicalize(e, beta)
+            except displace.CertificateError:
+                failures += 1
+                continue
+            if not (form.applied and form_ok(form)):
+                failures += 1
+        results.append(SuiteResult(name, trials, failures))
+    return results
 
 
 def bound_suite(alpha: float, beta: float, count: int, seed: int) -> SuiteResult:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votedist import displace, exact, model, verification
@@ -96,11 +96,13 @@ def reference_canonical_form(canonicalize, e, beta, certify=True):
     The per-voter A, B-C and C-to-D loops are copied verbatim: one certified
     step per A voter, per B-C pair and per C-to-D crossing, the crossings
     re-reading the bar after each one.  ``e`` must be in the configuration
-    ``canonicalize`` reduces.
+    ``canonicalize`` reduces.  Without ``certify`` every election measures
+    alike, so the chain's certificates pass and say nothing.
     """
+    unmeasured = lambda x: (None, 0.0)
     _bc_pair = reference_bc_pair
     if canonicalize is canonicalize_expected_winner:
-        measure = (lambda x: displace._measure_winner(x, beta)) if certify else None
+        measure = (lambda x: displace._measure_winner(x, beta)) if certify else unmeasured
         chain = ReferenceChain(e, measure, winner_preserving=True)
 
         for i, x in enumerate(chain.current.positions):
@@ -119,7 +121,7 @@ def reference_canonical_form(canonicalize, e, beta, certify=True):
         chain.collapse(lambda x: x >= 1.0, "same_region_merge", displace._midpoint_limit)
         return chain.finish()
 
-    measure = (lambda x: displace._measure_expected(x, beta)) if certify else None
+    measure = (lambda x: displace._measure_expected(x, beta)) if certify else unmeasured
     chain = ReferenceChain(e, measure, winner_preserving=False)
 
     for i, x in enumerate(chain.current.positions):
@@ -191,7 +193,7 @@ HAIR = st.integers(20, 60).map(lambda k: 0.5 + 2.0**-k)
 
 
 @st.composite
-def screen_positions(draw):
+def near_tie_positions(draw):
     """1-17 positions in [-2, 3]; half of them mirrored pairs ``x, 1 - x``,
     whose costs and votes tie exactly, and one voter to tip the tie."""
     if draw(st.booleans()):
@@ -498,9 +500,8 @@ class TestCanonicalizationSuites:
 
 
 class TestConfiguredSampler:
-    """Two generator calls and a float screen per candidate draw the same
-    elections as the sequential loop, and the screen never rejects what the
-    exact rule would accept."""
+    """Two generator calls per candidate draw the same elections as the
+    sequential loop, and the sampler accepts by the exact rule alone."""
 
     @pytest.mark.parametrize("winner", [LEFT, RIGHT])
     def test_streams_match_the_sequential_loop(self, winner):
@@ -535,12 +536,13 @@ class TestConfiguredSampler:
                 sampler(np.random.default_rng(1), beta, winner, ())
 
     @settings(max_examples=200, deadline=None)
-    @given(screen_positions(), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-    def test_screen_passes_whatever_the_exact_rule_accepts(self, x, beta):
+    @given(near_tie_positions(), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    @example([-0.5, 1.25], 1.0)  # the costs tie exactly, right leads the votes
+    def test_accept_rule_is_the_exact_rule(self, x, beta):
         for winner in (LEFT, RIGHT):
             for require in SUITE_REQUIRES:
-                if exact_rule_accepts(x, beta, winner, require):
-                    assert verification._may_accept(x, beta, winner, require)
+                accepts = verification._accepts(x, beta, winner, require)
+                assert accepts == exact_rule_accepts(x, beta, winner, require)
 
 
 class TestCanonicalizeExpectedDistortion:
@@ -621,7 +623,7 @@ class TestClosedFormCollapse:
     def test_matches_pairwise_merge_loop(self, seed):
         worst = 0.0
         for canonicalize, e, beta in suite_elections(500, seed):
-            form = canonicalize(e, beta, certify=False)
+            form = canonicalize(e, beta)
             assert len(form.steps) <= 4
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ReferenceChain, "collapse", reference_collapse)

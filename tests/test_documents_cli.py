@@ -578,11 +578,14 @@ USAGE_CASES = [
     (["simulate", "{line}", "--samples", "10"], "error: Missing option '--seed'"),
     (["simulate", "{line}", "--samples", "abc", "--seed", "1"],
      "error: Invalid value for '--samples': "),
+    (["--bogus"], "error: No such option '--bogus'."),
+    ([], "error: Missing command."),
 ]
 
 
 @pytest.mark.parametrize(
-    "args, prefix", USAGE_CASES, ids=[" ".join(args) for args, _ in USAGE_CASES]
+    "args, prefix", USAGE_CASES,
+    ids=[" ".join(args) or "no command" for args, _ in USAGE_CASES],
 )
 def test_usage_errors_are_one_error_line_and_exit_one(tmp_path, args, prefix):
     paths = {"dir": str(tmp_path), "line": write(tmp_path, "line.json", MINIMAL_LINE)}

@@ -94,6 +94,16 @@ class TestVotePMF:
             with pytest.raises(ValueError, match=f"probability {n // 2} out of range"):
                 vote_pmf(probs)
 
+    def test_small_pmf_is_the_scalar_product_of_the_sorted_voters(self, rng):
+        # Sure voters shift the PMF outside the product; factors of p = 0 and
+        # p = 1 multiply exactly, so it reads the same bits either way.
+        special = [0.0, 1.0, 5e-324, 2.2e-308, 1.0 - EPS / 2]
+        for _ in range(1000):
+            n = int(rng.integers(0, model.SCALAR_LIMIT + 1))
+            probs = np.where(rng.random(n) < 0.4, rng.choice(special, n), rng.random(n))
+            expected = exact._scalar_product(sorted(probs.tolist()))
+            assert vote_pmf(probs).tolist() == expected
+
     @given(probability_lists)
     def test_mass_sums_to_one(self, probs):
         pmf = vote_pmf(probs)
