@@ -7,16 +7,24 @@ generators back the test suite and the ``verify`` command, so a shipped
 binary can re-run the whole audit from a single seed.
 
 The configured samplers draw candidate elections until one meets the
-configuration.  A candidate costs two generator calls, its region sizes and
-then its voters' uniforms, which give the same elections and leave the same
-generator state as drawing each region with ``rng.uniform``.  The exact rule
-(``fsum`` costs and the tie-aware expected winner) runs on the candidate's
+configuration.  A candidate costs two generator calls: one bounded integer
+picks its region sizes from the box whose lower ends are raised to the
+counts the caller's ``require`` asks for, and one array of uniforms places
+its voters in their regions' spans.  Sizes that meet ``require`` are
+uniform on that box either way, so raising it changes the streams but not
+the law of the accepted elections.  The exact rule (the region counts,
+``fsum`` costs and the tie-aware expected winner) runs on the candidate's
 position list, and only the candidate it accepts is built as an election.
+A ``require`` with an unknown region or a count the configuration cannot
+draw is rejected before the first draw.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,13 +89,20 @@ _IN_REGION = {
 
 
 # For each winner, the voter counts drawn in regions A, B, C and D (at least
-# the first array, below the second) and the span of their positions.
+# the first tuple, below the second) and the span of their positions.
 _CONFIGURATIONS = {
-    LEFT: ((np.array([0, 1, 0, 1]), np.array([3, 5, 3, 5])),
+    LEFT: (((0, 1, 0, 1), (3, 5, 3, 5)),
            ((-1.5, -1e-9), (0.0, 0.5), (0.5 + 1e-9, 1.0), (1.0, 3.0))),
-    RIGHT: ((np.array([0, 0, 0, 1]), np.array([3, 3, 3, 6])),
+    RIGHT: (((0, 0, 0, 1), (3, 3, 3, 6)),
             ((-1.0, -1e-9), (0.25, 0.5), (0.5 + 1e-9, 1.0), (1.0, 2.0))),
 }
+
+
+def _pick(rng: np.random.Generator, items: Sequence):
+    """One of ``items``, uniformly: the draw ``rng.choice(items)`` makes,
+    leaving the same generator state, without converting ``items`` to an
+    array."""
+    return items[int(rng.integers(len(items)))]
 
 
 # Draws a sampler makes before it gives up.
@@ -95,19 +110,58 @@ _MAX_TRIES = 4000
 _MAX_VALID_C_TRIES = 2000
 
 
+@functools.cache
+def _size_box(winner: str, require: tuple) -> tuple[tuple[int, ...], ...]:
+    """The region sizes a ``winner``-leading candidate that meets ``require``
+    may have: every size vector of the box whose lows are raised to the
+    counts ``require`` asks for, listed with region D's size varying fastest.
+
+    Raises ``ValueError`` for a label that is not a region, or for a count
+    above the most voters the configuration draws in its region.
+    """
+    unknown = sorted(set(require) - set(_IN_REGION))
+    if unknown:
+        raise ValueError(f"unknown region {unknown[0]!r} in require; regions are A, B, C and D")
+    (lows, highs), _ = _CONFIGURATIONS[winner]
+    ranges = []
+    for region, lo, hi in zip(_IN_REGION, lows, highs):
+        count = require.count(region)
+        if count >= hi:
+            raise ValueError(
+                f"require asks for {count} voters in region {region}, but a "
+                f"{winner}-leading election draws at most {hi - 1}"
+            )
+        ranges.append(range(max(lo, count), hi))
+    return tuple(itertools.product(*ranges))
+
+
 def _configured_election(
     rng: np.random.Generator, beta: float, winner: str, require: tuple
 ) -> LineElection:
     """Random election that ``winner`` leads on expected votes, right optimal.
 
-    Each candidate costs two generator calls: the four region sizes, then one
-    uniform per voter, scaled into its region's span as ``rng.uniform``
-    scales it.  :func:`_accepts` decides on the position list.
+    Each candidate costs two generator calls.  The first is one bounded
+    integer, which picks the region sizes uniformly from :func:`_size_box`,
+    so a candidate never falls short of ``require`` by its sizes.  The
+    second draws one uniform per voter, scaled into its region's span as
+    ``rng.uniform`` scales it.  :func:`_accepts` decides on the position
+    list.
+
+    Sizes drawn uniformly on the configuration's box, conditioned on meeting
+    ``require``, are uniform on the raised box, and the positions do not
+    depend on the sizes.  So the accepted elections keep the law they had
+    when short candidates were drawn and rejected, up to a uniform that
+    rounds onto the end of its span.  Each span lies inside its region
+    except at such an end, and the region test still runs on every
+    candidate as the guard for it: from the C span a uniform can land on
+    1.0, which is region D, and from the right-leading B span on 0.5, where
+    the voter is indifferent.
     """
     beta = model.check_beta(beta)
-    (lows, highs), spans = _CONFIGURATIONS[winner]
+    box = _size_box(winner, tuple(require))
+    spans = _CONFIGURATIONS[winner][1]
     for _ in range(_MAX_TRIES):
-        sizes = rng.integers(lows, highs).tolist()
+        sizes = _pick(rng, box)
         u = iter(rng.random(sum(sizes)).tolist())
         x = [lo + (hi - lo) * next(u) for (lo, hi), n in zip(spans, sizes) for _ in range(n)]
         if _accepts(x, beta, winner, require):
@@ -185,7 +239,7 @@ def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
         def sampler(beta):
             e = config(rng, beta, require=(region,))
             idx = _indices_in(e, region)
-            return e, (int(rng.choice(idx)),)
+            return e, (_pick(rng, idx),)
 
         return sampler
 
@@ -200,8 +254,8 @@ def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
 
     def pick_bc(beta):
         e = random_left_leading_election(rng, beta, require=("B", "C"))
-        i = int(rng.choice(_indices_in(e, "B")))
-        j = int(rng.choice(_indices_in(e, "C")))
+        i = _pick(rng, _indices_in(e, "B"))
+        j = _pick(rng, _indices_in(e, "C"))
         return e, (i, j)
 
     def pick_valid_c(beta):
@@ -214,7 +268,7 @@ def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
             bar, x = model._candidate_distortion(e, LEFT), e.array
             ok = [j for j in _indices_in(e, "C") if x[j] / (1.0 - x[j]) >= bar]
             if ok:
-                return e, (int(rng.choice(ok)),)
+                return e, (_pick(rng, ok),)
         raise RuntimeError("could not sample a valid C-to-D instance")
 
     def pick_b_or_d_pair(beta):

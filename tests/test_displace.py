@@ -142,8 +142,8 @@ def reference_canonical_form(canonicalize, e, beta, certify=True):
 # The sequential sampler that drew each candidate with one generator call
 # per region count and per region, and built and evaluated every candidate,
 # copied verbatim (with its configuration table, its region test, and the
-# module's names qualified) as the reference for the streams of
-# ``verification._configured_election``.
+# module's names qualified) as the reference for the law of the elections
+# ``verification._configured_election`` accepts.
 REFERENCE_CONFIGURATIONS = {
     LEFT: (((0, 3), (1, 5), (0, 3), (1, 5)),
            ((-1.5, -1e-9), (0.0, 0.5), (0.5 + 1e-9, 1.0), (1.0, 3.0))),
@@ -168,6 +168,51 @@ def reference_configured_election(rng, beta, winner, require):
             if reference_meets(e, require):
                 return e
     raise RuntimeError(f"no {winner}-leading election in {verification._MAX_TRIES} draws")
+
+
+def reference_raised_election(rng, beta, winner, require):
+    """The sampler's draw spelled out: one bounded integer over the box of
+    region sizes whose lows are raised to ``require``'s counts, decoded
+    digit by digit with region D's size the fastest, then one uniform per
+    voter scaled into its region's span."""
+    counts, spans = REFERENCE_CONFIGURATIONS[winner]
+    lows = [max(lo, require.count(r)) for (lo, _), r in zip(counts, "ABCD")]
+    radices = [hi - lo for lo, (_, hi) in zip(lows, counts)]
+    for _ in range(verification._MAX_TRIES):
+        k = int(rng.integers(math.prod(radices)))
+        sizes = [0, 0, 0, 0]
+        for r in (3, 2, 1, 0):
+            k, digit = divmod(k, radices[r])
+            sizes[r] = lows[r] + digit
+        u = np.split(rng.random(sum(sizes)), np.cumsum(sizes)[:-1])
+        x = np.concatenate([lo + (hi - lo) * part for (lo, hi), part in zip(spans, u)])
+        if exact_rule_accepts(x.tolist(), beta, winner, require):
+            return LineElection(x)
+    raise RuntimeError(f"no {winner}-leading election in {verification._MAX_TRIES} draws")
+
+
+def region_sizes(e):
+    return tuple(len(verification._indices_in(e, r)) for r in "ABCD")
+
+
+def chi_square_homogeneity(a, b):
+    """The p-value of the two-sample chi-square test that count vectors
+    ``a`` and ``b`` (over the same cells) come from one law."""
+    cells = [(x, y) for x, y in zip(a, b) if x + y]
+    n_a, n_b = sum(a), sum(b)
+    stat = sum((x * n_b - y * n_a) ** 2 / (n_a * n_b * (x + y)) for x, y in cells)
+    # The upper tail of chi-square with len(cells) - 1 degrees of freedom,
+    # from the series of the lower regularized gamma function.
+    k, z = (len(cells) - 1) / 2, stat / 2
+    if k == 0 or z == 0:
+        return 1.0
+    term = math.exp(k * math.log(z) - z - math.lgamma(k + 1))
+    lower, n = 0.0, 0
+    while term > 1e-17 * lower:
+        lower += term
+        n += 1
+        term *= z / (k + n)
+    return max(0.0, 1.0 - lower)
 
 
 def exact_rule_accepts(x, beta, winner, require):
@@ -219,12 +264,35 @@ def certificate_fields(cert):
             cert.metric_after, cert.winner_preserving)
 
 
+# The moves ``displacement_suites`` applies, by their names in ``displace``.
+SUITE_MOVES = ("move_a_to_zero", "move_bc_pair", "merge_same_region",
+               "map_a_to_b", "map_c_to_d", "merge_d_geometric")
+
+
+def displacement_draws(trials, seed):
+    """The elections and picked voters ``displacement_suites(trials, seed)``
+    moves, in the order it moves them."""
+    draws = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in SUITE_MOVES:
+            def recorded(e, *picked, _move=getattr(displace, name)):
+                draws.append((e.positions, picked))
+                return _move(e, *picked)
+
+            mp.setattr(displace, name, recorded)
+        displacement_suites(trials, seed)
+    return draws
+
+
 def audit_digests(chains=50):
-    """Digests of the sampler streams and of the canonicalization chains.
+    """Digests of the sampler streams, the displacement draws and the
+    canonicalization chains.
 
     The streams are the elections both samplers draw, at one seed, for each
-    ``require``; the chains are the steps, final elections and certificates
-    of the chains ``canonicalization_suites(chains, seed)`` runs.
+    ``require``; the moves are the elections and picked voters of
+    ``displacement_suites(chains, 1)``; the chains are the steps, final
+    elections and certificates of the chains ``canonicalization_suites(chains,
+    seed)`` runs.
     """
     rng = np.random.default_rng(20261018)
     streams = hashlib.sha256()
@@ -233,7 +301,8 @@ def audit_digests(chains=50):
             for _ in range(3):
                 e = sampler(rng, random_beta(rng), require=require)
                 streams.update(e.array.astype("<f8").tobytes())
-    digests = {"streams": streams.hexdigest()}
+    moves = repr(displacement_draws(chains, 1)).encode()
+    digests = {"streams": streams.hexdigest(), "moves": hashlib.sha256(moves).hexdigest()}
     for seed in (1, 2, 9001):
         forms = hashlib.sha256()
         for canonicalize, e, beta in suite_elections(chains, seed):
@@ -462,10 +531,11 @@ class TestCanonicalizationSuites:
         # Any change to a sampler draw, a chain step or a certificate
         # changes a digest.
         assert audit_digests() == {
-            "streams": "338088baac43e567782ff2ebfcd4993facdefcccc23c09d027fe9cde69795ff1",
-            1: "5947705395e71be0d2dc8ec853b4162e24fa840d0ca29eb332a225454d5f48e8",
-            2: "26207acef69e9ac445c245be80a054b2134aa70cac2c5e0c52d85efe810a70bb",
-            9001: "c9acd64e0dbfc68b280a28daaab8753e4af9a546b344c9653f185d6d10ca8efa",
+            "streams": "2c591f45642f1b557cb926e3d246c740d177ed273063c127a019d8f2cea6310b",
+            "moves": "2200bc54eadcf2cc92f11588a8f9a7a3f0ae6ceebba5182ceb0538c3eef35b7f",
+            1: "3cb9180418acb59a7a81ffcf515d2a76e245025594284e57e800e3e9418e0800",
+            2: "860776a157c001e5568c298ce9f3921009e6cffe95e4bf32fe8a30d35c45536e",
+            9001: "f4e1c5bb0cf314598524f799338a9b5bacfb543ea1e5b5c8ba1196eb748659d4",
         }
 
     def test_chain_certificates_match_the_public_certifiers(self):
@@ -492,21 +562,37 @@ class TestCanonicalizationSuites:
 
             monkeypatch.setattr(module, name, counted)
         canonicalization_suites(50, 1)
-        # Each election of a chain is measured once: 50 origins and 112
-        # steps, at most three per chain.  189 when each A voter and each
-        # C-to-D crossing was a step of its own; 378 when every certificate
+        # Each election of a chain is measured once: 50 origins and 106
+        # steps, at most three per chain.  182 when each A voter and each
+        # C-to-D crossing was a step of its own; 364 when every certificate
         # measured both of its elections.
-        assert calls == {"expected_distortion": 162, "winner_distortion": 0}
+        assert calls == {"expected_distortion": 156, "winner_distortion": 0}
 
 
 class TestConfiguredSampler:
-    """Two generator calls per candidate draw the same elections as the
-    sequential loop, and the sampler accepts by the exact rule alone."""
+    """The sampler draws its region sizes from the box that ``require``
+    leaves, keeps the law of the elections the sequential loop accepted,
+    and accepts by the exact rule alone."""
+
+    # The (winner, require) pairs whose box ``require`` raises a lower end of.
+    RAISED = [
+        (winner, require)
+        for winner, (counts, _) in REFERENCE_CONFIGURATIONS.items()
+        for require in SUITE_REQUIRES
+        if any(require.count(r) > lo for r, (lo, _) in zip("ABCD", counts))
+    ]
+
+    def test_pick_is_rng_choice(self):
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for k in range(5_000):
+            items = list(range(100, 100 + k % 13 + 1)) if k % 50 else list(range(k + 1))
+            assert verification._pick(rng, items) == ref.choice(items)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("winner", [LEFT, RIGHT])
-    def test_streams_match_the_sequential_loop(self, winner):
+    def test_draws_decode_one_integer_over_the_raised_box(self, winner):
         betas = (0.0, 1.0, 0.37, random_beta)
-        for seed in range(200):
+        for seed in range(60):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for k, require in enumerate(SUITE_REQUIRES):
                 beta = betas[(seed + k) % len(betas)]
@@ -514,19 +600,56 @@ class TestConfiguredSampler:
                     beta = random_beta(rng)
                     assert random_beta(ref) == beta
                 e = verification._configured_election(rng, beta, winner, require)
-                expected = reference_configured_election(ref, beta, winner, require)
+                expected = reference_raised_election(ref, beta, winner, require)
                 assert e.array.tobytes() == expected.array.tobytes()
                 assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_exhaustion_matches_the_sequential_loop(self):
-        # At most two A voters are drawn for a left-leading election.
-        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        message = "no left-leading election in 4000 draws"
-        with pytest.raises(RuntimeError, match=message):
-            verification._configured_election(rng, 0.5, LEFT, ("A", "A", "A"))
-        with pytest.raises(RuntimeError, match=message):
-            reference_configured_election(ref, 0.5, LEFT, ("A", "A", "A"))
-        assert rng.bit_generator.state == ref.bit_generator.state
+    @pytest.mark.parametrize("winner, require", RAISED, ids=[f"{w}-{''.join(r)}" for w, r in RAISED])
+    def test_accepted_law_is_the_sequential_loops(self, winner, require):
+        # The region-size histograms of 240 accepted elections from each
+        # sampler, at the same betas, pass a two-sample chi-square test.
+        betas = [random_beta(np.random.default_rng(99)) for _ in range(240)]
+        rng, ref = np.random.default_rng(1), np.random.default_rng(2)
+        new = [region_sizes(verification._configured_election(rng, b, winner, require))
+               for b in betas]
+        old = [region_sizes(reference_configured_election(ref, b, winner, require))
+               for b in betas]
+        for r in range(4):
+            cells = range(7)
+            a = [sum(s[r] == c for s in new) for c in cells]
+            b = [sum(s[r] == c for s in old) for c in cells]
+            assert chi_square_homogeneity(a, b) > 1e-3, ("ABCD"[r], a, b)
+
+    @pytest.mark.parametrize("winner", [LEFT, RIGHT])
+    def test_every_accepted_election_meets_require(self, winner):
+        rng = np.random.default_rng(11)
+        for require in SUITE_REQUIRES:
+            for _ in range(100):
+                beta = random_beta(rng)
+                e = verification._configured_election(rng, beta, winner, require)
+                assert reference_meets(e, require)
+                assert exact_rule_accepts(list(e.positions), beta, winner, require)
+
+    @pytest.mark.parametrize(
+        "winner, require, message",
+        [
+            (LEFT, ("E",), "unknown region 'E'"),
+            (RIGHT, ("B", "x"), "unknown region 'x'"),
+            (LEFT, ("A", "A", "A"), "3 voters in region A, but a left-leading election draws at most 2"),
+            (RIGHT, ("D",) * 6, "6 voters in region D, but a right-leading election draws at most 5"),
+        ],
+    )
+    def test_impossible_require_is_rejected_before_drawing(self, winner, require, message):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            verification._configured_election(rng, 0.5, winner, require)
+        assert rng.bit_generator.state == state
+
+    def test_exhaustion_raises_after_max_tries(self, monkeypatch):
+        monkeypatch.setattr(verification, "_accepts", lambda *args: False)
+        with pytest.raises(RuntimeError, match="no left-leading election in 4000 draws"):
+            verification._configured_election(np.random.default_rng(3), 0.5, LEFT, ())
 
     @pytest.mark.parametrize("beta", [-0.1, 1.5, math.nan])
     @pytest.mark.parametrize("winner", [LEFT, RIGHT])
