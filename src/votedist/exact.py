@@ -22,9 +22,9 @@ count; the reduction runs in one thread in a fixed order.
 
 Complexity.  Level k costs O(n k), so the whole tree is O(n log^2 n) time
 and O(n) memory; the sequential product it replaces was O(n^2).  Measured
-on 2 shared cores (Python 3.11, numpy 2.4.6): 0.05-0.08 s at n = 1e5 and
-0.75-0.95 s at n = 1e6, where :func:`expected_distortion` peaks at about
-160 MB of RSS, 100 MB of it the tree.
+on 2 shared cores (Python 3.11, numpy 2.4.6), best of 3 on uniform voters:
+:func:`expected_distortion` takes 0.04-0.06 s at n = 1e5 and 0.6-0.7 s at
+n = 1e6, where the process peaks at about 145 MB of RSS.
 
 Error.  An FFT level of length N adds an absolute error of order
 ``eps * log2(N)`` to each entry; later products with rows that are
@@ -40,12 +40,12 @@ as its complement.
 
 Crossover.  ``model.SCALAR_LIMIT`` selects the path of the whole
 evaluation by the number of voters.  Up to it, an election goes from its
-distances to its win probabilities in Python floats: each side's PMF is the
-scalar product, and the products of the two PMFs are formed in plain floats
-and summed by the same reduction the array path ends in, so both paths
-agree bit for bit.  Above it, :func:`vote_pmf` builds each side's PMF, with
-the tree for a side of more than the limit, and a small win probability is
-recomputed under the tilt.  The limit is where the scalar PMF stops beating
+distances to each side's PMF in Python floats, the PMF being the scalar
+product.  Above it, :func:`vote_pmf` builds each side's PMF, with the tree
+for a side of more than the limit, and a small win probability is
+recomputed under the tilt.  Both paths turn the two PMFs into win
+probabilities by the same function, which takes lists or arrays, so they
+agree bit for bit.  The limit is where the scalar PMF stops beating
 the tree, about 48 voters on the same machine; evaluation in floats alone
 would pay up to about 100.  There is no crossover inside the tree: on the
 same machine, shifted multiply-adds for the narrow levels timed within the
@@ -174,40 +174,27 @@ def _tree_product(p: np.ndarray) -> np.ndarray:
     return rows[0, : n + 1]
 
 
-def _win_probs(pmf_left: np.ndarray, pmf_right: np.ndarray) -> "WinProbabilities":
-    # P(L > R) + P(L = R) / 2 and its mirror image, fair-coin ties.  Both
-    # sides are computed by the same symmetric expression (rather than one as
-    # the other's complement) so that exchanging the candidates exchanges the
-    # results bit for bit; the pair then sums to 1 only up to rounding.
+def _win_probs(
+    pmf_left: list[float] | np.ndarray, pmf_right: list[float] | np.ndarray
+) -> "WinProbabilities":
+    # P(L > R) + P(L = R) / 2 and its mirror image, fair-coin ties, for PMFs
+    # given as lists or arrays.  Both sides are computed by the same
+    # symmetric expression (rather than one as the other's complement) so
+    # that exchanging the candidates exchanges the results bit for bit; the
+    # pair then sums to 1 only up to rounding.
     m = max(len(pmf_left), len(pmf_right))
-    l = np.zeros(m)
-    r = np.zeros(m)
-    l[: len(pmf_left)] = pmf_left
-    r[: len(pmf_right)] = pmf_right
-    r_below = np.concatenate(([0.0], np.cumsum(r)[:-1]))  # P(R < k)
-    l_below = np.concatenate(([0.0], np.cumsum(l)[:-1]))  # P(L < k)
-    return _fair_coin(np.array([l * r, l * r_below, r * l_below]))
-
-
-def _scalar_win_probs(pmf_left: list[float], pmf_right: list[float]) -> "WinProbabilities":
-    # _win_probs in Python floats: the running sums are cumsum's, in its
-    # order, so the products and the reduction are the same.
-    m = max(len(pmf_left), len(pmf_right))
-    l = pmf_left + [0.0] * (m - len(pmf_left))
-    r = pmf_right + [0.0] * (m - len(pmf_right))
-    ties, left_ahead, right_ahead = [], [], []
-    l_below = r_below = 0.0
-    for a, b in zip(l, r):
-        ties.append(a * b)
-        left_ahead.append(a * r_below)
-        right_ahead.append(b * l_below)
-        l_below += a
-        r_below += b
-    return _fair_coin(np.array([ties, left_ahead, right_ahead]))
-
-
-def _fair_coin(products: np.ndarray) -> "WinProbabilities":
-    # Rows: P(L = R = k), P(L = k > R), P(R = k > L).
+    # Row 0 is L, row 1 is R, each after a leading 0, so that one running sum
+    # gives P(X < k) in columns 0..m - 1 and the PMF sits in columns 1..m.
+    padded = np.zeros((2, m + 1))
+    padded[0, 1 : len(pmf_left) + 1] = pmf_left
+    padded[1, 1 : len(pmf_right) + 1] = pmf_right
+    pmf = padded[:, 1:]
+    below = np.add.accumulate(padded, axis=1)[:, :-1]
+    # Rows: P(L = R = k), P(L = k > R), P(R = k > L); written in place, as
+    # each numpy call costs more than the arithmetic on a few voters.
+    products = np.empty((3, m))
+    np.multiply(pmf[0], pmf[1], out=products[0])
+    np.multiply(pmf, below[::-1], out=products[1:])
     p_eq, p_left, p_right = np.add.reduce(products, axis=1).tolist()
     return WinProbabilities(p_left + 0.5 * p_eq, p_right + 0.5 * p_eq)
 
@@ -225,12 +212,11 @@ def win_probabilities(
 def _win_from_sides(left, right) -> WinProbabilities:
     """Win probabilities of the two sides' participation, as from ``model._sides``.
 
-    Lists stay in Python floats; arrays take the array path.
+    Lists get their PMFs by the scalar product in Python floats, arrays by
+    :func:`vote_pmf`; both end in :func:`_win_probs`.
     """
     if isinstance(left, list):
-        return _scalar_win_probs(
-            _scalar_product(sorted(left)), _scalar_product(sorted(right))
-        )
+        return _win_probs(_scalar_product(sorted(left)), _scalar_product(sorted(right)))
     win = _win_probs(vote_pmf(left), vote_pmf(right))
     if max(len(left), len(right)) > model.SCALAR_LIMIT:
         # The product tree is accurate in absolute terms only: a small win

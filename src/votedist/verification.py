@@ -70,12 +70,14 @@ def random_beta(rng: np.random.Generator) -> float:
     return float(rng.uniform(0.05, 1.0))
 
 
-def random_election(
-    rng: np.random.Generator, max_voters: int = 12, lo: float = -2.0, hi: float = 3.0
-) -> LineElection:
-    """Unconstrained random election with 1..max_voters voters."""
+# The span an unconstrained random election draws its voters from.
+_SPAN = (-2.0, 3.0)
+
+
+def random_election(rng: np.random.Generator, max_voters: int = 12) -> LineElection:
+    """Unconstrained random election with 1..max_voters voters in ``_SPAN``."""
     n = int(rng.integers(1, max_voters + 1))
-    return LineElection(rng.uniform(lo, hi, size=n))
+    return LineElection(rng.uniform(*_SPAN, size=n))
 
 
 # Whether a position lies in region A, B, C or D of ``model.region_of``; for

@@ -286,8 +286,8 @@ def verify_distortion_bound(
     Each election is evaluated once, exactly, by
     :func:`votedist.exact.expected_distortion`, at any size.  Elections whose
     expected vote counts fall below :func:`vote_count_threshold` or whose
-    optimal candidate is not the right one are reported as skipped, not
-    failed.
+    right candidate is not strictly optimal (a tie included) are reported as
+    skipped, not failed.
     """
     beta = model.check_beta(beta)
     threshold = vote_count_threshold(alpha)
@@ -301,8 +301,8 @@ def verify_distortion_bound(
         if min(report.expected_votes_left, report.expected_votes_right) < threshold:
             reason = f"expected votes below threshold {threshold:.6g}"
             check = BoundCheck("skipped", None, None, bound, None, reason=reason)
-        elif report.sc_right > report.sc_left:
-            reason = "right candidate is not optimal"
+        elif not report.sc_right < report.sc_left:
+            reason = "right candidate is not strictly optimal"
             check = BoundCheck("skipped", None, None, bound, None, reason=reason)
         else:
             dbar = report.expected_distortion

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import math
 from fractions import Fraction
@@ -51,23 +53,26 @@ REFERENCE_MEETS = {
 def reference_collapse(chain, member, kind, limit):
     """The old ``_Chain.collapse``: merge the two extreme members again and
     again until they come within 1e-12, then snap all members to the
-    midpoint of the extremes (without a recorded step)."""
+    midpoint of the extremes.  The merges run on a list of positions and the
+    election is built once, at the end, without recorded steps: the
+    reference is compared by its final positions alone."""
     meet = REFERENCE_MEETS[kind]
+    x = list(chain.current.positions)
     for _ in range(100_000):
-        members = [i for i, x in enumerate(chain.current.positions) if member(x)]
+        members = [i for i, v in enumerate(x) if member(v)]
         if len(members) < 2:
-            return
-        lo = min(members, key=lambda i: chain.current.positions[i])
-        hi = max(members, key=lambda i: chain.current.positions[i])
-        x_lo = chain.current.positions[lo]
-        x_hi = chain.current.positions[hi]
-        if x_hi - x_lo <= 1e-12:
-            point = 0.5 * (x_lo + x_hi)
-            chain.current = chain.current.replace({i: point for i in members})
-            return
-        t = meet(x_lo, x_hi)
-        chain.apply(kind, {lo: t, hi: t})
-    raise AssertionError("reference merge loop did not converge")
+            break
+        lo = min(members, key=x.__getitem__)
+        hi = max(members, key=x.__getitem__)
+        if x[hi] - x[lo] <= 1e-12:
+            point = 0.5 * (x[lo] + x[hi])
+            for i in members:
+                x[i] = point
+            break
+        x[lo] = x[hi] = meet(x[lo], x[hi])
+    else:
+        raise AssertionError("reference merge loop did not converge")
+    chain.current = LineElection(x)
 
 
 def reference_bc_pair(e, i, j):
@@ -257,6 +262,15 @@ def suite_elections(trials, seed):
     for _ in range(trials):
         beta = random_beta(rng)
         yield canonicalize_expected_distortion, random_right_leading_election(rng, beta), beta
+
+
+@functools.cache
+def suite_forms(seed):
+    """``suite_elections(500, seed)``, each with its canonical form."""
+    return tuple(
+        (canonicalize, e, beta, canonicalize(e, beta))
+        for canonicalize, e, beta in suite_elections(500, seed)
+    )
 
 
 def certificate_fields(cert):
@@ -569,6 +583,55 @@ class TestCanonicalizationSuites:
         assert calls == {"expected_distortion": 156, "winner_distortion": 0}
 
 
+def regressed(e, *picked):
+    """A winner-preserving move that always regresses on a left-leading
+    election: every voter lands on the right candidate, who becomes the
+    expected winner.  (No election reliably regresses the expected-distortion
+    moves: their elections may already have expected distortion 1.)"""
+    return LineElection([1.0])
+
+
+def flip_to_right(positions):
+    """A B-C pairing that regresses: every voter moves deep into region D,
+    so the expected winner flips to right."""
+    return {i: 2.0 for i in range(len(positions))}
+
+
+class TestSuitesCountFailures:
+    """A regressing move or a bad canonical form counts as a failure."""
+
+    @pytest.mark.parametrize(
+        "name, move",
+        [("A_to_zero", "move_a_to_zero"), ("BC_pair", "move_bc_pair"),
+         ("same_region_merge", "merge_same_region")],
+    )
+    def test_displacement_suite_counts_a_regressing_move(self, monkeypatch, name, move):
+        monkeypatch.setattr(displace, move, regressed)
+        results = displacement_suites(6, 1)
+        assert [r.name for r in results] == [
+            "A_to_zero", "BC_pair", "same_region_merge",
+            "A_to_B_map", "C_to_D_map", "D_geometric_merge",
+        ]
+        assert {r.name: r.failures for r in results} == {
+            r.name: 6 if r.name == name else 0 for r in results
+        }
+
+    def test_canonicalization_suites_count_regressions_and_bad_forms(self, monkeypatch):
+        real = displace.canonicalize_expected_distortion
+
+        def left_in_a(e, beta):
+            # The real chain, with voter 0 left behind in region A.
+            form = real(e, beta)
+            return dataclasses.replace(form, election=form.election.replace({0: -1.0}))
+
+        monkeypatch.setattr(displace, "_bc_pairing", flip_to_right)
+        monkeypatch.setattr(displace, "canonicalize_expected_distortion", left_in_a)
+        assert canonicalization_suites(6, 1) == [
+            SuiteResult("canonical_winner_form", 6, 6),
+            SuiteResult("canonical_expected_form", 6, 6),
+        ]
+
+
 class TestConfiguredSampler:
     """The sampler draws its region sizes from the box that ``require``
     leaves, keeps the law of the elections the sequential loop accepted,
@@ -745,8 +808,7 @@ class TestClosedFormCollapse:
     @pytest.mark.parametrize("seed", [2, 5, 9001])
     def test_matches_pairwise_merge_loop(self, seed):
         worst = 0.0
-        for canonicalize, e, beta in suite_elections(500, seed):
-            form = canonicalize(e, beta)
+        for canonicalize, e, beta, form in suite_forms(seed):
             assert len(form.steps) <= 4
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ReferenceChain, "collapse", reference_collapse)
@@ -820,10 +882,10 @@ class TestOneStepPerMoveKind:
 
     @pytest.mark.parametrize("seed", [2, 5, 9001])
     def test_matches_per_voter_chain(self, seed):
-        for canonicalize, e, beta in suite_elections(500, seed):
+        for canonicalize, e, beta, form in suite_forms(seed):
             # Doubling every voter gives tied positions and cost ratios.
-            for election in (e, LineElection(e.positions * 2)):
-                form = canonicalize(election, beta)
+            doubled = LineElection(e.positions * 2)
+            for election, form in ((e, form), (doubled, canonicalize(doubled, beta))):
                 reference = reference_canonical_form(canonicalize, election, beta)
                 assert form.election.array.tobytes() == reference.election.array.tobytes()
                 assert repr(form.certificates[-1]) == repr(reference.certificates[-1])

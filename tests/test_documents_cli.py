@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
+from votedist import displace
 from votedist.cli import main
 from votedist.documents import (
     DocumentError,
@@ -415,6 +416,23 @@ class TestCli:
         assert reduced.metadata["reduced"] == "winner"
         assert reduced.metadata["steps"] == "4"
         assert sorted(set(reduced.election.positions)) == pytest.approx([1.92 / 7, 2.575], abs=1e-12)
+
+    def test_reduce_reports_a_certificate_failure(self, tmp_path, monkeypatch):
+        # A B-C pairing that flips the expected winner to right regresses.
+        monkeypatch.setattr(
+            displace, "_bc_pairing", lambda positions: {i: 2.0 for i in range(len(positions))}
+        )
+        doc = json.dumps(
+            {"schema": 1, "kind": "line", "beta": 0.9,
+             "voters": [-1.2, -0.3, 0.05, 0.1, 0.32, 0.6, 0.85, 2.0, 2.3, 2.8, 3.2]}
+        )
+        path = write(tmp_path, "e.json", doc)
+        result = self.runner.invoke(main, ["reduce", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(
+            "certificate failure: displacement BC_pair of 11 voters regressed: "
+        )
 
     def test_reduce_writes_file(self, tmp_path):
         path = write(tmp_path, "e.json", MINIMAL_LINE)

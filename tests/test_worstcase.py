@@ -460,6 +460,17 @@ class TestBoundVerifier:
         assert checks[0].status == "skipped"
         assert "optimal" in checks[0].reason
 
+    def test_tied_costs_skipped(self):
+        # Mirrored blocks clear the vote gate with costs tied exactly, where
+        # distortion_pair names left optimal: right is not strictly optimal.
+        e = LineElection([0.1] * 400 + [0.9] * 400)
+        sc_left, sc_right = model.social_costs(e)
+        assert sc_right == sc_left
+        assert min(model.expected_votes(e, 1.0)) >= vote_count_threshold(0.1)
+        checks = verify_distortion_bound(0.1, 1.0, [e])
+        assert checks[0].status == "skipped"
+        assert checks[0].reason == "right candidate is not strictly optimal"
+
     def test_exact_path_passes(self):
         # alpha high enough that a 12-voter election clears the gate.
         alpha = 3.5
