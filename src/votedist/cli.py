@@ -209,12 +209,8 @@ def cmd_metric_reduce(election_file, beta, out) -> None:
 def cmd_worstcase(beta, epsilon, fmt, out) -> None:
     """Worst-case distortion of the expected winner at one beta."""
     solution = worstcase.solve_worst_case_margin(beta, epsilon)
-    if fmt == "csv":
-        text = worstcase.sweep_csv([solution])
-    else:
-        row = SimpleNamespace(dstar=solution.value, **vars(solution))
-        text = _report_lines(row, fmt, ("beta", "dstar", "q_b", "x_b", "x_d", "attained"))
-    _emit(text, out)
+    row = SimpleNamespace(dstar=solution.value, **vars(solution))
+    _emit(_report_lines(row, fmt, ("beta", "dstar", "q_b", "x_b", "x_d", "attained")), out)
 
 
 @main.command("sweep")

@@ -240,6 +240,12 @@ def _c_to_d(x: float) -> float:
     return x / (2.0 * x - 1.0)
 
 
+def _crosses(x: float, bar: float) -> bool:
+    """Whether an interior-C voter at ``x`` may cross to D when the left
+    candidate's distortion is ``bar``: its cost ratio ``x/(1-x)`` reaches it."""
+    return x / (1.0 - x) >= bar
+
+
 def merge_d_geometric(e: LineElection, i: int, j: int) -> LineElection:
     """Merge two D voters at the geometric mean of their odds factors.
 
@@ -287,9 +293,9 @@ def _bc_pairing(positions: tuple[float, ...]) -> dict[int, float]:
     B voter from the left candidate outward, reusing B voters cyclically
     from their moved positions.
     """
-    c_voters = [j for j, x in enumerate(positions) if 0.5 < x < 1.0]
+    c_voters = model._indices_in(positions, "C")
     c_voters.sort(key=lambda j: -positions[j])
-    b_voters = [i for i, x in enumerate(positions) if 0.0 <= x < 0.5]
+    b_voters = model._indices_in(positions, "B")
     b_voters.sort(key=lambda i: positions[i])
     if c_voters and not b_voters:
         # Unreachable when left leads on expected votes: an interior-C voter
@@ -406,7 +412,7 @@ def canonicalize_expected_distortion(e: LineElection, beta: float) -> CanonicalF
     )
     pos = chain.current.positions
     bar = model._candidate_distortion(chain.current, LEFT)
-    crossing = [j for j, x in enumerate(pos) if 0.5 < x < 1.0 and x / (1.0 - x) >= bar]
+    crossing = [j for j in model._indices_in(pos, "C") if _crosses(pos[j], bar)]
     chain.apply("C_to_D_map", {j: _c_to_d(pos[j]) for j in crossing})
     merge = _collapse(chain.current.positions, lambda x: x >= 1.0, _geometric_limit)
     chain.apply("D_geometric_merge", merge)

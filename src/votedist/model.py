@@ -344,6 +344,17 @@ def voter_arrays(d_left, d_right, beta: float) -> tuple[np.ndarray, np.ndarray]:
     return side, p
 
 
+# Regions A, B, C and D as half-open intervals [lo, hi) of positions.  C
+# holds only its interior (1/2, 1), as 1/2 is indifferent: no float lies
+# strictly between 1/2 and its successor.  :func:`region_of` puts 1/2 in C.
+_REGIONS = {
+    "A": (-math.inf, 0.0),
+    "B": (0.0, 0.5),
+    "C": (math.nextafter(0.5, 1.0), 1.0),
+    "D": (1.0, math.inf),
+}
+
+
 def region_of(x: float) -> str:
     """Classify a position into region A, B, C or D.
 
@@ -353,13 +364,16 @@ def region_of(x: float) -> str:
     """
     if not math.isfinite(x):
         raise ValueError(f"position must be finite, got {x!r}")
-    if x < 0.0:
-        return "A"
-    if x < 0.5:
-        return "B"
-    if x < 1.0:
-        return "C"
-    return "D"
+    for region, (lo, hi) in _REGIONS.items():
+        if lo <= x < hi:
+            return region
+    return "C"  # the midpoint
+
+
+def _indices_in(positions: Sequence[float], region: str) -> list[int]:
+    """Indices of the finite ``positions`` in ``region`` of ``_REGIONS``."""
+    lo, hi = _REGIONS[region]
+    return [i for i, x in enumerate(positions) if lo <= x < hi]
 
 
 # Line and metric elections both expose ``distances()``; the functions below
@@ -497,6 +511,9 @@ def _report(
         dbar += p_left * dist_left
     if p_right > 0.0:
         dbar += p_right * dist_right
+    # The win probabilities may sum to a hair below or above 1; a weighted
+    # mean of the two distortions lies between them.
+    dbar = min(max(dbar, min(dist_left, dist_right)), max(dist_left, dist_right))
     return DistortionReport(
         sc_left=sc_left,
         sc_right=sc_right,

@@ -6,17 +6,24 @@ check the shape of each form, whose chain certified it end to end.  The same
 generators back the test suite and the ``verify`` command, so a shipped
 binary can re-run the whole audit from a single seed.
 
-The configured samplers draw candidate elections until one meets the
-configuration.  A candidate costs two generator calls: one bounded integer
-picks its region sizes from the box whose lower ends are raised to the
-counts the caller's ``require`` asks for, and one array of uniforms places
-its voters in their regions' spans.  Sizes that meet ``require`` are
-uniform on that box either way, so raising it changes the streams but not
-the law of the accepted elections.  The exact rule (the region counts,
-``fsum`` costs and the tie-aware expected winner) runs on the candidate's
-position list, and only the candidate it accepts is built as an election.
-A ``require`` with an unknown region or a count the configuration cannot
-draw is rejected before the first draw.
+One sampler, :func:`random_leading_election`, draws every configured
+election: the right candidate strictly optimal, a given ``winner`` leading
+on expected votes, and the regions in ``require`` occupied.  It draws
+candidates until one meets the configuration.  A candidate costs two
+generator calls: one bounded integer picks its region sizes from the box
+whose lower ends are raised to the counts ``require`` asks for, and one
+array of uniforms places its voters in their regions' spans.  Sizes that
+meet ``require`` are uniform on that box either way, so raising it changes
+the streams but not the law of the accepted elections.  The exact rule (the
+region counts, ``fsum`` costs and the tie-aware expected winner) runs on
+the candidate's position list, and only the candidate it accepts is built
+as an election.  A ``winner`` other than left or right, or a ``require``
+with an unknown region or a count the configuration cannot draw, is
+rejected before the first draw.
+
+Each move of :func:`displacement_suites` is drawn as ``(winner, require,
+pick)``, again while ``pick`` finds no voter the move may take: a C-to-D
+crossing needs one whose cost ratio reaches the bar (``displace._crosses``).
 """
 
 from __future__ import annotations
@@ -37,8 +44,7 @@ __all__ = [
     "SuiteResult",
     "random_election",
     "random_beta",
-    "random_left_leading_election",
-    "random_right_leading_election",
+    "random_leading_election",
     "random_euclidean_election",
     "displacement_suites",
     "canonicalization_suites",
@@ -80,16 +86,6 @@ def random_election(rng: np.random.Generator, max_voters: int = 12) -> LineElect
     return LineElection(rng.uniform(*_SPAN, size=n))
 
 
-# Whether a position lies in region A, B, C or D of ``model.region_of``; for
-# C only its interior, as 1/2 is indifferent.
-_IN_REGION = {
-    "A": lambda x: x < 0.0,
-    "B": lambda x: 0.0 <= x < 0.5,
-    "C": lambda x: 0.5 < x < 1.0,
-    "D": lambda x: x >= 1.0,
-}
-
-
 # For each winner, the voter counts drawn in regions A, B, C and D (at least
 # the first tuple, below the second) and the span of their positions.
 _CONFIGURATIONS = {
@@ -109,7 +105,6 @@ def _pick(rng: np.random.Generator, items: Sequence):
 
 # Draws a sampler makes before it gives up.
 _MAX_TRIES = 4000
-_MAX_VALID_C_TRIES = 2000
 
 
 @functools.cache
@@ -118,15 +113,18 @@ def _size_box(winner: str, require: tuple) -> tuple[tuple[int, ...], ...]:
     may have: every size vector of the box whose lows are raised to the
     counts ``require`` asks for, listed with region D's size varying fastest.
 
-    Raises ``ValueError`` for a label that is not a region, or for a count
-    above the most voters the configuration draws in its region.
+    Raises ``ValueError`` for a ``winner`` other than left and right, for a
+    label that is not a region, or for a count above the most voters the
+    configuration draws in its region.
     """
-    unknown = sorted(set(require) - set(_IN_REGION))
+    unknown = sorted(set(require) - set(model._REGIONS))
     if unknown:
         raise ValueError(f"unknown region {unknown[0]!r} in require; regions are A, B, C and D")
+    if winner not in _CONFIGURATIONS:
+        raise ValueError(f"winner must be {LEFT!r} or {RIGHT!r}, got {winner!r}")
     (lows, highs), _ = _CONFIGURATIONS[winner]
     ranges = []
-    for region, lo, hi in zip(_IN_REGION, lows, highs):
+    for region, lo, hi in zip(model._REGIONS, lows, highs):
         count = require.count(region)
         if count >= hi:
             raise ValueError(
@@ -137,10 +135,13 @@ def _size_box(winner: str, require: tuple) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(*ranges))
 
 
-def _configured_election(
-    rng: np.random.Generator, beta: float, winner: str, require: tuple
+def random_leading_election(
+    rng: np.random.Generator, beta: float, winner: str, require: tuple[str, ...] = ()
 ) -> LineElection:
     """Random election that ``winner`` leads on expected votes, right optimal.
+
+    ``winner`` is ``left`` or ``right``.  ``require`` lists region labels
+    that must be occupied, with multiplicity (interior occupancy for C).
 
     Each candidate costs two generator calls.  The first is one bounded
     integer, which picks the region sizes uniformly from :func:`_size_box`,
@@ -173,7 +174,7 @@ def _configured_election(
 
 def _meets(x: list[float], require: tuple) -> bool:
     """Whether positions ``x`` occupy the regions of ``require``, with multiplicity."""
-    return all(sum(map(_IN_REGION[r], x)) >= require.count(r) for r in set(require))
+    return all(len(model._indices_in(x, r)) >= require.count(r) for r in set(require))
 
 
 def _accepts(x: list[float], beta: float, winner: str, require: tuple) -> bool:
@@ -192,24 +193,6 @@ def _accepts(x: list[float], beta: float, winner: str, require: tuple) -> bool:
     return model._winner(*model._votes(*model._scalar_sides(d_left, d_right, beta))) == winner
 
 
-def random_left_leading_election(
-    rng: np.random.Generator, beta: float, require: tuple[str, ...] = ()
-) -> LineElection:
-    """Random election where left leads expected votes but right is optimal.
-
-    ``require`` lists region labels that must be occupied, with multiplicity
-    (interior occupancy for C).
-    """
-    return _configured_election(rng, beta, LEFT, require)
-
-
-def random_right_leading_election(
-    rng: np.random.Generator, beta: float, require: tuple[str, ...] = ()
-) -> LineElection:
-    """Random election where the right candidate is optimal and leads on votes."""
-    return _configured_election(rng, beta, RIGHT, require)
-
-
 def random_euclidean_election(
     rng: np.random.Generator, max_voters: int = 12
 ) -> MetricElection:
@@ -225,10 +208,44 @@ def random_euclidean_election(
     return MetricElection(pairs)
 
 
-def _indices_in(e: LineElection, region: str) -> list[int]:
-    """Voters in a region; for C only its interior, as 1/2 is indifferent."""
-    inside = _IN_REGION[region]
-    return [i for i, x in enumerate(e.positions) if inside(x)]
+def _one_of_each(*regions: str):
+    """Pick of one voter of each of ``regions``, in order."""
+    return lambda rng, e: tuple(_pick(rng, model._indices_in(e.positions, r)) for r in regions)
+
+
+def _two(rng: np.random.Generator, idx: list[int]) -> tuple[int, int]:
+    """Two distinct voters of ``idx``."""
+    i, j = rng.choice(idx, size=2, replace=False)
+    return int(i), int(j)
+
+
+def _pick_b_or_d_pair(rng: np.random.Generator, e: LineElection) -> tuple[int, int]:
+    d_voters = model._indices_in(e.positions, "D")
+    if len(d_voters) >= 2 and rng.random() < 0.5:
+        return _two(rng, d_voters)
+    return _two(rng, model._indices_in(e.positions, "B"))
+
+
+def _pick_crossing(rng: np.random.Generator, e: LineElection) -> tuple[int] | None:
+    """One interior-C voter whose crossing to D is valid, or ``None``: below
+    the bar a crossing lowers the expected distortion (see ``map_c_to_d``)."""
+    bar, x = model._candidate_distortion(e, LEFT), e.positions
+    valid = [j for j in model._indices_in(x, "C") if displace._crosses(x[j], bar)]
+    return (_pick(rng, valid),) if valid else None
+
+
+def _draw(rng: np.random.Generator, beta: float, winner: str, require: tuple, pick):
+    """A random election in a move's configuration and the voters it moves.
+
+    Draws :func:`random_leading_election` of ``winner`` and ``require``
+    again while ``pick(rng, election)`` returns ``None``.
+    """
+    for _ in range(_MAX_TRIES):
+        e = random_leading_election(rng, beta, winner, require)
+        picked = pick(rng, e)
+        if picked is not None:
+            return e, picked
+    raise RuntimeError(f"no {winner}-leading election in {_MAX_TRIES} draws had voters to move")
 
 
 def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
@@ -236,68 +253,25 @@ def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-
-    def pick_one(region, config):
-        def sampler(beta):
-            e = config(rng, beta, require=(region,))
-            idx = _indices_in(e, region)
-            return e, (_pick(rng, idx),)
-
-        return sampler
-
-    def pick_two(region, config):
-        def sampler(beta):
-            e = config(rng, beta, require=(region, region))
-            idx = _indices_in(e, region)
-            i, j = rng.choice(idx, size=2, replace=False)
-            return e, (int(i), int(j))
-
-        return sampler
-
-    def pick_bc(beta):
-        e = random_left_leading_election(rng, beta, require=("B", "C"))
-        i = _pick(rng, _indices_in(e, "B"))
-        j = _pick(rng, _indices_in(e, "C"))
-        return e, (i, j)
-
-    def pick_valid_c(beta):
-        # The C-to-D crossing is only guaranteed valid for voters whose cost
-        # ratio x/(1-x) reaches the left candidate's distortion; draw from
-        # that domain (crossing below it demonstrably lowers the expected
-        # distortion, see map_c_to_d).
-        for _ in range(_MAX_VALID_C_TRIES):
-            e = random_right_leading_election(rng, beta, require=("C",))
-            bar, x = model._candidate_distortion(e, LEFT), e.array
-            ok = [j for j in _indices_in(e, "C") if x[j] / (1.0 - x[j]) >= bar]
-            if ok:
-                return e, (_pick(rng, ok),)
-        raise RuntimeError("could not sample a valid C-to-D instance")
-
-    def pick_b_or_d_pair(beta):
-        e = random_left_leading_election(rng, beta, require=("B", "B"))
-        region = "B"
-        if len(_indices_in(e, "D")) >= 2 and rng.random() < 0.5:
-            region = "D"
-        i, j = rng.choice(_indices_in(e, region), size=2, replace=False)
-        return e, (int(i), int(j))
-
-    left, right = random_left_leading_election, random_right_leading_election
     win = displace.certify_winner_displacement
     dbar = displace.certify_expected_displacement
+    # Each move with its certificate and its draw: (winner, require, pick).
     moves = (
-        ("A_to_zero", pick_one("A", left), displace.move_a_to_zero, win),
-        ("BC_pair", pick_bc, displace.move_bc_pair, win),
-        ("same_region_merge", pick_b_or_d_pair, displace.merge_same_region, win),
-        ("A_to_B_map", pick_one("A", right), displace.map_a_to_b, dbar),
-        ("C_to_D_map", pick_valid_c, displace.map_c_to_d, dbar),
-        ("D_geometric_merge", pick_two("D", right), displace.merge_d_geometric, dbar),
+        ("A_to_zero", displace.move_a_to_zero, win, (LEFT, ("A",), _one_of_each("A"))),
+        ("BC_pair", displace.move_bc_pair, win, (LEFT, ("B", "C"), _one_of_each("B", "C"))),
+        ("same_region_merge", displace.merge_same_region, win,
+         (LEFT, ("B", "B"), _pick_b_or_d_pair)),
+        ("A_to_B_map", displace.map_a_to_b, dbar, (RIGHT, ("A",), _one_of_each("A"))),
+        ("C_to_D_map", displace.map_c_to_d, dbar, (RIGHT, ("C",), _pick_crossing)),
+        ("D_geometric_merge", displace.merge_d_geometric, dbar,
+         (RIGHT, ("D", "D"), lambda rng, e: _two(rng, model._indices_in(e.positions, "D")))),
     )
     results = []
-    for name, sampler, move, certify in moves:
+    for name, move, certify, draw in moves:
         failures = 0
         for _ in range(trials):
             beta = random_beta(rng)
-            before, picked = sampler(beta)
+            before, picked = _draw(rng, beta, *draw)
             if not certify(before, move(before, *picked), beta).passed:
                 failures += 1
         results.append(SuiteResult(name, trials, failures))
@@ -320,9 +294,7 @@ def _expected_form_ok(form: displace.CanonicalForm) -> bool:
     # Interior-C voters may remain only when crossing them would lower the
     # expected distortion, i.e. their cost ratio sits below the final bar.
     bar = model._candidate_distortion(form.election, LEFT)
-    return all(
-        x / (1.0 - x) < bar for x in positions if 0.5 < x < 1.0
-    )
+    return not any(displace._crosses(positions[j], bar) for j in model._indices_in(positions, "C"))
 
 
 def canonicalization_suites(trials: int, seed: int) -> list[SuiteResult]:
@@ -331,17 +303,17 @@ def canonicalization_suites(trials: int, seed: int) -> list[SuiteResult]:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     suites = (
-        ("canonical_winner_form", random_left_leading_election,
+        ("canonical_winner_form", LEFT,
          displace.canonicalize_expected_winner, _winner_form_ok),
-        ("canonical_expected_form", random_right_leading_election,
+        ("canonical_expected_form", RIGHT,
          displace.canonicalize_expected_distortion, _expected_form_ok),
     )
     results = []
-    for name, sampler, canonicalize, form_ok in suites:
+    for name, winner, canonicalize, form_ok in suites:
         failures = 0
         for _ in range(trials):
             beta = random_beta(rng)
-            e = sampler(rng, beta)
+            e = random_leading_election(rng, beta, winner)
             try:
                 form = canonicalize(e, beta)
             except displace.CertificateError:

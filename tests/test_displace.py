@@ -24,14 +24,13 @@ from votedist.displace import (
     move_a_to_zero,
     move_bc_pair,
 )
-from votedist.model import LEFT, RIGHT, LineElection
+from votedist.model import LEFT, RIGHT, TIE, LineElection
 from votedist.verification import (
     SuiteResult,
     canonicalization_suites,
     displacement_suites,
     random_beta,
-    random_left_leading_election,
-    random_right_leading_election,
+    random_leading_election,
 )
 
 
@@ -148,7 +147,7 @@ def reference_canonical_form(canonicalize, e, beta, certify=True):
 # per region count and per region, and built and evaluated every candidate,
 # copied verbatim (with its configuration table, its region test, and the
 # module's names qualified) as the reference for the law of the elections
-# ``verification._configured_election`` accepts.
+# ``verification.random_leading_election`` accepts.
 REFERENCE_CONFIGURATIONS = {
     LEFT: (((0, 3), (1, 5), (0, 3), (1, 5)),
            ((-1.5, -1e-9), (0.0, 0.5), (0.5 + 1e-9, 1.0), (1.0, 3.0))),
@@ -158,7 +157,7 @@ REFERENCE_CONFIGURATIONS = {
 
 
 def reference_meets(e, require):
-    return all(len(verification._indices_in(e, r)) >= require.count(r) for r in set(require))
+    return all(len(model._indices_in(e.positions, r)) >= require.count(r) for r in set(require))
 
 
 def reference_configured_election(rng, beta, winner, require):
@@ -197,7 +196,7 @@ def reference_raised_election(rng, beta, winner, require):
 
 
 def region_sizes(e):
-    return tuple(len(verification._indices_in(e, r)) for r in "ABCD")
+    return tuple(len(model._indices_in(e.positions, r)) for r in "ABCD")
 
 
 def chi_square_homogeneity(a, b):
@@ -258,10 +257,10 @@ def suite_elections(trials, seed):
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         beta = random_beta(rng)
-        yield canonicalize_expected_winner, random_left_leading_election(rng, beta), beta
+        yield canonicalize_expected_winner, random_leading_election(rng, beta, LEFT), beta
     for _ in range(trials):
         beta = random_beta(rng)
-        yield canonicalize_expected_distortion, random_right_leading_election(rng, beta), beta
+        yield canonicalize_expected_distortion, random_leading_election(rng, beta, RIGHT), beta
 
 
 @functools.cache
@@ -311,9 +310,9 @@ def audit_digests(chains=50):
     rng = np.random.default_rng(20261018)
     streams = hashlib.sha256()
     for require in ((), ("A",), ("B", "C"), ("D", "D"), ("C",)):
-        for sampler in (random_left_leading_election, random_right_leading_election):
+        for winner in (LEFT, RIGHT):
             for _ in range(3):
-                e = sampler(rng, random_beta(rng), require=require)
+                e = random_leading_election(rng, random_beta(rng), winner, require)
                 streams.update(e.array.astype("<f8").tobytes())
     moves = repr(displacement_draws(chains, 1)).encode()
     digests = {"streams": streams.hexdigest(), "moves": hashlib.sha256(moves).hexdigest()}
@@ -494,7 +493,7 @@ class TestCanonicalizeExpectedWinner:
     def test_structure_and_monotonicity(self, rng):
         for _ in range(40):
             beta = random_beta(rng)
-            e = random_left_leading_election(rng, beta)
+            e = random_leading_election(rng, beta, LEFT)
             form = canonicalize_expected_winner(e, beta)
             assert form.applied
             distinct = set(form.election.positions)
@@ -662,7 +661,7 @@ class TestConfiguredSampler:
                 if beta is random_beta:
                     beta = random_beta(rng)
                     assert random_beta(ref) == beta
-                e = verification._configured_election(rng, beta, winner, require)
+                e = verification.random_leading_election(rng, beta, winner, require)
                 expected = reference_raised_election(ref, beta, winner, require)
                 assert e.array.tobytes() == expected.array.tobytes()
                 assert rng.bit_generator.state == ref.bit_generator.state
@@ -673,7 +672,7 @@ class TestConfiguredSampler:
         # sampler, at the same betas, pass a two-sample chi-square test.
         betas = [random_beta(np.random.default_rng(99)) for _ in range(240)]
         rng, ref = np.random.default_rng(1), np.random.default_rng(2)
-        new = [region_sizes(verification._configured_election(rng, b, winner, require))
+        new = [region_sizes(verification.random_leading_election(rng, b, winner, require))
                for b in betas]
         old = [region_sizes(reference_configured_election(ref, b, winner, require))
                for b in betas]
@@ -689,7 +688,7 @@ class TestConfiguredSampler:
         for require in SUITE_REQUIRES:
             for _ in range(100):
                 beta = random_beta(rng)
-                e = verification._configured_election(rng, beta, winner, require)
+                e = verification.random_leading_election(rng, beta, winner, require)
                 assert reference_meets(e, require)
                 assert exact_rule_accepts(list(e.positions), beta, winner, require)
 
@@ -700,24 +699,33 @@ class TestConfiguredSampler:
             (RIGHT, ("B", "x"), "unknown region 'x'"),
             (LEFT, ("A", "A", "A"), "3 voters in region A, but a left-leading election draws at most 2"),
             (RIGHT, ("D",) * 6, "6 voters in region D, but a right-leading election draws at most 5"),
+            (TIE, (), "winner must be 'left' or 'right', got 'tie'"),
         ],
     )
     def test_impossible_require_is_rejected_before_drawing(self, winner, require, message):
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
-            verification._configured_election(rng, 0.5, winner, require)
+            verification.random_leading_election(rng, 0.5, winner, require)
         assert rng.bit_generator.state == state
 
     def test_exhaustion_raises_after_max_tries(self, monkeypatch):
         monkeypatch.setattr(verification, "_accepts", lambda *args: False)
         with pytest.raises(RuntimeError, match="no left-leading election in 4000 draws"):
-            verification._configured_election(np.random.default_rng(3), 0.5, LEFT, ())
+            verification.random_leading_election(np.random.default_rng(3), 0.5, LEFT, ())
+
+    def test_draw_exhaustion_raises_after_max_tries(self, monkeypatch):
+        # No C voter may cross, so the C-to-D suite never finds a voter to move.
+        monkeypatch.setattr(displace, "_crosses", lambda x, bar: False)
+        monkeypatch.setattr(verification, "_MAX_TRIES", 50)
+        message = "no right-leading election in 50 draws had voters to move"
+        with pytest.raises(RuntimeError, match=message):
+            displacement_suites(1, 1)
 
     @pytest.mark.parametrize("beta", [-0.1, 1.5, math.nan])
     @pytest.mark.parametrize("winner", [LEFT, RIGHT])
     def test_invalid_beta_raises_as_in_the_sequential_loop(self, winner, beta):
-        for sampler in (verification._configured_election, reference_configured_election):
+        for sampler in (verification.random_leading_election, reference_configured_election):
             with pytest.raises(ValueError, match="beta must lie in"):
                 sampler(np.random.default_rng(1), beta, winner, ())
 
@@ -769,7 +777,7 @@ class TestCanonicalizeExpectedDistortion:
     def test_structure_on_random_elections(self, rng):
         for _ in range(25):
             beta = random_beta(rng)
-            e = random_right_leading_election(rng, beta)
+            e = random_leading_election(rng, beta, RIGHT)
             before = exact.expected_distortion(e, beta).expected_distortion
             form = canonicalize_expected_distortion(e, beta)
             assert form.applied
@@ -818,16 +826,13 @@ class TestClosedFormCollapse:
         assert worst <= 1e-12
 
     @pytest.mark.parametrize(
-        "canonicalize, sampler",
-        [
-            (canonicalize_expected_winner, random_left_leading_election),
-            (canonicalize_expected_distortion, random_right_leading_election),
-        ],
+        "canonicalize, winner",
+        [(canonicalize_expected_winner, LEFT), (canonicalize_expected_distortion, RIGHT)],
     )
-    def test_voter_order_is_irrelevant(self, rng, canonicalize, sampler):
+    def test_voter_order_is_irrelevant(self, rng, canonicalize, winner):
         for _ in range(40):
             beta = random_beta(rng)
-            single = sampler(rng, beta)
+            single = random_leading_election(rng, beta, winner)
             # Doubling every voter adds ties that an index-ordered merge
             # would break by position in the list.
             for e in (single, LineElection(single.positions * 2)):

@@ -299,10 +299,20 @@ class TestExpectedDistortion:
         assert report.expected_distortion >= 1.0
 
     def test_always_at_least_one(self, rng):
+        # Exactly: the expected distortion lies between the two distortions.
         for _ in range(50):
             e = random_election(rng)
-            report = expected_distortion(e, random_beta(rng))
-            assert report.expected_distortion >= 1.0 - 1e-15
+            r = expected_distortion(e, random_beta(rng))
+            assert 1.0 <= min(r.dist_left, r.dist_right) <= r.expected_distortion
+            assert r.expected_distortion <= max(r.dist_left, r.dist_right)
+
+    def test_win_sums_short_of_one_still_read_the_common_distortion(self):
+        # Both distortions are 1; the two win probabilities, each
+        # 0.499999999999996, sum to 1 - 8e-15.
+        report = expected_distortion(LineElection([0.1] * 400 + [0.9] * 400), 1.0)
+        assert (report.dist_left, report.dist_right) == (1.0, 1.0)
+        assert report.win_prob_left + report.win_prob_right < 1.0
+        assert report.expected_distortion == 1.0
 
     def test_never_calls_the_scalar_profile(self, monkeypatch):
         # The scalar profile is only a reference; both election kinds must be

@@ -252,10 +252,17 @@ class TestTieTolerance:
 class TestRegions:
     @pytest.mark.parametrize(
         "x,region",
-        [(-0.1, "A"), (0.0, "B"), (0.49, "B"), (0.5, "C"), (0.99, "C"), (1.0, "D"), (7.0, "D")],
+        [(-0.1, "A"), (0.0, "B"), (0.49, "B"), (0.5, "C"), (0.99, "C"), (1.0, "D"), (7.0, "D"),
+         (-0.0, "B"), (math.nextafter(0.5, 0.0), "B"), (math.nextafter(0.5, 1.0), "C"),
+         (math.nextafter(1.0, 0.0), "C")],
     )
     def test_classification(self, x, region):
         assert region_of(x) == region
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, x):
+        with pytest.raises(ValueError, match="position must be finite"):
+            region_of(x)
 
 
 class TestSocialCosts:

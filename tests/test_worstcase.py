@@ -7,8 +7,8 @@ from click.testing import CliRunner
 from votedist import exact, model, worstcase
 from votedist.cli import main
 from votedist.displace import canonicalize_expected_winner
-from votedist.model import LineElection
-from votedist.verification import random_beta, random_left_leading_election
+from votedist.model import LEFT, LineElection
+from votedist.verification import random_beta, random_leading_election
 from votedist.worstcase import (
     binding_xd,
     generate_gate_elections,
@@ -151,7 +151,7 @@ class TestSolve:
         cases = []
         for _ in range(60):
             beta = round(random_beta(rng), 3)
-            cases.append((beta, random_left_leading_election(rng, beta)))
+            cases.append((beta, random_leading_election(rng, beta, LEFT)))
         dstar = {s.beta: s.value for s in sweep_beta(sorted({beta for beta, _ in cases}))}
         for beta, e in cases:
             assert model.winner_distortion(e, beta) <= dstar[beta] + 1e-6
