@@ -265,9 +265,7 @@ def cmd_curve(betas, zmin, zmax, points, out) -> None:
 def cmd_verify(seed, trials, alpha, beta, bound_count) -> None:
     """Re-run the certified randomized audits; nonzero exit on any failure."""
     # Every option is checked before the first suite runs.
-    model.check_beta(beta)
-    worstcase.vote_count_threshold(alpha)
-    worstcase.check_count(bound_count)
+    worstcase.check_gate_inputs(alpha, beta, bound_count)
     results = verification.displacement_suites(trials, seed)
     results += verification.canonicalization_suites(max(1, trials // 4), seed + 1)
     results.append(verification.bound_suite(alpha, beta, bound_count, seed + 2))

@@ -240,10 +240,11 @@ def _c_to_d(x: float) -> float:
     return x / (2.0 * x - 1.0)
 
 
-def _crosses(x: float, bar: float) -> bool:
-    """Whether an interior-C voter at ``x`` may cross to D when the left
-    candidate's distortion is ``bar``: its cost ratio ``x/(1-x)`` reaches it."""
-    return x / (1.0 - x) >= bar
+def _crossers(e: LineElection) -> list[int]:
+    """The interior-C voters of ``e`` that may cross to D: those whose cost
+    ratio ``x/(1-x)`` reaches the left candidate's distortion, the bar."""
+    bar, pos = model._candidate_distortion(e, LEFT), e.positions
+    return [j for j in model._indices_in(pos, "C") for x in (pos[j],) if x / (1.0 - x) >= bar]
 
 
 def merge_d_geometric(e: LineElection, i: int, j: int) -> LineElection:
@@ -411,9 +412,7 @@ def canonicalize_expected_distortion(e: LineElection, beta: float) -> CanonicalF
         "A_to_B_map", {i: _a_to_b(x) for i, x in enumerate(e.positions) if x < 0.0}
     )
     pos = chain.current.positions
-    bar = model._candidate_distortion(chain.current, LEFT)
-    crossing = [j for j in model._indices_in(pos, "C") if _crosses(pos[j], bar)]
-    chain.apply("C_to_D_map", {j: _c_to_d(pos[j]) for j in crossing})
+    chain.apply("C_to_D_map", {j: _c_to_d(pos[j]) for j in _crossers(chain.current)})
     merge = _collapse(chain.current.positions, lambda x: x >= 1.0, _geometric_limit)
     chain.apply("D_geometric_merge", merge)
     return chain.finish()

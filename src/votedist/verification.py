@@ -8,22 +8,20 @@ binary can re-run the whole audit from a single seed.
 
 One sampler, :func:`random_leading_election`, draws every configured
 election: the right candidate strictly optimal, a given ``winner`` leading
-on expected votes, and the regions in ``require`` occupied.  It draws
-candidates until one meets the configuration.  A candidate costs two
-generator calls: one bounded integer picks its region sizes from the box
-whose lower ends are raised to the counts ``require`` asks for, and one
-array of uniforms places its voters in their regions' spans.  Sizes that
-meet ``require`` are uniform on that box either way, so raising it changes
-the streams but not the law of the accepted elections.  The exact rule (the
-region counts, ``fsum`` costs and the tie-aware expected winner) runs on
-the candidate's position list, and only the candidate it accepts is built
-as an election.  A ``winner`` other than left or right, or a ``require``
-with an unknown region or a count the configuration cannot draw, is
-rejected before the first draw.
+on expected votes, and the regions in ``require`` occupied.  A candidate
+costs two generator calls: one bounded integer picks its region sizes from
+the box whose lower ends are raised to the counts ``require`` asks for, and
+one array of uniforms places its voters in their regions' spans, each voter
+strictly below its span's upper end.  So every candidate occupies
+the regions ``require`` asks for by construction, and the sampler draws
+until the exact rule (``fsum`` costs and the tie-aware expected winner)
+accepts one; only that candidate is built as an election.  A ``winner``
+other than left or right, or a ``require`` with an unknown region or a
+count the configuration cannot draw, is rejected before the first draw.
 
 Each move of :func:`displacement_suites` is drawn as ``(winner, require,
 pick)``, again while ``pick`` finds no voter the move may take: a C-to-D
-crossing needs one whose cost ratio reaches the bar (``displace._crosses``).
+crossing needs one of ``displace._crossers``.
 """
 
 from __future__ import annotations
@@ -144,49 +142,40 @@ def random_leading_election(
     that must be occupied, with multiplicity (interior occupancy for C).
 
     Each candidate costs two generator calls.  The first is one bounded
-    integer, which picks the region sizes uniformly from :func:`_size_box`,
-    so a candidate never falls short of ``require`` by its sizes.  The
-    second draws one uniform per voter, scaled into its region's span as
-    ``rng.uniform`` scales it.  :func:`_accepts` decides on the position
-    list.
+    integer, which picks the region sizes uniformly from :func:`_size_box`.
+    The second draws one uniform per voter, scaled into its region's span as
+    ``rng.uniform`` scales it and clamped to the largest float below the
+    span's upper end: a scaled uniform can round onto that end, which lies
+    outside the region for the C span (1.0) and the right-leading B span
+    (0.5).  So each candidate has the region sizes drawn and meets
+    ``require``, and :func:`_accepts` decides the rest.
 
-    Sizes drawn uniformly on the configuration's box, conditioned on meeting
-    ``require``, are uniform on the raised box, and the positions do not
-    depend on the sizes.  So the accepted elections keep the law they had
-    when short candidates were drawn and rejected, up to a uniform that
-    rounds onto the end of its span.  Each span lies inside its region
-    except at such an end, and the region test still runs on every
-    candidate as the guard for it: from the C span a uniform can land on
-    1.0, which is region D, and from the right-leading B span on 0.5, where
-    the voter is indifferent.
+    Sizes uniform on the raised box are sizes uniform on the whole box
+    conditioned on meeting ``require``, and the positions do not depend on
+    the sizes, so raising the box leaves the law of the accepted elections
+    as it is.
     """
     beta = model.check_beta(beta)
     box = _size_box(winner, tuple(require))
-    spans = _CONFIGURATIONS[winner][1]
+    spans = [(lo, hi - lo, math.nextafter(hi, lo)) for lo, hi in _CONFIGURATIONS[winner][1]]
     for _ in range(_MAX_TRIES):
         sizes = _pick(rng, box)
         u = iter(rng.random(sum(sizes)).tolist())
-        x = [lo + (hi - lo) * next(u) for (lo, hi), n in zip(spans, sizes) for _ in range(n)]
-        if _accepts(x, beta, winner, require):
+        x = [v if (v := lo + width * next(u)) < top else top
+             for (lo, width, top), n in zip(spans, sizes) for _ in range(n)]
+        if _accepts(x, beta, winner):
             return LineElection(x)
     raise RuntimeError(f"no {winner}-leading election in {_MAX_TRIES} draws")
 
 
-def _meets(x: list[float], require: tuple) -> bool:
-    """Whether positions ``x`` occupy the regions of ``require``, with multiplicity."""
-    return all(len(model._indices_in(x, r)) >= require.count(r) for r in set(require))
-
-
-def _accepts(x: list[float], beta: float, winner: str, require: tuple) -> bool:
+def _accepts(x: list[float], beta: float, winner: str) -> bool:
     """The sampler's accept rule on positions ``x``, for a checked ``beta``.
 
-    ``x`` meets ``require``, right is strictly optimal and ``winner`` is the
-    expected winner, each read from the same floats and by the same
-    operations as ``social_costs`` and ``expected_winner`` of
-    ``LineElection(x)`` at up to ``model.SCALAR_LIMIT`` voters.
+    Right is strictly optimal and ``winner`` is the expected winner, each
+    read from the same floats and by the same operations as ``social_costs``
+    and ``expected_winner`` of ``LineElection(x)`` at up to
+    ``model.SCALAR_LIMIT`` voters.
     """
-    if not _meets(x, require):
-        return False
     d_left, d_right = model._line_distances(x)
     if not math.fsum(d_right) < math.fsum(d_left):
         return False
@@ -229,8 +218,7 @@ def _pick_b_or_d_pair(rng: np.random.Generator, e: LineElection) -> tuple[int, i
 def _pick_crossing(rng: np.random.Generator, e: LineElection) -> tuple[int] | None:
     """One interior-C voter whose crossing to D is valid, or ``None``: below
     the bar a crossing lowers the expected distortion (see ``map_c_to_d``)."""
-    bar, x = model._candidate_distortion(e, LEFT), e.positions
-    valid = [j for j in model._indices_in(x, "C") if displace._crosses(x[j], bar)]
+    valid = displace._crossers(e)
     return (_pick(rng, valid),) if valid else None
 
 
@@ -293,8 +281,7 @@ def _expected_form_ok(form: displace.CanonicalForm) -> bool:
         return False
     # Interior-C voters may remain only when crossing them would lower the
     # expected distortion, i.e. their cost ratio sits below the final bar.
-    bar = model._candidate_distortion(form.election, LEFT)
-    return not any(displace._crosses(positions[j], bar) for j in model._indices_in(positions, "C"))
+    return not displace._crossers(form.election)
 
 
 def canonicalization_suites(trials: int, seed: int) -> list[SuiteResult]:

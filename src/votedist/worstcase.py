@@ -46,7 +46,7 @@ __all__ = [
     "sweep_beta",
     "sweep_csv",
     "witness_election",
-    "check_count",
+    "check_gate_inputs",
     "generate_gate_elections",
     "verify_distortion_bound",
 ]
@@ -312,10 +312,25 @@ def verify_distortion_bound(
     return checks
 
 
-def check_count(count: int) -> None:
-    """Raise ``ValueError`` unless a number of gate elections is at least 0."""
+#: The largest vote-count threshold gate elections are built for.  Alpha =
+#: 0.001 needs 1.0e6; two of its gate elections hold 6.5M and 4.5M voters.
+_MAX_GATE_THRESHOLD = 2e6
+
+
+def check_gate_inputs(alpha: float, beta: float, count: int) -> tuple[float, float]:
+    """Check ``beta``, alpha's range, alpha's threshold against
+    ``_MAX_GATE_THRESHOLD`` and ``count >= 0``, in that order, raising
+    ``ValueError`` at the first fault; return ``beta`` and the threshold."""
+    beta = model.check_beta(beta)
+    threshold = vote_count_threshold(alpha)
+    if not threshold <= _MAX_GATE_THRESHOLD:
+        raise ValueError(
+            f"alpha = {alpha} needs {threshold:.6g} expected votes per candidate; "
+            f"gate elections are built for at most {_MAX_GATE_THRESHOLD:g}"
+        )
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    return beta, threshold
 
 
 def generate_gate_elections(
@@ -327,9 +342,7 @@ def generate_gate_elections(
     multiplicities scaled so both expected vote counts exceed
     :func:`vote_count_threshold` and the right candidate is strictly optimal.
     """
-    beta = model.check_beta(beta)
-    check_count(count)
-    threshold = vote_count_threshold(alpha)
+    beta, threshold = check_gate_inputs(alpha, beta, count)
     rng = np.random.default_rng(seed)
     out: list[LineElection] = []
     for _ in range(_GATE_ATTEMPTS):

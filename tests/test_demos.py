@@ -26,3 +26,14 @@ def test_demo_runs(script, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_readme_quick_start_runs(capsys):
+    # README's Python block runs as written, and its certified reduction
+    # applies to the election it shows.
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    form = namespace["form"]
+    assert f"True {form.election.positions}" in capsys.readouterr().out.splitlines()

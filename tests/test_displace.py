@@ -178,7 +178,8 @@ def reference_raised_election(rng, beta, winner, require):
     """The sampler's draw spelled out: one bounded integer over the box of
     region sizes whose lows are raised to ``require``'s counts, decoded
     digit by digit with region D's size the fastest, then one uniform per
-    voter scaled into its region's span."""
+    voter scaled into its region's span and clamped to the largest float
+    below the span's upper end."""
     counts, spans = REFERENCE_CONFIGURATIONS[winner]
     lows = [max(lo, require.count(r)) for (lo, _), r in zip(counts, "ABCD")]
     radices = [hi - lo for lo, (_, hi) in zip(lows, counts)]
@@ -189,10 +190,27 @@ def reference_raised_election(rng, beta, winner, require):
             k, digit = divmod(k, radices[r])
             sizes[r] = lows[r] + digit
         u = np.split(rng.random(sum(sizes)), np.cumsum(sizes)[:-1])
-        x = np.concatenate([lo + (hi - lo) * part for (lo, hi), part in zip(spans, u)])
-        if exact_rule_accepts(x.tolist(), beta, winner, require):
+        x = np.concatenate([
+            np.minimum(lo + (hi - lo) * part, math.nextafter(hi, lo))
+            for (lo, hi), part in zip(spans, u)
+        ])
+        if exact_rule_accepts(x.tolist(), beta, winner):
             return LineElection(x)
     raise RuntimeError(f"no {winner}-leading election in {verification._MAX_TRIES} draws")
+
+
+class TopUniforms:
+    """A generator stub for the sampler: its uniforms are all the largest
+    float below 1, and its bounded integers count up modulo the bound."""
+
+    k = -1
+
+    def integers(self, n):
+        self.k = (self.k + 1) % n
+        return self.k
+
+    def random(self, size):
+        return np.full(size, math.nextafter(1.0, 0.0))
 
 
 def region_sizes(e):
@@ -219,15 +237,11 @@ def chi_square_homogeneity(a, b):
     return max(0.0, 1.0 - lower)
 
 
-def exact_rule_accepts(x, beta, winner, require):
-    """The sampler's accept rule, region test included, on positions ``x``."""
+def exact_rule_accepts(x, beta, winner):
+    """The sampler's accept rule on positions ``x``."""
     e = LineElection(x)
     sc_left, sc_right = model.social_costs(e)
-    return (
-        sc_right < sc_left
-        and model.expected_winner(e, beta) == winner
-        and reference_meets(e, require)
-    )
+    return sc_right < sc_left and model.expected_winner(e, beta) == winner
 
 
 # Every ``require`` the suites pass to the samplers.
@@ -630,6 +644,28 @@ class TestSuitesCountFailures:
             SuiteResult("canonical_expected_form", 6, 6),
         ]
 
+        def with_voters_beyond(real, count):
+            # The real chain, with ``count`` voters added at new D positions:
+            # a third distinct position in the two-point winner form, a
+            # second D position in the expected form.
+            def canonicalize(e, beta):
+                form = real(e, beta)
+                top = max(form.election.positions)
+                more = tuple(top + k for k in range(1, count + 1))
+                return dataclasses.replace(
+                    form, election=LineElection(form.election.positions + more)
+                )
+            return canonicalize
+
+        monkeypatch.undo()
+        for name, count in (("canonicalize_expected_winner", 1),
+                            ("canonicalize_expected_distortion", 2)):
+            monkeypatch.setattr(displace, name, with_voters_beyond(getattr(displace, name), count))
+        assert canonicalization_suites(6, 1) == [
+            SuiteResult("canonical_winner_form", 6, 6),
+            SuiteResult("canonical_expected_form", 6, 6),
+        ]
+
 
 class TestConfiguredSampler:
     """The sampler draws its region sizes from the box that ``require``
@@ -690,7 +726,19 @@ class TestConfiguredSampler:
                 beta = random_beta(rng)
                 e = verification.random_leading_election(rng, beta, winner, require)
                 assert reference_meets(e, require)
-                assert exact_rule_accepts(list(e.positions), beta, winner, require)
+                assert exact_rule_accepts(list(e.positions), beta, winner)
+
+    @pytest.mark.parametrize("winner", [LEFT, RIGHT])
+    def test_voters_at_the_top_of_their_spans_stay_in_their_regions(self, winner):
+        # Every uniform is the largest float below 1, which rounds onto the
+        # upper end of the C span (1.0) and of the right-leading B span (0.5)
+        # when scaled; the candidates walk the size box in order.
+        for require in SUITE_REQUIRES:
+            rng = TopUniforms()
+            box = verification._size_box(winner, require)
+            for beta in (0.0, 0.5, 1.0):
+                e = verification.random_leading_election(rng, beta, winner, require)
+                assert region_sizes(e) == box[rng.k]
 
     @pytest.mark.parametrize(
         "winner, require, message",
@@ -716,7 +764,7 @@ class TestConfiguredSampler:
 
     def test_draw_exhaustion_raises_after_max_tries(self, monkeypatch):
         # No C voter may cross, so the C-to-D suite never finds a voter to move.
-        monkeypatch.setattr(displace, "_crosses", lambda x, bar: False)
+        monkeypatch.setattr(displace, "_crossers", lambda e: [])
         monkeypatch.setattr(verification, "_MAX_TRIES", 50)
         message = "no right-leading election in 50 draws had voters to move"
         with pytest.raises(RuntimeError, match=message):
@@ -734,9 +782,7 @@ class TestConfiguredSampler:
     @example([-0.5, 1.25], 1.0)  # the costs tie exactly, right leads the votes
     def test_accept_rule_is_the_exact_rule(self, x, beta):
         for winner in (LEFT, RIGHT):
-            for require in SUITE_REQUIRES:
-                accepts = verification._accepts(x, beta, winner, require)
-                assert accepts == exact_rule_accepts(x, beta, winner, require)
+            assert verification._accepts(x, beta, winner) == exact_rule_accepts(x, beta, winner)
 
 
 class TestCanonicalizeExpectedDistortion:

@@ -1,7 +1,12 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given
@@ -19,6 +24,8 @@ from votedist.metric import MetricElection
 from votedist.model import LineElection
 
 from conftest import two_block_election
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 ALPHA_RANGE = "error: alpha must lie in [1e-100, 1e50], got "
 
@@ -506,6 +513,20 @@ class TestCli:
         assert result.exit_code == 1
         assert result.stderr == message
 
+    @pytest.mark.parametrize("alpha", ["1e-100", "1e-5", "1.618"])
+    def test_verify_rejects_alphas_whose_gate_elections_cannot_be_built(self, monkeypatch, alpha):
+        # At these alphas a gate election would hold about 1e10 voters or more.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gate generator allocated its voters")
+
+        monkeypatch.setattr(np, "repeat", refuse)
+        args = ["verify", "--seed", "1", "--trials", "1", "--alpha", alpha]
+        result = self.runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: alpha = {float(alpha)} needs ")
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
     def test_verify_bound_count_zero_skips_the_audit(self):
         result = self.runner.invoke(
             main, ["verify", "--seed", "1", "--trials", "1", "--bound-count", "0"]
@@ -539,8 +560,12 @@ OVERFLOW_METRIC = (
     ' "voters": [[1e308, 1e308], [1e308, 1e308]]}'
 )
 METRIC = '{"schema": 1, "kind": "metric", "beta": 1.0, "voters": [[0.4, 0.8]]}'
+NO_VOTERS = '{"schema": 1, "kind": "line", "beta": 1.0, "voters": []}'
+LIST_METADATA = '{"schema": 1, "kind": "line", "beta": 1.0, "voters": [1.5], "metadata": ["a"]}'
 SOCIAL_COSTS = "error: the social costs exceed the float range\n"
 CURVE_RANGE = "error: --zmin, --zmax and their span must be finite, got "
+SWEEP_GRID = "error: need count >= 2 and stop > start\n"
+CURVE_GRID = "error: need points >= 2 and zmax > zmin\n"
 
 # Invalid input to any command: the group's error boundary prints one
 # ``error:`` line, nothing on stdout, and exits 1 through SystemExit.  No
@@ -549,6 +574,10 @@ CONTRACT_CASES = [
     (["curve", "--zmin", "nan"], CURVE_RANGE + "nan, 2.0\n"),
     (["curve", "--zmax", "inf"], CURVE_RANGE + "-1.0, inf\n"),
     (["curve", "--zmin", "-1e308", "--zmax", "1e308"], CURVE_RANGE + "-1e+308, 1e+308\n"),
+    (["curve", "--points", "1"], CURVE_GRID),
+    (["curve", "--zmin", "1", "--zmax", "1"], CURVE_GRID),
+    (["sweep", "--count", "1"], SWEEP_GRID),
+    (["sweep", "--start", "0.5", "--stop", "0.5"], SWEEP_GRID),
     (["verify", "--seed", "1", "--trials", "1", "--alpha", "nan"], ALPHA_RANGE + "nan\n"),
     (["verify", "--seed", "1", "--trials", "1", "--alpha", "inf"], ALPHA_RANGE + "inf\n"),
     (["verify", "--seed", "1", "--trials", "1", "--alpha", "1e-200"], ALPHA_RANGE + "1e-200\n"),
@@ -566,6 +595,9 @@ CONTRACT_CASES = [
     (["reduce", "{metric}", "--beta", "2"], "error: reduce supports line elections only\n"),
     (["metric-reduce", "{line}"], "error: metric-reduce supports metric elections only\n"),
     (["eval", "{line}", "--beta", "2"], "error: beta must lie in [0, 1], got 2.0\n"),
+    (["eval", "{list_root}"], "error: document root must be an object\n"),
+    (["eval", "{no_voters}"], "error: voters: expected a non-empty list\n"),
+    (["eval", "{list_metadata}"], "error: metadata: expected an object\n"),
 ]
 
 
@@ -579,6 +611,9 @@ def test_invalid_input_is_one_error_line_and_exit_one(tmp_path, args, message):
         "overflow_line": write(tmp_path, "overflow_line.json", OVERFLOW_LINE),
         "overflow_metric": write(tmp_path, "overflow_metric.json", OVERFLOW_METRIC),
         "missing": str(tmp_path / "missing.json"),
+        "list_root": write(tmp_path, "list_root.json", "[1.5]"),
+        "no_voters": write(tmp_path, "no_voters.json", NO_VOTERS),
+        "list_metadata": write(tmp_path, "list_metadata.json", LIST_METADATA),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -587,6 +622,54 @@ def test_invalid_input_is_one_error_line_and_exit_one(tmp_path, args, message):
     assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""
     assert result.stderr == message.format(**paths)
+
+
+# The same contract in a real process, under Python's default warning
+# filters: there a numpy warning prints a line of its own, which the cases
+# above, run with warnings as errors, would see as an exception instead.
+# One interpreter runs every case, each under ``catch_warnings``, which
+# resets the record of warnings already shown.
+PROCESS_CASES = [
+    ["verify", "--seed", "1", "--trials", "1", "--alpha", "1e-100"],
+    ["eval", "{overflow_metric}"],
+    ["sweep", "--count", "1"],
+    ["eval", "{malformed}"],
+]
+RUN_CASES = """
+import contextlib, io, json, sys, warnings
+from votedist.cli import main
+
+results = []
+for args in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \\
+            contextlib.redirect_stderr(err):
+        code = None
+        try:
+            main(args)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_invalid_input_is_one_error_line_in_a_real_process(tmp_path):
+    paths = {
+        "overflow_metric": write(tmp_path, "overflow_metric.json", OVERFLOW_METRIC),
+        "malformed": write(tmp_path, "malformed.json", "{nope}"),
+    }
+    cases = [[arg.format(**paths) for arg in args] for args in PROCESS_CASES]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CASES, json.dumps(cases)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    for args, (code, out, err) in zip(cases, json.loads(proc.stdout), strict=True):
+        assert (code, out) == (1, ""), args
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 # Click's usage errors go through the same boundary: exit 1 and one line that

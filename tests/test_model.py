@@ -263,6 +263,8 @@ class TestRegions:
     def test_non_finite_rejected(self, x):
         with pytest.raises(ValueError, match="position must be finite"):
             region_of(x)
+        with pytest.raises(ValueError, match="position must be finite"):
+            profile(x, 1.0)
 
 
 class TestSocialCosts:
@@ -322,6 +324,11 @@ class TestDistortionPair:
     def test_zero_optimum(self):
         assert distortion_pair(0.0, 5.0) == (LEFT, 1.0, math.inf)
         assert distortion_pair(5.0, 0.0) == (RIGHT, math.inf, 1.0)
+
+    @pytest.mark.parametrize("costs", [(-1.0, 2.0), (2.0, -0.0001)])
+    def test_negative_cost_rejected(self, costs):
+        with pytest.raises(ValueError, match="social costs must be nonnegative"):
+            distortion_pair(*costs)
 
     @given(
         st.floats(min_value=0.001, max_value=100),

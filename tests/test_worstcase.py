@@ -65,7 +65,8 @@ class TestTwoPointDistortion:
         )
 
     @pytest.mark.parametrize(
-        "q,xb,xd", [(-0.1, 0.0, 2.0), (1.1, 0.0, 2.0), (0.5, 0.6, 2.0), (0.5, 0.0, 0.9)]
+        "q,xb,xd",
+        [(-0.1, 0.0, 2.0), (1.1, 0.0, 2.0), (0.5, 0.6, 2.0), (0.5, 0.0, 0.9), (0.0, 0.0, 1.0)],
     )
     def test_domain_errors(self, q, xb, xd):
         with pytest.raises(ValueError):
@@ -88,6 +89,14 @@ class TestBindingXd:
     def test_beta_zero_rejected(self):
         with pytest.raises(ValueError):
             binding_xd(0.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "q,xb,message",
+        [(0.0, 0.0, "q_b"), (1.1, 0.0, "q_b"), (0.5, -0.1, "x_b"), (0.5, 0.6, "x_b")],
+    )
+    def test_domain_errors(self, q, xb, message):
+        with pytest.raises(ValueError, match=message):
+            binding_xd(q, xb, 1.0)
 
     def test_constraint_satisfied_at_binding_point(self):
         rng = np.random.default_rng(3)
@@ -487,6 +496,28 @@ class TestBoundVerifier:
         with pytest.raises(ValueError, match="count must be >= 0"):
             generate_gate_elections(0.1, 1.0, -1, 3)
         assert generate_gate_elections(0.1, 1.0, 0, 3) == []
+
+    @pytest.mark.parametrize(
+        "alpha, beta, count, message",
+        [
+            (1e-5, 2.0, -1, r"beta must lie in \[0, 1\], got 2.0"),
+            (0.0, 1.0, -1, r"alpha must lie in \[1e-100, 1e50\], got 0.0"),
+            (1e-100, 1.0, -1, r"alpha = 1e-100 needs 1e\+200 expected votes per candidate"),
+            (1e-5, 1.0, -1, r"alpha = 1e-05 needs 1.00004e\+10 expected votes"),
+            (1.618, 1.0, -1, r"alpha = 1.618 needs 1.24265e\+10 expected votes"),
+            (0.001, 1.0, -1, "count must be >= 0, got -1"),
+        ],
+    )
+    def test_gate_inputs_are_checked_in_order_before_any_voter(
+        self, monkeypatch, alpha, beta, count, message
+    ):
+        # Gate elections at alpha 1e-5 or 1.618 would hold about 1e10 voters.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gate generator allocated its voters")
+
+        monkeypatch.setattr(np, "repeat", refuse)
+        with pytest.raises(ValueError, match=message):
+            generate_gate_elections(alpha, beta, count, 3)
 
     def test_generated_gate_elections_are_checked_exactly(self):
         elections = generate_gate_elections(0.1, 1.0, 8, seed=5)
