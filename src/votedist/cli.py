@@ -138,14 +138,14 @@ def cmd_eval(election_file, beta, fmt, out) -> None:
 @main.command("simulate")
 @election_argument
 @click.option("--samples", type=int, required=True, help="Number of simulated outcomes.")
-@click.option("--seed", type=int, required=True, help="Generator seed.")
+@click.option("--seed", type=click.IntRange(min=0), required=True, help="Generator seed.")
 @click.option("--confidence", type=float, default=0.95, show_default=True)
 @beta_option
 @format_option
 @out_option
 def cmd_simulate(election_file, samples, seed, confidence, beta, fmt, out) -> None:
     """Estimate win probability and expected distortion by sampling."""
-    doc = _load(election_file, beta, "line")
+    doc = _load(election_file, beta)
     cfg = montecarlo.McConfig(samples, seed, confidence)
     est = montecarlo.simulate(doc.election, doc.beta, cfg)
     fields = ("p_left_hat", "half_width_p", "expected_distortion_hat", "half_width_d")
@@ -255,7 +255,8 @@ def cmd_curve(betas, zmin, zmax, points, out) -> None:
 
 
 @main.command("verify")
-@click.option("--seed", type=int, required=True, help="Seed for all random draws.")
+@click.option("--seed", type=click.IntRange(min=0), required=True,
+              help="Seed for all random draws.")
 @click.option("--trials", type=int, default=200, show_default=True,
               help="Random elections per displacement suite.")
 @click.option("--alpha", type=float, default=0.1, show_default=True)

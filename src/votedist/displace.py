@@ -275,11 +275,10 @@ def _geometric_limit(xs: list[float]) -> float:
 
 def _collapse(
     positions: tuple[float, ...],
-    member: Callable[[float], bool],
+    members: list[int],
     limit: Callable[[list[float]], float],
 ) -> dict[int, float]:
-    """Move all members to the limit of their pairwise merges (none if equal)."""
-    members = [i for i, x in enumerate(positions) if member(x)]
+    """Move the ``members`` to the limit of their pairwise merges (none if equal)."""
     xs = [positions[i] for i in members]
     if len(set(xs)) < 2:
         return {}
@@ -313,8 +312,9 @@ def _bc_pairing(positions: tuple[float, ...]) -> dict[int, float]:
 class _Chain:
     """Bookkeeping for a certified sequence of displacements.
 
-    Each election is measured once by ``measure``, when reached; each
-    certificate pairs two of these measurements.
+    Each election is measured once by ``measure``, when reached; each step's
+    certificate pairs the last two measurements, and the end-to-end one the
+    first and the last.
     """
 
     def __init__(self, e: LineElection, measure: Callable, winner_preserving: bool):
@@ -323,12 +323,11 @@ class _Chain:
         self.winner_preserving = winner_preserving
         self.steps: list[Displacement] = []
         self.certificates: list[ValidityCertificate] = []
-        self.measured = [measure(e)]
+        self.origin = self.last = measure(e)
 
-    def _certify(self, what: str, since: int = -2) -> None:
-        """Certify the last measurement against the one at index ``since``."""
-        before, after = self.measured[since], self.measured[-1]
-        cert = _certificate(before, after, self.winner_preserving)
+    def _certify(self, what: str, before: tuple) -> None:
+        """Certify the last measurement against ``before``."""
+        cert = _certificate(before, self.last, self.winner_preserving)
         self.certificates.append(cert)
         if not cert.passed:
             raise CertificateError(f"{what}: {cert}")
@@ -341,12 +340,12 @@ class _Chain:
         self.steps.append(
             Displacement(kind, tuple(assignments), tuple(assignments.values()))
         )
-        self.measured.append(self.measure(nxt))
-        self._certify(f"displacement {kind} of {len(assignments)} voters regressed")
+        before, self.last = self.last, self.measure(nxt)
+        self._certify(f"displacement {kind} of {len(assignments)} voters regressed", before)
         self.current = nxt
 
     def finish(self) -> CanonicalForm:
-        self._certify("end-to-end certificate failed", since=0)
+        self._certify("end-to-end certificate failed", self.origin)
         return CanonicalForm(
             election=self.current,
             applied=True,
@@ -372,10 +371,13 @@ def canonicalize_expected_winner(e: LineElection, beta: float) -> CanonicalForm:
 
     chain = _Chain(e, lambda x: _measure_winner(x, beta), winner_preserving=True)
 
-    chain.apply("A_to_zero", {i: 0.0 for i, x in enumerate(e.positions) if x < 0.0})
+    chain.apply("A_to_zero", {i: 0.0 for i in model._indices_in(e.positions, "A")})
     chain.apply("BC_pair", _bc_pairing(chain.current.positions))
-    for member in (lambda x: 0.0 <= x <= 0.5, lambda x: x >= 1.0):
-        merge = _collapse(chain.current.positions, member, _midpoint_limit)
+    pos = chain.current.positions
+    # [0, 1/2] is region B plus the midpoint, where the pair moves leave C voters.
+    b_and_midpoint = [i for i, x in enumerate(pos) if 0.0 <= x <= 0.5]
+    for members in (b_and_midpoint, model._indices_in(pos, "D")):
+        merge = _collapse(chain.current.positions, members, _midpoint_limit)
         chain.apply("same_region_merge", merge)
     return chain.finish()
 
@@ -408,11 +410,11 @@ def canonicalize_expected_distortion(e: LineElection, beta: float) -> CanonicalF
 
     chain = _Chain(e, lambda x: _measure_expected(x, beta), winner_preserving=False)
 
-    chain.apply(
-        "A_to_B_map", {i: _a_to_b(x) for i, x in enumerate(e.positions) if x < 0.0}
-    )
+    pos = e.positions
+    chain.apply("A_to_B_map", {i: _a_to_b(pos[i]) for i in model._indices_in(pos, "A")})
     pos = chain.current.positions
     chain.apply("C_to_D_map", {j: _c_to_d(pos[j]) for j in _crossers(chain.current)})
-    merge = _collapse(chain.current.positions, lambda x: x >= 1.0, _geometric_limit)
+    pos = chain.current.positions
+    merge = _collapse(pos, model._indices_in(pos, "D"), _geometric_limit)
     chain.apply("D_geometric_merge", merge)
     return chain.finish()

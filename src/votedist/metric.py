@@ -73,11 +73,6 @@ class MetricElection(model._VoterArray):
     def _distances(self) -> tuple[np.ndarray, np.ndarray]:
         return self.array[:, 0], self.array[:, 1]
 
-    @cached_property
-    def _distance_lists(self) -> tuple[list[float], list[float]]:
-        d_left, d_right = self.array.T.tolist()
-        return d_left, d_right
-
 
 class LineReduction(NamedTuple):
     """Line image of a metric election.

@@ -70,7 +70,6 @@ __all__ = [
     "expected_votes",
     "expected_winner",
     "distortion_pair",
-    "distortion_report",
     "winner_distortion",
     "mirror",
 ]
@@ -147,6 +146,10 @@ class _VoterArray:
     def distances(self) -> tuple[np.ndarray, np.ndarray]:
         """Every voter's distance to the left and to the right candidate."""
         return self._distances
+
+    @cached_property
+    def _distance_lists(self) -> tuple[list[float], list[float]]:
+        return tuple(d.tolist() for d in self._distances)
 
     @cached_property
     def _social_costs(self) -> tuple[float, float]:
@@ -276,7 +279,7 @@ def participation_probability(d_near: float, d_far: float, beta: float) -> float
     ----------
     d_near, d_far : float
         Distances to the preferred and the other candidate.  Must be
-        nonnegative and not both zero.
+        finite, nonnegative and not both zero.
     beta : float
         Participation parameter in [0, 1].
 
@@ -287,8 +290,8 @@ def participation_probability(d_near: float, d_far: float, beta: float) -> float
         get 0 for every ``beta``, including 0.
     """
     beta = check_beta(beta)
-    if d_near < 0 or d_far < 0:
-        raise ValueError("distances must be nonnegative")
+    if not (0 <= d_near < math.inf and 0 <= d_far < math.inf):
+        raise ValueError("distances must be nonnegative and finite")
     if d_near == 0 and d_far == 0:
         raise ValueError("distances must not both be zero")
     if d_near == d_far:
@@ -466,8 +469,8 @@ def distortion_pair(sc_left: float, sc_right: float) -> tuple[str, float, float]
     infinite distortion for the other candidate.  An exact cost tie reports
     ``left`` as optimal (both distortions are 1, so the label is cosmetic).
     """
-    if sc_left < 0 or sc_right < 0:
-        raise ValueError("social costs must be nonnegative")
+    if not (0 <= sc_left < math.inf and 0 <= sc_right < math.inf):
+        raise ValueError("social costs must be nonnegative and finite")
     if sc_left == 0.0 and sc_right == 0.0:
         return LEFT, 1.0, 1.0
     optimal = LEFT if sc_left <= sc_right else RIGHT
@@ -479,29 +482,21 @@ def distortion_pair(sc_left: float, sc_right: float) -> tuple[str, float, float]
     return optimal, sc_left / sc_opt, sc_right / sc_opt
 
 
-def distortion_report(
-    e: LineElection | MetricElection, beta: float, win_probs: Sequence[float]
-) -> DistortionReport:
-    """Assemble the full report from an election and supplied win probabilities.
-
-    ``e`` is a line or a metric election.  ``win_probs`` is the pair
-    (P(left wins), P(right wins)); it must sum to 1.  The expected distortion
-    weights each candidate's distortion by its win probability, with
-    zero-probability candidates contributing nothing even when their
-    distortion is infinite.  The expected winner comes from the same expected
-    vote counts the report lists.
-    """
-    return _report(e, expected_votes(e, beta), win_probs)
-
-
 def _report(
     e: LineElection | MetricElection,
     votes: tuple[float, float],
     win_probs: Sequence[float],
 ) -> DistortionReport:
-    """:func:`distortion_report` given the election's expected votes."""
+    """The full report of ``e`` given its expected votes and win probabilities.
+
+    ``win_probs`` is the pair (P(left wins), P(right wins)); it must sum to
+    1.  The expected distortion weights each candidate's distortion by its
+    win probability, with zero-probability candidates contributing nothing
+    even when their distortion is infinite.  The expected winner comes from
+    the same expected vote counts the report lists.
+    """
     p_left, p_right = float(win_probs[0]), float(win_probs[1])
-    if min(p_left, p_right) < 0 or abs(p_left + p_right - 1.0) > 1e-9:
+    if not (p_left >= 0 and p_right >= 0 and abs(p_left + p_right - 1.0) <= 1e-9):
         raise ValueError(f"win probabilities must sum to 1, got {win_probs!r}")
     sc_left, sc_right = social_costs(e)
     optimal, dist_left, dist_right = distortion_pair(sc_left, sc_right)

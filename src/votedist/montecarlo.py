@@ -2,9 +2,10 @@
 
 An estimator independent of :mod:`votedist.exact`, which evaluates every
 election exactly at any size; ``votedist simulate`` offers it as a
-cross-check.  Win probability and expected distortion are estimated by
-simulating the election, with two-sided half-widths from the exponential
-tail bound for bounded variables:
+cross-check.  It reads only a voter's distance pair, so it takes line and
+metric elections alike.  Win probability and expected distortion are
+estimated by simulating the election, with two-sided half-widths from the
+exponential tail bound for bounded variables:
 
     t = sqrt(ln(2 / (1 - confidence)) / (2 * samples))
 
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
+from .metric import MetricElection
 from .model import LineElection
 
 __all__ = [
@@ -40,10 +42,7 @@ class McConfig:
     confidence: float = 0.95
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie in (0, 1)")
+        hoeffding_half_width(self.samples, self.confidence)  # raises on an invalid plan
 
 
 @dataclass(frozen=True)
@@ -57,11 +56,18 @@ class McEstimate:
 
 
 def hoeffding_half_width(samples: int, confidence: float) -> float:
-    """Two-sided half-width for the mean of ``samples`` variables in [0, 1]."""
+    """Two-sided half-width for the mean of ``samples`` variables in [0, 1].
+
+    ``samples`` must be at least 1 and ``confidence`` lie in (0, 1).
+    """
+    if not samples >= 1:
+        raise ValueError("samples must be >= 1")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must lie in (0, 1)")
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
 
 
-def _groups(e: LineElection, beta: float) -> list[tuple[int, float, int]]:
+def _groups(e: LineElection | MetricElection, beta: float) -> list[tuple[int, float, int]]:
     # Voters sharing (side, participation) are exchangeable, so their joint
     # vote count can be drawn as one binomial.  The groups come left side
     # before right and participation ascending, which fixes the order of the
@@ -74,7 +80,7 @@ def _groups(e: LineElection, beta: float) -> list[tuple[int, float, int]]:
     return groups
 
 
-def simulate(e: LineElection, beta: float, cfg: McConfig) -> McEstimate:
+def simulate(e: LineElection | MetricElection, beta: float, cfg: McConfig) -> McEstimate:
     """Estimate win probability and expected distortion by simulation.
 
     Each sample realizes every voter's participation independently and
@@ -101,7 +107,7 @@ def simulate(e: LineElection, beta: float, cfg: McConfig) -> McEstimate:
     coin = rng.integers(0, 2, size=cfg.samples).astype(bool)
     left_won = (count_left > count_right) | ((count_left == count_right) & coin)
 
-    p_left_hat = np.count_nonzero(left_won) / cfg.samples
+    p_left_hat = int(np.count_nonzero(left_won)) / cfg.samples
     dbar_hat = float(np.where(left_won, dist_left, dist_right).sum()) / cfg.samples
     t = hoeffding_half_width(cfg.samples, cfg.confidence)
     return McEstimate(

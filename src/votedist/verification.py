@@ -275,9 +275,9 @@ def _winner_form_ok(form: displace.CanonicalForm) -> bool:
 
 def _expected_form_ok(form: displace.CanonicalForm) -> bool:
     positions = form.election.positions
-    if any(x < 0.0 for x in positions):
+    if model._indices_in(positions, "A"):
         return False
-    if len({x for x in positions if x >= 1.0}) > 1:
+    if len({positions[i] for i in model._indices_in(positions, "D")}) > 1:
         return False
     # Interior-C voters may remain only when crossing them would lower the
     # expected distortion, i.e. their cost ratio sits below the final bar.

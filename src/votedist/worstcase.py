@@ -82,8 +82,8 @@ def two_point_distortion(q_b: float, x_b: float, x_d: float) -> float:
         raise ValueError(f"q_b must lie in [0, 1], got {q_b}")
     if not 0.0 <= x_b <= 0.5:
         raise ValueError(f"x_b must lie in [0, 1/2], got {x_b}")
-    if x_d < 1.0:
-        raise ValueError(f"x_d must be >= 1, got {x_d}")
+    if not 1.0 <= x_d < math.inf:
+        raise ValueError(f"x_d must be >= 1 and finite, got {x_d}")
     num = q_b * x_b + (1.0 - q_b) * x_d
     den = q_b * (1.0 - x_b) + (1.0 - q_b) * (x_d - 1.0)
     if den <= 0.0:
@@ -99,7 +99,7 @@ def binding_xd(q_b: float, x_b: float, beta: float, margin: float = 0.0) -> floa
     1 where the constraint is already slack there.  Returns ``inf`` at
     ``x_b = 1/2`` with ``q_b < 1``: midpoint voters never vote, so no finite
     ``x_d`` restores the lead.  ``margin`` strengthens the required lead to a
-    factor ``1 + margin``.
+    factor ``1 + margin`` (finite, ``>= 0``).
     """
     beta = model.check_beta(beta)
     if beta == 0.0:
@@ -108,6 +108,8 @@ def binding_xd(q_b: float, x_b: float, beta: float, margin: float = 0.0) -> floa
         raise ValueError(f"q_b must lie in (0, 1], got {q_b}")
     if not 0.0 <= x_b <= 0.5:
         raise ValueError(f"x_b must lie in [0, 1/2], got {x_b}")
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
     if q_b == 1.0:
         return 1.0
     left_rate = (1.0 - 2.0 * x_b) ** beta * q_b
@@ -276,14 +278,12 @@ class BoundCheck:
 
 
 def verify_distortion_bound(
-    alpha: float,
-    beta: float,
-    elections: Sequence[LineElection],
-    dstar: Optional[float] = None,
+    alpha: float, beta: float, elections: Sequence[LineElection]
 ) -> list[BoundCheck]:
     """Check expected distortion <= (1 + 2 alpha) * worst case, per election.
 
-    Each election is evaluated once, exactly, by
+    The worst case is :func:`solve_worst_case` at ``beta``.  Each election
+    is evaluated once, exactly, by
     :func:`votedist.exact.expected_distortion`, at any size.  Elections whose
     expected vote counts fall below :func:`vote_count_threshold` or whose
     right candidate is not strictly optimal (a tie included) are reported as
@@ -291,9 +291,7 @@ def verify_distortion_bound(
     """
     beta = model.check_beta(beta)
     threshold = vote_count_threshold(alpha)
-    if dstar is None:
-        dstar = solve_worst_case(beta).value
-    bound = (1.0 + 2.0 * alpha) * dstar
+    bound = (1.0 + 2.0 * alpha) * solve_worst_case(beta).value
 
     checks = []
     for e in elections:

@@ -196,7 +196,7 @@ def test_11_expected_distortion_bound_spot_check():
     dstar = worstcase.solve_worst_case(1.0).value
     bound = 1.2 * dstar
     elections = worstcase.generate_gate_elections(0.1, 1.0, 200, seed=11001)
-    checks = worstcase.verify_distortion_bound(0.1, 1.0, elections, dstar=dstar)
+    checks = worstcase.verify_distortion_bound(0.1, 1.0, elections)
     statuses = [c.status for c in checks]
     ok = all(s == "pass" for s in statuses)
     min_slack = min(c.slack for c in checks if c.slack is not None)

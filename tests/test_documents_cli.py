@@ -350,6 +350,23 @@ class TestCli:
         assert first.exit_code == second.exit_code == 0
         assert first.output == second.output
 
+    def test_simulate_metric_document_agrees_with_eval(self, tmp_path):
+        pairs = [[0.4, 0.8], [1.5, 0.6], [1.0, 1.0], [0.3, 0.9]]
+        doc = json.dumps({"schema": 1, "kind": "metric", "beta": 1.0, "voters": pairs})
+        path = write(tmp_path, "m.json", doc)
+        rows = []
+        for args in (["eval", path], ["simulate", path, "--samples", "20000", "--seed", "3"]):
+            result = self.runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            header, row = result.output.strip().split("\n")
+            rows.append(dict(zip(header.split(","), row.split(","))))
+        exact_row, est = rows
+        gap_p = abs(float(est["p_left_hat"]) - float(exact_row["win_prob_left"]))
+        assert gap_p <= float(est["half_width_p"])
+        dbar = float(exact_row["expected_distortion"])
+        gap_d = abs(float(est["expected_distortion_hat"]) - dbar)
+        assert gap_d <= float(est["half_width_d"])
+
     def test_simulate_requires_seed(self, tmp_path):
         path = write(tmp_path, "e.json", MINIMAL_LINE)
         result = self.runner.invoke(main, ["simulate", path, "--samples", "10"])
@@ -566,6 +583,7 @@ SOCIAL_COSTS = "error: the social costs exceed the float range\n"
 CURVE_RANGE = "error: --zmin, --zmax and their span must be finite, got "
 SWEEP_GRID = "error: need count >= 2 and stop > start\n"
 CURVE_GRID = "error: need points >= 2 and zmax > zmin\n"
+NEGATIVE_SEED = "error: Invalid value for '--seed': -1 is not in the range x>=0.\n"
 
 # Invalid input to any command: the group's error boundary prints one
 # ``error:`` line, nothing on stdout, and exits 1 through SystemExit.  No
@@ -589,8 +607,8 @@ CONTRACT_CASES = [
     (["metric-reduce", "{overflow_metric}"], SOCIAL_COSTS),
     (["eval", "{missing}"], "error: cannot read {missing}: [Errno 2] No such file or "
      "directory: '{missing}'\n"),
-    (["simulate", "{metric}", "--samples", "10", "--seed", "1"],
-     "error: simulate supports line elections only\n"),
+    (["simulate", "{line}", "--samples", "10", "--seed", "-1"], NEGATIVE_SEED),
+    (["verify", "--seed", "-1"], NEGATIVE_SEED),
     (["reduce", "{metric}"], "error: reduce supports line elections only\n"),
     (["reduce", "{metric}", "--beta", "2"], "error: reduce supports line elections only\n"),
     (["metric-reduce", "{line}"], "error: metric-reduce supports metric elections only\n"),

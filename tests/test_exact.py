@@ -333,7 +333,8 @@ class TestExpectedDistortion:
         ] + [MetricElection([(0.4, 0.8), (1.5, 0.6), (1.0, 1.0)])]
         for e in elections:
             for beta in (0.0, 0.37, 1.0):
-                composed = model.distortion_report(e, beta, win_probabilities(e, beta))
+                votes = model.expected_votes(e, beta)
+                composed = model._report(e, votes, win_probabilities(e, beta))
                 calls = []
 
                 def counted(*args, _f=model._sides):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from votedist import model
+from votedist import exact, model
 from votedist.metric import MetricElection
 from votedist.model import (
     INDIFFERENT,
@@ -17,7 +17,6 @@ from votedist.model import (
     TIE,
     LineElection,
     distortion_pair,
-    distortion_report,
     expected_votes,
     expected_winner,
     mirror,
@@ -80,10 +79,9 @@ class TestParticipationProbability:
         )
 
     def test_rejects_negative_distance(self):
-        with pytest.raises(ValueError):
-            participation_probability(-0.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            participation_probability(0.1, -1.0, 1.0)
+        for d_near, d_far in ((-0.1, 1.0), (0.1, -1.0), (0.2, math.nan), (0.2, math.inf)):
+            with pytest.raises(ValueError, match="distances must be nonnegative"):
+                participation_probability(d_near, d_far, 1.0)
 
     def test_rejects_double_zero(self):
         with pytest.raises(ValueError):
@@ -325,7 +323,9 @@ class TestDistortionPair:
         assert distortion_pair(0.0, 5.0) == (LEFT, 1.0, math.inf)
         assert distortion_pair(5.0, 0.0) == (RIGHT, math.inf, 1.0)
 
-    @pytest.mark.parametrize("costs", [(-1.0, 2.0), (2.0, -0.0001)])
+    @pytest.mark.parametrize(
+        "costs", [(-1.0, 2.0), (2.0, -0.0001), (math.nan, 1.0), (math.inf, math.inf)]
+    )
     def test_negative_cost_rejected(self, costs):
         with pytest.raises(ValueError, match="social costs must be nonnegative"):
             distortion_pair(*costs)
@@ -342,28 +342,34 @@ class TestDistortionPair:
 
 class TestDistortionReport:
     def test_single_voter_report(self):
-        report = distortion_report(LineElection([1.5]), 1.0, (0.25, 0.75))
+        report = exact.expected_distortion(LineElection([1.5]), 1.0)
+        assert (report.win_prob_left, report.win_prob_right) == (0.25, 0.75)
         assert report.expected_distortion == pytest.approx(1.5, abs=1e-12)
         assert report.optimal == RIGHT
         assert report.dist_left == pytest.approx(3.0)
 
     def test_symmetric_election(self):
-        report = distortion_report(LineElection([0.0, 1.0]), 1.0, (0.5, 0.5))
+        report = exact.expected_distortion(LineElection([0.0, 1.0]), 1.0)
+        assert (report.win_prob_left, report.win_prob_right) == (0.5, 0.5)
         assert report.expected_distortion == 1.0
 
     def test_two_block_deterministic_loss(self):
         e = two_block_election(0.01)
-        report = distortion_report(e, 0.0, (0.0, 1.0))
+        report = exact.expected_distortion(e, 0.0)
+        assert (report.win_prob_left, report.win_prob_right) == (0.0, 1.0)
         assert report.expected_distortion == pytest.approx(73.99 / 26.01, abs=1e-9)
 
     def test_rejects_unnormalized_probabilities(self):
-        with pytest.raises(ValueError):
-            distortion_report(LineElection([1.5]), 1.0, (0.6, 0.6))
+        e = LineElection([1.5])
+        for win_probs in ((0.6, 0.6), (math.nan, 0.5), (0.5, math.nan)):
+            with pytest.raises(ValueError, match="win probabilities must sum to 1"):
+                model._report(e, expected_votes(e, 1.0), win_probs)
 
     def test_infinite_branch_with_zero_probability_ignored(self):
         # Every voter on the left candidate: the right branch is infinitely
         # bad but never wins.
-        report = distortion_report(LineElection([0.0, 0.0]), 1.0, (1.0, 0.0))
+        report = exact.expected_distortion(LineElection([0.0, 0.0]), 1.0)
+        assert (report.win_prob_left, report.win_prob_right) == (1.0, 0.0)
         assert report.dist_right == math.inf
         assert report.expected_distortion == 1.0
 

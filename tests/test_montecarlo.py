@@ -25,11 +25,15 @@ class TestConfig:
             dict(samples=0, seed=1),
             dict(samples=10, seed=1, confidence=0.0),
             dict(samples=10, seed=1, confidence=1.0),
+            dict(samples=10, seed=1, confidence=math.nan),
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             McConfig(**kwargs)
+        # The half-width is defined for the same plans.
+        with pytest.raises(ValueError):
+            hoeffding_half_width(kwargs["samples"], kwargs.get("confidence", 0.95))
 
 
 class TestHalfWidth:

@@ -66,7 +66,8 @@ class TestTwoPointDistortion:
 
     @pytest.mark.parametrize(
         "q,xb,xd",
-        [(-0.1, 0.0, 2.0), (1.1, 0.0, 2.0), (0.5, 0.6, 2.0), (0.5, 0.0, 0.9), (0.0, 0.0, 1.0)],
+        [(-0.1, 0.0, 2.0), (1.1, 0.0, 2.0), (0.5, 0.6, 2.0), (0.5, 0.0, 0.9), (0.0, 0.0, 1.0),
+         (0.5, 0.1, math.nan), (0.5, 0.1, math.inf)],
     )
     def test_domain_errors(self, q, xb, xd):
         with pytest.raises(ValueError):
@@ -91,12 +92,14 @@ class TestBindingXd:
             binding_xd(0.5, 0.0, 0.0)
 
     @pytest.mark.parametrize(
-        "q,xb,message",
-        [(0.0, 0.0, "q_b"), (1.1, 0.0, "q_b"), (0.5, -0.1, "x_b"), (0.5, 0.6, "x_b")],
+        "q,xb,beta,margin,message",
+        [(0.0, 0.0, 1.0, 0.0, "q_b"), (1.1, 0.0, 1.0, 0.0, "q_b"), (0.5, -0.1, 1.0, 0.0, "x_b"),
+         (0.5, 0.6, 1.0, 0.0, "x_b"), (0.5, 0.0, 1.0, -2.0, "margin"),
+         (0.5, 0.0, 0.5, math.nan, "margin"), (0.5, 0.0, 1.0, math.inf, "margin")],
     )
-    def test_domain_errors(self, q, xb, message):
+    def test_domain_errors(self, q, xb, beta, margin, message):
         with pytest.raises(ValueError, match=message):
-            binding_xd(q, xb, 1.0)
+            binding_xd(q, xb, beta, margin)
 
     def test_constraint_satisfied_at_binding_point(self):
         rng = np.random.default_rng(3)
@@ -455,7 +458,7 @@ class TestVoteMoments:
 
 class TestBoundVerifier:
     def test_small_elections_skip_on_threshold(self):
-        checks = verify_distortion_bound(0.1, 1.0, [LineElection([1.5])], dstar=TIGHT_VALUE)
+        checks = verify_distortion_bound(0.1, 1.0, [LineElection([1.5])])
         assert checks[0].status == "skipped"
         assert "threshold" in checks[0].reason
 
@@ -465,7 +468,7 @@ class TestBoundVerifier:
         e = LineElection([0.0] * 400 + [1.2] * 200)
         sc_left, sc_right = model.social_costs(e)
         assert sc_right > sc_left
-        checks = verify_distortion_bound(0.55, 1.0, [e], dstar=TIGHT_VALUE)
+        checks = verify_distortion_bound(0.55, 1.0, [e])
         assert checks[0].status == "skipped"
         assert "optimal" in checks[0].reason
 
@@ -487,7 +490,8 @@ class TestBoundVerifier:
         assert threshold < 7
         e = LineElection([0.0] * 7 + [1.01] * 8)
         assert min(model.expected_votes(e, 1.0)) >= threshold
-        checks = verify_distortion_bound(alpha, 1.0, [e], dstar=TIGHT_VALUE)
+        checks = verify_distortion_bound(alpha, 1.0, [e])
+        assert checks[0].bound == (1.0 + 2.0 * alpha) * TIGHT_VALUE
         assert checks[0].status == "pass"
         assert checks[0].method == "exact"
         assert checks[0].slack >= 0.0
@@ -526,7 +530,7 @@ class TestBoundVerifier:
             sc_left, sc_right = model.social_costs(e)
             assert sc_right < sc_left
             assert len(set(e.positions)) <= 8
-        checks = verify_distortion_bound(0.1, 1.0, elections, dstar=TIGHT_VALUE)
+        checks = verify_distortion_bound(0.1, 1.0, elections)
         assert all(c.status == "pass" for c in checks)
         assert all(c.method == "exact" for c in checks)
         for c, e in zip(checks, elections):
@@ -542,7 +546,7 @@ class TestBoundVerifier:
         monkeypatch.setattr(montecarlo, "simulate", no_simulation)
         e = LineElection(np.repeat([0.1, 0.3, 1.6], [300_000, 250_000, 450_001]))
         assert len(e) > 1_000_000
-        (check,) = verify_distortion_bound(0.1, 1.0, [e], dstar=TIGHT_VALUE)
+        (check,) = verify_distortion_bound(0.1, 1.0, [e])
         assert check.method == "exact"
         assert check.status == "pass"
         assert check.dbar == exact.expected_distortion(e, 1.0).expected_distortion
