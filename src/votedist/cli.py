@@ -11,8 +11,10 @@ and do not catch it: the group ``main`` is the single error boundary that
 turns it, and click's usage errors (an unknown command or option, a missing
 command, a missing or malformed option), into one ``error: <message>`` line
 on stderr and exit 1, so a script can tell invalid input from a failed
-audit.  Every election file is read by ``_load``, which also checks the
-document's kind and applies ``--beta``.
+audit.  Once ``verify`` has checked its options, an exception that an audit
+suite raises is that suite's failure (a ``FAIL`` line and exit 2).  Every
+election file is read by ``_load``, which also checks the document's kind
+and applies ``--beta``.
 """
 
 from __future__ import annotations
@@ -265,17 +267,31 @@ def cmd_curve(betas, zmin, zmax, points, out) -> None:
               help="Gate elections for the expected-distortion bound audit.")
 def cmd_verify(seed, trials, alpha, beta, bound_count) -> None:
     """Re-run the certified randomized audits; nonzero exit on any failure."""
-    # Every option is checked before the first suite runs.
+    # Every option is checked before the first suite runs; after that, an
+    # exception from a suite is that suite's failure, not invalid input.
     worstcase.check_gate_inputs(alpha, beta, bound_count)
-    results = verification.displacement_suites(trials, seed)
-    results += verification.canonicalization_suites(max(1, trials // 4), seed + 1)
-    results.append(verification.bound_suite(alpha, beta, bound_count, seed + 2))
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    suites = (
+        ("displacement_suites", lambda: verification.displacement_suites(trials, seed)),
+        ("canonicalization_suites",
+         lambda: verification.canonicalization_suites(max(1, trials // 4), seed + 1)),
+        ("expected_distortion_bound",
+         lambda: [verification.bound_suite(alpha, beta, bound_count, seed + 2)]),
+    )
     failed = False
-    for r in results:
-        status = "ok" if r.ok else "FAIL"
-        note = f" {r.note}" if r.note else ""
-        click.echo(f"{status:4} {r.name}: {r.trials - r.failures}/{r.trials}{note}")
-        failed = failed or not r.ok
+    for name, run in suites:
+        try:
+            results = run()
+        except Exception as err:
+            click.echo(f"FAIL {name}: raised {type(err).__name__}: {err}")
+            failed = True
+            continue
+        for r in results:
+            status = "ok" if r.ok else "FAIL"
+            note = f" {r.note}" if r.note else ""
+            click.echo(f"{status:4} {r.name}: {r.trials - r.failures}/{r.trials}{note}")
+            failed = failed or not r.ok
     if failed:
         sys.exit(EXIT_PROPERTY)
 

@@ -8,35 +8,61 @@ win probability as half the tie mass rather than simulated.
 
 Method.  :func:`vote_pmf` sorts the probabilities and multiplies the
 factors in a balanced product tree (the DC-FFT method of Biscarri, Zhao and
-Brunner, CSDA 2018): level k holds the PMFs of runs of ``2**k`` neighbouring
-voters and multiplies neighbouring rows pairwise by batched real FFTs, one
-numpy call per level; the FFT's small negative noise is clipped to 0.  Sure
-voters (p = 0 or 1) only shift the PMF and stay out of the tree, so the
-entries they rule out are exactly 0.  Up to ``model.SCALAR_LIMIT`` unsure
-voters the factors are multiplied one at a time in Python floats instead.
-Sorting makes the result bit-identical under any order of the voters.  The
-win probabilities are sums of products of the two PMFs, each taken by one
-``np.add.reduce``.  A BLAS dot product would split a sum of more than about
-10**4 terms across threads, so its last bits would depend on the thread
-count; the reduction runs in one thread in a fixed order.
+Brunner, CSDA 2018).  A level holds rows of one width ``2**j + 1``, each the
+PMF of a group of voters from its offset (the count of its first entry) on,
+and multiplies neighbouring rows pairwise by batched real FFTs, one numpy
+call per level; the FFT's small negative noise is clipped to 0.  The first
+level, over rows ``[1 - p, p]``, is the length-2 FFT in closed form, rounded
+as the FFT rounds it.  Windows: a row of m voters needs only the entries
+within ``t = sqrt(m ln(2**80) / 2)`` of its mean (Hoeffding, 1963, with
+delta = 2**-80 on each side), so once that is fewer than the product's
+``2w - 1``, a level keeps ``2**j + 1 >= 2t + 3`` entries around each row's
+mean and adds the cut to the row's offset.  No row is cut while the
+product holds at most 256 unsure voters, so up to that size the result is
+the plain tree's, bit for bit.  Blocks: a run of at least ``_BLOCK_MIN`` equal probabilities (found
+by one comparison of neighbours in the sorted array) enters as one
+Binomial(m, p) row on its window, built from the mode outwards by the ratio
+``(m - k) / (k + 1) * p / (1 - p)`` of neighbouring entries and normalized
+by its ``fsum``; it joins the first level as wide as it is.  Building a
+block by repeated squaring with the FFT product instead took 0.7-8.5 times
+as long at m = 300 to 1e6 and lost the tails' relative accuracy.  Sure
+voters (p = 0 or 1) only shift the PMF and stay out of the product, so the
+entries they rule out are exactly 0, as are the entries outside the last
+window.  Up to ``model.SCALAR_LIMIT`` unsure voters the factors are
+multiplied one at a time in Python floats instead.  Sorting makes the
+result bit-identical under any order of the voters.  The win probabilities
+are sums of products of the two PMFs, each taken by one ``np.add.reduce``.
+A BLAS dot product would split a sum of more than about 10**4 terms across
+threads, so its last bits would depend on the thread count; the reduction
+runs in one thread in a fixed order.
 
-Complexity.  Level k costs O(n k), so the whole tree is O(n log^2 n) time
-and O(n) memory.  Measured
-on 2 shared cores (Python 3.11, numpy 2.4.6), best of 3 on uniform voters:
-:func:`expected_distortion` takes 0.04-0.06 s at n = 1e5 and 0.6-0.7 s at
-n = 1e6, where the process peaks at about 145 MB of RSS.
+Complexity.  A level below the first window costs O(n log w).  Above it, a
+level of rows of m voters costs O(n log(m) / sqrt(m)), so those levels sum
+to O(n), and a block of m voters costs O(sqrt(m)): after the sort the
+product takes O(n) time and memory.  Measured on 2 shared cores (Python
+3.11, numpy 2.4.6), best of 3 on uniform voters in two sessions:
+:func:`vote_pmf` takes 2.4-3.8 ms at n = 1e4 and 26-28 ms at n = 1e5, and
+:func:`expected_distortion` 0.30-0.47 s at n = 1e6, against 0.62-0.85 s
+for the plain tree.
 
 Error.  An FFT level of length N adds an absolute error of order
 ``eps * log2(N)`` to each entry; later products with rows that are
 nonnegative and sum to 1 do not enlarge that error, and clipping only moves
 an entry toward its true, nonnegative value.  The PMF is thus accurate to
 O(eps log^2 n) per entry in absolute terms, while entries far out in the
-tails lose their relative accuracy.  Measured: within 3e-15 of the
-sequential product for n <= 2000, and within 1e-16 of 50-digit arithmetic
-at n = 200.  So :func:`win_probabilities` recomputes a win
-probability below ``TILT_BELOW`` from an exponentially tilted PMF, which
-keeps it accurate in relative terms down to underflow, and takes the other
-as its complement.
+tails lose their relative accuracy.  Measured: within ``eps * log2(n)**2``
+of an 80-bit sequential product for n <= 2e4 (at most 1.5e-14, for
+probabilities below 1e-3), and within 1e-16 of 50-digit arithmetic at
+n = 200.  Two more terms belong in an error bound: each window drops at
+most 2 * 2**-80 of its row's mass, once per row and level; and a block's
+entry k carries a relative error of at most about
+``3 (|k - mode| + sd + 1) eps`` from the ratios multiplied out from its
+mode (measured against 40-digit arithmetic: at most 3e-17 in absolute
+terms, and 7e-13 relative at the edge of the window of m = 1e6), plus one
+rounding of its normalization.  So :func:`win_probabilities` recomputes a
+win probability below ``TILT_BELOW`` from an exponentially tilted PMF,
+which keeps it accurate in relative terms down to underflow, and takes the
+other as its complement.
 
 Crossover.  ``model.SCALAR_LIMIT`` selects the path of the whole
 evaluation by the number of voters.  Up to it, an election goes from its
@@ -47,10 +73,11 @@ recomputed under the tilt.  Both paths turn the two PMFs into win
 probabilities by the same function, which takes lists or arrays, so they
 agree bit for bit.  The limit is where the scalar PMF stops beating
 the tree, about 48 voters on the same machine; evaluation in floats alone
-would pay up to about 100.  There is no crossover inside the tree: on the
-same machine, shifted multiply-adds for the narrow levels timed within the
-run-to-run noise (about 15%) of the FFT at every width from 3 to 33, at
-n = 1e3 to 1e5, so every level uses the FFT.
+would pay up to about 100.  Inside the tree, the first level is not within
+noise: its batched length-2 FFT took 0.37 ms per 1e4 voters, the closed
+form 0.06 ms.  At every later width, from 3 to 33, shifted
+multiply-adds timed within the run-to-run noise (about 15%) of the FFT at
+n = 1e3 to 1e5, so those levels use the FFT.
 
 There is no size limit: evaluation, the displacement certificates and the
 bound audit (:func:`votedist.worstcase.verify_distortion_bound`) are exact at
@@ -93,6 +120,19 @@ TILT_BELOW = 1e-3
 _MAX_TILT = 512.0
 _TILT_STEPS = 24
 
+#: ln(1/delta) of the windows' Hoeffding bound, delta = 2**-80 on each side:
+#: a window then drops at most 2**-79 of its row's mass, 2**-26 of the half
+#: ulp of 1, so even 10**6 cuts stay below the FFT's own rounding, while the
+#: window is only about 10.5 sqrt(m) entries wide for m voters.
+_LOG_INV_DELTA = 80.0 * math.log(2.0)
+
+#: Runs of at least this many equal probabilities enter as one binomial row.
+#: The measured crossover: on 10**4 and 10**5 voters in runs of m, blocks
+#: took 1.4-1.9 times the per-voter product at m = 640-800 and 0.3-0.8 times
+#: at m = 1024-4096.  (Runs of 512 also won, as their window is half as wide,
+#: but the runs just above them lost.)
+_BLOCK_MIN = 1024
+
 
 class WinProbabilities(NamedTuple):
     p_left: float
@@ -117,16 +157,18 @@ def vote_pmf(probabilities: Iterable[float]) -> np.ndarray:
         raise ValueError(f"probability {i} out of range: {flat[i]!r}")
     n = len(p)
     # Sure voters (p = 0 or 1, sorted to the two ends) only shift the PMF;
-    # keeping them out of the tree keeps the entries they rule out exactly 0.
+    # keeping them out of the product keeps the entries they rule out exactly 0.
     start = int(np.searchsorted(p, 0.0, side="right"))
     stop = int(np.searchsorted(p, 1.0, side="left"))
     unsure = p[start:stop]
     pmf = np.zeros(n + 1)
-    pmf[n - stop : n - start + 1] = (
-        _scalar_product(unsure.tolist())
-        if len(unsure) <= model.SCALAR_LIMIT
-        else _tree_product(unsure)
-    )
+    if len(unsure) <= model.SCALAR_LIMIT:
+        pmf[n - stop : n - start + 1] = _scalar_product(unsure.tolist())
+    else:
+        row, offset = _product(unsure)
+        first = n - stop + offset
+        row = row[: n - start + 1 - first]  # the rest lies above every voter
+        pmf[first : first + len(row)] = row
     return pmf
 
 
@@ -140,38 +182,147 @@ def _scalar_product(p: list[float]) -> list[float]:
     return pmf
 
 
-def _tree_product(p: np.ndarray) -> np.ndarray:
-    # Level k holds the PMFs of runs of 2**k neighbouring voters, as rows of
-    # width 2**k + 1; each level multiplies rows 2i and 2i + 1 in one batch.
+def _window(m: int) -> int:
+    # Rows of m voters keep 2**j + 1 entries around their mean, with
+    # 2**j >= 2 t + 2: the integers within t of the mean, and one to spare
+    # for rounding the mean to the window's centre.
+    t = math.sqrt(m * _LOG_INV_DELTA / 2.0)
+    return 1 + (1 << (math.ceil(2.0 * t + 2.0) - 1).bit_length())
+
+
+def _product(p: np.ndarray) -> tuple[np.ndarray, int]:
+    """PMF of the unsure voters of the sorted ``p``, as (entries, first index).
+
+    Rows hold the PMFs of groups of voters, all of one width ``2**j + 1``;
+    each level multiplies rows 2i and 2i + 1 in one batch.  Runs of at least
+    ``_BLOCK_MIN`` equal probabilities enter as one binomial row each, once
+    the level's width reaches theirs.  Offsets (each row's first index) are
+    kept from the first window or block on.
+    """
     from numpy import fft
 
-    n = len(p)
-    rows = np.empty((n, 2))
+    changes = p[1:] != p[:-1]
+    blocks: list[tuple[np.ndarray, int, int]] = []
+    if len(p) - np.count_nonzero(changes) >= _BLOCK_MIN:  # else no run is long enough
+        p, blocks = _split_runs(p, np.flatnonzero(changes) + 1)
+    rows = np.empty((len(p), 2))
     rows[:, 0] = 1.0 - p
     rows[:, 1] = p
-    while len(rows) > 1:
-        m, w = rows.shape
-        if m % 2:
+    offsets = None
+    most = 1  # no row holds more voters
+    while True:
+        w = rows.shape[1]
+        if blocks and len(blocks[0][0]) <= w:
+            joining = [b for b in blocks if len(b[0]) <= w]
+            blocks = blocks[len(joining) :]
+            padded = np.zeros((len(joining), w))
+            for i, (row, _, _) in enumerate(joining):
+                padded[i, : len(row)] = row
+            if offsets is None:
+                offsets = np.zeros(len(rows), np.intp)
+            rows = np.concatenate([rows, padded])
+            offsets = np.concatenate([offsets, [offset for _, offset, _ in joining]])
+            most = max([most] + [m for _, _, m in joining])
+        if len(rows) <= 1:
+            if not blocks:
+                break
+            # Widen the lone row to the narrowest block, with zeros.
+            rows = np.pad(rows, ((0, 0), (0, len(blocks[0][0]) - w)))
+            continue
+        if len(rows) % 2:
             # An odd row out is paired with the constant polynomial 1.
             one = np.zeros((1, w))
             one[0, 0] = 1.0
             rows = np.concatenate([rows, one])
-        # A cyclic product of length 2w - 2 (a power of two) folds the top
-        # coefficient, a product of two leading entries, onto the constant one.
-        size = 2 * (w - 1)
-        # Each array is dropped once the next is built, so that at most two
-        # of a level's arrays are alive at once.
-        top = rows[0::2, -1] * rows[1::2, -1]
-        spectra = fft.rfft(rows, size, axis=1)
-        del rows
-        product = spectra[0::2] * spectra[1::2]
-        del spectra
-        cyclic = fft.irfft(product, size, axis=1)
-        del product
-        cyclic[:, 0] -= top
-        rows = np.concatenate([cyclic, top[:, None]], axis=1)
+            if offsets is not None:
+                offsets = np.append(offsets, 0)
+        if w == 2:
+            rows = _first_level(rows)
+        else:
+            # A cyclic product of length 2w - 2 (a power of two) folds the top
+            # coefficient, a product of two leading entries, onto the constant
+            # one.  Each array is dropped once the next is built, so that at
+            # most two of a level's arrays are alive at once.
+            top = rows[0::2, -1] * rows[1::2, -1]
+            size = 2 * (w - 1)
+            spectra = fft.rfft(rows, size, axis=1)
+            del rows
+            product = spectra[0::2] * spectra[1::2]
+            del spectra
+            cyclic = fft.irfft(product, size, axis=1)
+            del product
+            cyclic[:, 0] -= top
+            rows = np.concatenate([cyclic, top[:, None]], axis=1)
+            del cyclic
+        most *= 2
+        width = min(2 * w - 1, _window(most))
+        if offsets is not None:
+            offsets = offsets[0::2] + offsets[1::2]
+        elif width < 2 * w - 1:
+            offsets = np.zeros(len(rows), np.intp)
+        if width < 2 * w - 1:
+            # Keep the window around each row's mean, inside the product.
+            centre = np.add.reduce(rows * np.arange(2 * w - 1), axis=1)
+            start = np.rint(centre - (width - 1) / 2)
+            np.minimum(np.maximum(start, 0.0, out=start), 2 * w - 1 - width, out=start)
+            start = start.astype(np.intp)
+            rows = rows[np.arange(len(rows))[:, None], start[:, None] + np.arange(width)]
+            offsets += start
         np.maximum(rows, 0.0, out=rows)
-    return rows[0, : n + 1]
+    return rows[0], 0 if offsets is None else int(offsets[0])
+
+
+def _first_level(rows: np.ndarray) -> np.ndarray:
+    """Products of rows 2i and 2i + 1 of width 2, as the length-2 FFT rounds them.
+
+    That FFT's spectrum of a row is its sum and difference, and its inverse
+    halves the sum and the difference of the two spectral products; the
+    cyclic product's wrapped top entry is then taken off the constant one.
+    """
+    a, b = rows[0::2], rows[1::2]
+    top = a[:, 1] * b[:, 1]
+    s = (a[:, 0] + a[:, 1]) * (b[:, 0] + b[:, 1])
+    d = (a[:, 0] - a[:, 1]) * (b[:, 0] - b[:, 1])
+    product = np.empty((len(top), 3))
+    product[:, 0] = (s + d) / 2 - top
+    product[:, 1] = (s - d) / 2
+    product[:, 2] = top
+    return product
+
+
+def _split_runs(
+    p: np.ndarray, cuts: np.ndarray
+) -> tuple[np.ndarray, list[tuple[np.ndarray, int, int]]]:
+    # The voters outside long runs, and one binomial row per long run,
+    # narrowest first; ``cuts`` are the indices where the sorted p changes.
+    bounds = np.concatenate(([0], cuts, [len(p)]))
+    lengths = np.diff(bounds)
+    long = lengths >= _BLOCK_MIN
+    blocks = [_binomial_row(int(m), float(p[i])) for i, m in zip(bounds[:-1][long], lengths[long])]
+    blocks.sort(key=lambda block: len(block[0]))
+    return p[np.repeat(~long, lengths)], blocks
+
+
+def _binomial_row(m: int, p: float) -> tuple[np.ndarray, int, int]:
+    """Binomial(m, p) on its window, as (row, offset, m)."""
+    width = _window(m)
+    if width > m + 1:
+        width, offset = 1 + (1 << (m - 1).bit_length()), 0
+    else:
+        offset = min(max(round(m * p - (width - 1) / 2), 0), m + 1 - width)
+    hi = min(offset + width, m + 1) - 1
+    mode = min(max(int((m + 1) * p), offset), hi)
+    # From the mode outwards by the ratio of neighbouring entries,
+    # pmf[k + 1] / pmf[k] = (m - k) / (k + 1) * p / (1 - p).
+    odds = p / (1.0 - p)
+    up = np.arange(mode, hi, dtype=float)
+    down = np.arange(mode, offset, -1, dtype=float)
+    row = np.zeros(width)
+    row[mode - offset] = 1.0
+    row[mode - offset + 1 : hi - offset + 1] = np.cumprod((m - up) / (up + 1.0) * odds)
+    row[: mode - offset][::-1] = np.cumprod(down / (m - down + 1.0) / odds)
+    row /= math.fsum(row.tolist())
+    return row, offset, m
 
 
 def _win_probs(

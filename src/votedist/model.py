@@ -41,6 +41,7 @@ to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -110,6 +111,17 @@ def check_beta(beta: float) -> float:
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     return beta
+
+
+def _check_seed(seed: int) -> int:
+    """Validate a random seed: a non-negative integer, returned as an int."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
 
 
 class _VoterArray:

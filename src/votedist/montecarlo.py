@@ -42,6 +42,7 @@ class McConfig:
     confidence: float = 0.95
 
     def __post_init__(self):
+        model._check_seed(self.seed)
         hoeffding_half_width(self.samples, self.confidence)  # raises on an invalid plan
 
 

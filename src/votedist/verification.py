@@ -238,6 +238,7 @@ def _draw(rng: np.random.Generator, beta: float, winner: str, require: tuple, pi
 
 def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
     """Certify every move kind on ``trials`` random elections each."""
+    seed = model._check_seed(seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
@@ -286,6 +287,7 @@ def _expected_form_ok(form: displace.CanonicalForm) -> bool:
 
 def canonicalization_suites(trials: int, seed: int) -> list[SuiteResult]:
     """Run both canonicalizations on random configured elections."""
+    seed = model._check_seed(seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)

@@ -340,6 +340,7 @@ def generate_gate_elections(
     multiplicities scaled so both expected vote counts exceed
     :func:`vote_count_threshold` and the right candidate is strictly optimal.
     """
+    seed = model._check_seed(seed)
     beta, threshold = check_gate_inputs(alpha, beta, count)
     rng = np.random.default_rng(seed)
     out: list[LineElection] = []

@@ -532,6 +532,12 @@ class TestCanonicalizationSuites:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             suites(trials, 1)
 
+    @pytest.mark.parametrize("suites", [displacement_suites, canonicalization_suites])
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, suites, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            suites(1, seed)
+
     def test_certificate_holds_the_re_evaluated_metrics(self):
         for seed in (1, 2, 9001):
             for canonicalize, e, beta in suite_elections(50, seed):

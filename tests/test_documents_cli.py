@@ -500,6 +500,7 @@ class TestCli:
         "args, message",
         [
             (["--trials", "-4"], "error: trials must be >= 1, got -4\n"),
+            (["--trials", "0"], "error: trials must be >= 1, got 0\n"),
             (["--trials", "1", "--bound-count", "-1"], "error: count must be >= 0, got -1\n"),
         ],
     )
@@ -516,6 +517,7 @@ class TestCli:
             (["--alpha", "0", "--bound-count", "-1"], ALPHA_RANGE + "0.0\n"),
             (["--trials", "0", "--alpha", "0"], ALPHA_RANGE + "0.0\n"),
             (["--bound-count", "-1", "--trials", "0"], "error: count must be >= 0, got -1\n"),
+            (["--trials", "0"], "error: trials must be >= 1, got 0\n"),
         ],
     )
     def test_verify_checks_its_options_before_any_suite(self, monkeypatch, args, message):
@@ -529,6 +531,25 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert result.exit_code == 1
         assert result.stderr == message
+
+    @pytest.mark.parametrize(
+        "error", [RuntimeError("no left-leading election in 4000 draws"), ValueError("bad draw")]
+    )
+    def test_verify_reads_a_suite_that_raises_as_its_failure(self, monkeypatch, error):
+        from votedist import verification
+
+        def raising(*args):
+            raise error
+
+        monkeypatch.setattr(verification, "canonicalization_suites", raising)
+        args = ["verify", "--seed", "1", "--trials", "4", "--bound-count", "1"]
+        result = self.runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr == ""
+        lines = result.stdout.splitlines()
+        assert lines[6] == f"FAIL canonicalization_suites: raised {type(error).__name__}: {error}"
+        kept = lines[:6] + lines[7:]
+        assert len(kept) == 7 and all(line.startswith("ok   ") for line in kept)
 
     @pytest.mark.parametrize("alpha", ["1e-100", "1e-5", "1.618"])
     def test_verify_rejects_alphas_whose_gate_elections_cannot_be_built(self, monkeypatch, alpha):

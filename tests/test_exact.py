@@ -51,21 +51,25 @@ def engine(name):
             setattr(model, k, v)
 
 
-def reference_pmf(probabilities):
-    """The sequential product ``vote_pmf`` used before the product tree."""
-    pmf = np.array([1.0])
+def reference_pmf(probabilities, dtype=float, length=None):
+    """The sequential product ``vote_pmf`` used before the product tree.
+
+    With ``length``, only its first entries, which no later entry feeds.
+    """
+    pmf = np.array([1.0], dtype)
     for p in probabilities:
-        p = float(p)
-        nxt = np.zeros(len(pmf) + 1)
+        p = dtype(p)
+        nxt = np.zeros(len(pmf) + 1, dtype)
         nxt[:-1] = pmf * (1.0 - p)
         nxt[1:] += pmf * p
-        pmf = nxt
+        pmf = nxt[:length]
     return pmf
 
 
-def probability_mix(rng, n):
+def probability_mix(rng, n, kind=None):
     """Probabilities of several shapes: spread, tiny, near one, with sure voters."""
-    kind = rng.integers(4)
+    if kind is None:
+        kind = rng.integers(4)
     if kind == 0:
         return rng.uniform(0.0, 1.0, n)
     if kind == 1:
@@ -184,6 +188,156 @@ class TestProductTree:
                 np.testing.assert_allclose(vote_pmf(probs), want, rtol=0.0, atol=1e-14)
 
 
+#: Up to this many unsure voters no row is cut to its window: a level whose
+#: rows hold 2 * 256 voters is the first to truncate.
+TRUNCATION_SIZE = 256
+
+
+def reference_tree(p):
+    """The per-voter FFT product tree ``vote_pmf`` used before windows and blocks."""
+    from numpy import fft
+
+    n = len(p)
+    rows = np.empty((n, 2))
+    rows[:, 0] = 1.0 - p
+    rows[:, 1] = p
+    while len(rows) > 1:
+        m, w = rows.shape
+        if m % 2:
+            one = np.zeros((1, w))
+            one[0, 0] = 1.0
+            rows = np.concatenate([rows, one])
+        size = 2 * (w - 1)
+        top = rows[0::2, -1] * rows[1::2, -1]
+        spectra = fft.rfft(rows, size, axis=1)
+        cyclic = fft.irfft(spectra[0::2] * spectra[1::2], size, axis=1)
+        cyclic[:, 0] -= top
+        rows = np.concatenate([cyclic, top[:, None]], axis=1)
+        np.maximum(rows, 0.0, out=rows)
+    return rows[0, : n + 1]
+
+
+def reference_tree_pmf(probabilities):
+    """``vote_pmf`` with the reference tree: sorted, sure voters shifted in."""
+    p = np.sort(probabilities)
+    n = len(p)
+    start, stop = int(np.sum(p == 0.0)), n - int(np.sum(p == 1.0))
+    unsure = p[start:stop]
+    pmf = np.zeros(n + 1)
+    pmf[n - stop : n - start + 1] = (
+        exact._scalar_product(unsure.tolist())
+        if len(unsure) <= model.SCALAR_LIMIT
+        else reference_tree(unsure)
+    )
+    return pmf
+
+
+def binomial_pmf(m, p):
+    """The engine's Binomial(m, p) row, placed in a PMF of m voters."""
+    row, offset, _ = exact._binomial_row(m, p)
+    pmf = np.zeros(m + 1)
+    row = row[: m + 1 - offset]
+    pmf[offset : offset + len(row)] = row
+    return pmf
+
+
+def sites_and_singles(rng, n):
+    """About n probabilities: 3-7 runs of 600-2,600 equal values, the rest
+    distinct.  Duplicated twice, every run is long enough for a block."""
+    counts = rng.integers(600, 2600, size=int(rng.integers(3, 8)))
+    runs = np.repeat(rng.uniform(0.0, 1.0, len(counts)), counts)
+    return np.concatenate([runs, rng.uniform(0.0, 1.0, max(0, n - len(runs)))])
+
+
+class TestWindowsAndBlocks:
+    def test_first_level_is_the_length_two_fft(self, rng):
+        from numpy import fft
+
+        for kind in range(4):
+            for n in (2, 3, 64, 1001):
+                p = probability_mix(rng, n, kind)
+                rows = np.column_stack([1.0 - p, p])
+                if n % 2:
+                    rows = np.concatenate([rows, [[1.0, 0.0]]])
+                top = rows[0::2, -1] * rows[1::2, -1]
+                spectra = fft.rfft(rows, 2, axis=1)
+                cyclic = fft.irfft(spectra[0::2] * spectra[1::2], 2, axis=1)
+                cyclic[:, 0] -= top
+                want = np.concatenate([cyclic, top[:, None]], axis=1)
+                assert exact._first_level(rows).tobytes() == want.tobytes()
+
+    def test_below_the_truncation_size_the_tree_keeps_its_bits(self, rng):
+        # Rows of TRUNCATION_SIZE voters keep every entry; rows of twice as
+        # many are the first to be cut to their window.
+        assert exact._window(TRUNCATION_SIZE) == TRUNCATION_SIZE + 1
+        assert exact._window(2 * TRUNCATION_SIZE) < 2 * TRUNCATION_SIZE + 1
+        for n in range(model.SCALAR_LIMIT + 1, TRUNCATION_SIZE + 1):
+            probs = probability_mix(rng, n, n % 4)
+            assert vote_pmf(probs).tobytes() == reference_tree_pmf(probs).tobytes()
+
+    def test_runs_are_order_free_and_duplicates_make_one_block(self, rng):
+        for n in (2_000, 8_000, 20_000):
+            probs = sites_and_singles(rng, n)
+            pmf = vote_pmf(probs)
+            assert vote_pmf(rng.permutation(probs)).tobytes() == pmf.tobytes()
+            assert abs(math.fsum(pmf.tolist()) - 1.0) <= len(probs) * EPS
+            for k in (2, 4):
+                repeated = np.repeat(probs, k)
+                assert vote_pmf(rng.permutation(repeated)).tobytes() == vote_pmf(
+                    repeated
+                ).tobytes()
+                site = float(probs[0])
+                m = int(np.sum(probs == site))
+                assert m * k >= exact._BLOCK_MIN
+                assert vote_pmf(np.repeat([site] * m, k)).tobytes() == binomial_pmf(
+                    m * k, site
+                ).tobytes()
+
+    @pytest.mark.parametrize("m", [100, 2_500, 10**6])
+    @pytest.mark.parametrize("p", [1e-3, 0.2, 0.5, 0.97])
+    def test_block_matches_high_precision(self, m, p):
+        # Each entry k carries a relative error of at most 3 (|k - mode| + sd
+        # + 1) eps, from the ratios multiplied out from the mode.
+        mpmath = pytest.importorskip("mpmath")
+        row, offset, _ = exact._binomial_row(m, p)
+        assert len(row) == exact._window(m) or (offset == 0 and len(row) >= m + 1)
+        assert abs(math.fsum(row.tolist()) - 1.0) <= 2 * EPS
+        top = min(offset + len(row), m + 1) - 1
+        ks = np.unique(np.linspace(offset, top, 41).round().astype(int))
+        mode, sd = int((m + 1) * p), math.sqrt(m * p * (1.0 - p))
+        with mpmath.workdps(40):
+            q = mpmath.mpf(p)
+            entry = lambda k: mpmath.binomial(m, k) * q**k * (1 - q) ** (m - k)
+            want = [float(entry(k)) for k in ks]
+            # The window holds all but 2 * 2**-80 of the law.
+            held, term = mpmath.mpf(0), entry(offset)
+            for k in range(offset, top + 1):
+                held += term
+                term *= (m - k) * q / ((k + 1) * (1 - q))
+        got = row[ks - offset]
+        bound = 3.0 * (np.abs(ks - mode) + sd + 1.0) * EPS
+        assert np.all(np.abs(got - want) <= bound * np.array(want) + 1e-300)
+        assert float(1 - held) <= 2.0**-79
+
+    @pytest.mark.parametrize(
+        "n, kinds", [(TRUNCATION_SIZE + 1, range(4)), (2_000, range(4)), (20_000, [1])]
+    )
+    def test_window_entries_match_the_sequential_product(self, n, kinds, rng):
+        # Above the truncation size every entry stays within eps log2(n)**2
+        # of an 80-bit sequential product, as the tree's did; tiny
+        # probabilities (shape 1) err the most.
+        bound = EPS * math.log2(n) ** 2
+        for kind in kinds:
+            probs = probability_mix(rng, n, kind)
+            # Shape 1 has a mean of at most 20, so entries from 1,000 on are
+            # below 1e-300.
+            length = 1_000 if kind == 1 else None
+            want = reference_pmf(np.sort(probs), np.longdouble, length)
+            pmf = vote_pmf(probs)
+            assert np.abs(pmf[: len(want)] - want).max() <= bound
+            assert pmf[len(want) :].max(initial=0.0) <= bound
+
+
 def reference_win_right(left, right):
     """P(right wins) from sequential PMFs, in nonnegative sums only."""
     pmf_left, pmf_right = reference_pmf(left), reference_pmf(right)
@@ -199,6 +353,15 @@ def lopsided_election(rng, n):
     left = rng.integers(-64, 26, size=n) / 64.0
     right = rng.integers(38, 128, size=int(rng.integers(1, n // 2))) / 64.0
     return LineElection(np.concatenate([left, right]))
+
+
+def lopsided_runs_election(rng):
+    """Dyadic positions in a few runs of 1,100-1,600 voters: three leaning
+    left, one or two leaning right."""
+    left = rng.integers(-64, 26, size=3) / 64.0
+    right = rng.integers(38, 128, size=int(rng.integers(1, 3))) / 64.0
+    sites = np.concatenate([left, right])
+    return LineElection(np.repeat(sites, rng.integers(1_100, 1_600, size=len(sites))))
 
 
 class TestSmallWinProbabilities:
@@ -228,6 +391,19 @@ class TestSmallWinProbabilities:
                 win = win_probabilities(e, beta)
                 assert win.p_right == pytest.approx(want, rel=1e-10, abs=1e-300)
                 smallest = min(smallest, want)
+        assert smallest < 1e-12
+
+    def test_few_runs_match_sequential_product_in_relative_terms(self, rng):
+        smallest = 1.0
+        for _ in range(4):
+            e = lopsided_runs_election(rng)
+            beta = float(rng.uniform(0.2, 1.0))
+            side, p = model.voter_arrays(*e.distances(), beta)
+            want = reference_win_right(p[side < 0], p[side > 0])
+            win = win_probabilities(e, beta)
+            assert win.p_right == pytest.approx(want, rel=1e-10, abs=1e-300)
+            assert win_probabilities(mirror(e), beta) == (win.p_right, win.p_left)
+            smallest = min(smallest, want)
         assert smallest < 1e-12
 
     def test_order_free(self, rng):

@@ -5,7 +5,10 @@ sites, planar metric pairs) are evaluated through the CLI, as CSV at the
 document's beta and as a report at beta 0.37.  The expected strings were
 recorded before elections moved onto read-only arrays; any change to the
 data layer, the voter arrays or the exact engine that moves one digit of
-these outputs fails here.
+these outputs fails here.  Two last digits were re-recorded when the exact
+engine began to cut its rows to their windows and to take runs as binomial
+blocks: ``shared``'s CSV ``win_prob_right`` and ``metric``'s report
+``win_prob_right``, each now nearer to an 80-bit sequential product.
 """
 
 import json
@@ -43,7 +46,7 @@ GOLDEN = {
     ),
     "shared": (
         "15678.9,13804.7,right,1.13576535528,1,5193.8,5036.91666667,left,"
-        "0.991212371482,0.00878762851774,1.13457229977\n",
+        "0.991212371482,0.00878762851773,1.13457229977\n",
         "sc_left               15678.9\n"
         "sc_right              13804.7\n"
         "optimal               right\n"
@@ -68,7 +71,7 @@ GOLDEN = {
         "expected_votes_right  5772.59934346\n"
         "expected_winner       left\n"
         "win_prob_left         0.990208712534\n"
-        "win_prob_right        0.00979128746564\n"
+        "win_prob_right        0.00979128746563\n"
         "expected_distortion   1.00008678472\n",
     ),
 }

@@ -26,14 +26,17 @@ class TestConfig:
             dict(samples=10, seed=1, confidence=0.0),
             dict(samples=10, seed=1, confidence=1.0),
             dict(samples=10, seed=1, confidence=math.nan),
+            dict(samples=10, seed=-1),
+            dict(samples=10, seed=1.5),
         ],
     )
     def test_rejects_bad_config(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="seed" if kwargs["seed"] != 1 else None):
             McConfig(**kwargs)
-        # The half-width is defined for the same plans.
-        with pytest.raises(ValueError):
-            hoeffding_half_width(kwargs["samples"], kwargs.get("confidence", 0.95))
+        if kwargs["seed"] == 1:
+            # The half-width is defined for the same sampling plans.
+            with pytest.raises(ValueError):
+                hoeffding_half_width(kwargs["samples"], kwargs.get("confidence", 0.95))
 
 
 class TestHalfWidth:

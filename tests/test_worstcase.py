@@ -501,6 +501,11 @@ class TestBoundVerifier:
             generate_gate_elections(0.1, 1.0, -1, 3)
         assert generate_gate_elections(0.1, 1.0, 0, 3) == []
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_gate_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            generate_gate_elections(0.1, 1.0, 1, seed)
+
     @pytest.mark.parametrize(
         "alpha, beta, count, message",
         [
