@@ -267,49 +267,77 @@ def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
     return results
 
 
-def _winner_form_ok(form: displace.CanonicalForm) -> bool:
-    positions = form.election.positions
-    if len(set(positions)) > 2:
-        return False
-    return all(0.0 <= x <= 0.5 or x >= 1.0 for x in positions)
+#: Relative slack of the D* check, in float spacings: D* reads within 2
+#: spacings of the supremum, and a form's distortion within 2 of its own.
+_DSTAR_ULPS = 8
 
 
-def _expected_form_ok(form: displace.CanonicalForm) -> bool:
-    positions = form.election.positions
-    if model._indices_in(positions, "A"):
-        return False
-    if len({positions[i] for i in model._indices_in(positions, "D")}) > 1:
-        return False
-    # Interior-C voters may remain only when crossing them would lower the
-    # expected distortion, i.e. their cost ratio sits below the final bar.
-    return not displace._crossers(form.election)
+def _winner_forms_ok(forms: list[displace.CanonicalForm], betas: list[float]) -> list[bool]:
+    """Per form: two points in B and D, and a left distortion within D*(beta).
+
+    A winner form is a two-point election that left leads and right costs
+    less, so its left distortion is at most the worst case.  D* comes from one
+    :func:`worstcase._solve` over the suite's betas; the slack is relative.
+    """
+    ok = []
+    for form, worst in zip(forms, worstcase._solve(betas, 0.0)):
+        positions = form.election.positions
+        ok.append(
+            len(set(positions)) <= 2
+            and all(0.0 <= x <= 0.5 or x >= 1.0 for x in positions)
+            and model._candidate_distortion(form.election, LEFT)
+            <= worst.value * (1.0 + _DSTAR_ULPS * model._EPS)
+        )
+    return ok
+
+
+def _expected_forms_ok(forms: list[displace.CanonicalForm], betas: list[float]) -> list[bool]:
+    """Per form: no A voter, one D position, and no valid C-to-D crossing.
+
+    Interior-C voters may remain only when crossing them would lower the
+    expected distortion, i.e. their cost ratio sits below the final bar.
+    """
+    ok = []
+    for form in forms:
+        positions = form.election.positions
+        ok.append(
+            not model._indices_in(positions, "A")
+            and len({positions[i] for i in model._indices_in(positions, "D")}) <= 1
+            and not displace._crossers(form.election)
+        )
+    return ok
 
 
 def canonicalization_suites(trials: int, seed: int) -> list[SuiteResult]:
-    """Run both canonicalizations on random configured elections."""
+    """Run both canonicalizations on random configured elections.
+
+    A form fails if its chain raises, if it was not applied, or if its shape
+    (and, for the winner form, its distortion against D*) is wrong.
+    """
     seed = model._check_seed(seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     suites = (
         ("canonical_winner_form", LEFT,
-         displace.canonicalize_expected_winner, _winner_form_ok),
+         displace.canonicalize_expected_winner, _winner_forms_ok),
         ("canonical_expected_form", RIGHT,
-         displace.canonicalize_expected_distortion, _expected_form_ok),
+         displace.canonicalize_expected_distortion, _expected_forms_ok),
     )
     results = []
-    for name, winner, canonicalize, form_ok in suites:
-        failures = 0
+    for name, winner, canonicalize, forms_ok in suites:
+        failures, forms, betas = 0, [], []
         for _ in range(trials):
             beta = random_beta(rng)
             e = random_leading_election(rng, beta, winner)
             try:
-                form = canonicalize(e, beta)
+                forms.append(canonicalize(e, beta))
+                betas.append(beta)
             except displace.CertificateError:
                 failures += 1
-                continue
-            if not (form.applied and form_ok(form)):
-                failures += 1
+        failures += sum(
+            1 for form, ok in zip(forms, forms_ok(forms, betas)) if not (form.applied and ok)
+        )
         results.append(SuiteResult(name, trials, failures))
     return results
 

@@ -11,8 +11,32 @@ candidate still leading on expected votes:
 Past the feasibility boundary the objective only falls as ``x_d`` grows (the
 ratio exceeds 1, and pushing equal mass into numerator and denominator drags
 it toward 1), so ``x_d`` sits at its binding value.  The best ``x_b`` then
-has a closed form (:func:`_best_x_b`), and one golden-section search over
-``s = log A`` (:func:`_golden_max`) solves every beta at once.
+has a closed form (:func:`_best_x_b`): ``u = 1 - 2 x_b`` is
+``u* = min(r / (1 + w), A, 1)`` with ``A = e^s``, the odds
+``r = e^(beta s) / (1 + margin)`` and ``w = sqrt(1 + 1/A)``.  That leaves the
+value ``V(s)`` of one variable, and its maximum is one of five candidates
+(:func:`_candidates`), evaluated for every beta at once (:func:`_worst`):
+
+* the interior stationary point ``s = log(beta^2 / (1 - beta^2))``: while
+  ``u* = r / (1 + w)`` the excess over 1 is ``2r / (A (1 + w)^2 - r)``, and
+  ``log(A (1 + w)^2 / r)`` has slope ``1/w - beta``, which increases in ``s``;
+* the root of ``phi(s) = r - 1 - beta - beta e^-s``, where ``u* = 1``: the
+  excess there has the slope sign of ``-phi``, and ``phi`` increases;
+* the root of ``psi(s) = e^((beta - 1) s) (beta (1 + A) - A) / (1 + margin) - 1``,
+  where ``u* = A``: the excess has the slope sign of ``psi``, which decreases
+  for ``beta < 1``;
+* the two ends of the bracket.
+
+The set is complete.  Each regime of ``u*`` holds the maximum of V only at
+a stationary point of its own formula or at an end of its stretch of ``s``.
+Where ``u*`` moves between the interior and a corner the two formulas meet
+with the ``u``-derivative 0, so V is smooth there and such a point is
+stationary in both.  The corners meet only at ``s = 0``, as ``u* = 1`` needs
+``A >= 1`` and ``u* = A`` needs ``A <= 1``.  That kink is never the maximum:
+``phi(0) = 1 / (1 + margin) - 1 - 2 beta < 0``, so V rises to the right of it.
+The conditions are monotone, so each regime has at most one stationary point,
+and each root comes from Newton steps that cannot pass it (:func:`_newton`);
+V need not be unimodal.
 
 At ``beta = 0`` everyone with a strict preference votes, so ``x_d = 1`` and
 the supremum 3 is approached at ``q_b = 1/2`` as ``x_b -> 1/2``; the solver
@@ -132,17 +156,24 @@ def _best_x_b(s, beta, margin):
     ``1 + excess``, ``excess = 2u (r - u) / (u (1 + u) + r max(A - u, 0))``.  Below
     ``A`` its ``u``-derivative has the sign of ``r^2 A - 2 r A u - u^2``, positive at 0
     and falling, so the best ``u`` is ``min(r / (1 + sqrt(1 + 1/A)), A, 1)``.  ``x_b``
-    is rounded down and ``x_d`` binds for it.  An excess below 0 (that ``u`` under
-    the float spacing next to 1/2) or undefined (``s = -inf``) gives way to the
+    is a float rounded down and ``x_d`` binds for it.  An excess below 0 (that ``u``
+    under the float spacing next to 1/2) or undefined (``s = -inf``) gives way to the
     limit ``q_b -> 1``: excess 0 at ``q_b = 1``, ``x_b = 1/2``, ``x_d = 1``.
+
+    Everything but ``x_b`` is computed, and returned, in long double.  On x86
+    that carries 11 more bits than a float, so the rounding of ``r``, ``A`` and
+    the quotient stays far below a float's spacing, and rounding ``1 + excess``
+    once gives the float nearest the objective at the returned witness.  Where
+    long double is a plain double, the value can be an ulp or two off.
     """
-    r = np.exp(beta * s - math.log1p(margin))
+    s = np.asarray(s, dtype=np.longdouble)
+    r = np.exp(beta * s - np.log1p(np.longdouble(margin)))
     a = np.exp(s)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.minimum(np.minimum(r / (1.0 + np.sqrt(1.0 + 1.0 / a)), a), 1.0)
-        x_b = 0.5 * (1.0 - u)
-        x_b = np.where(1.0 - 2.0 * x_b < u, np.nextafter(x_b, 0.0), x_b)
-        u = 1.0 - 2.0 * x_b
+        x_b = (0.5 * (1.0 - u)).astype(float)
+        x_b = np.where(1.0 - 2.0 * x_b.astype(np.longdouble) < u, np.nextafter(x_b, 0.0), x_b)
+        u = 1.0 - 2.0 * x_b.astype(np.longdouble)
         x_d = np.maximum(1.0, 0.5 * (1.0 + a / u))
         excess = 2.0 * u * (r - u) / (u * (1.0 + u) + r * np.maximum(a - u, 0.0))
     limit = ~(excess >= 0.0)
@@ -150,40 +181,125 @@ def _best_x_b(s, beta, margin):
     return tuple(np.where(limit, at, v) for at, v in zip((0.0, 1.0, 0.5, 1.0), found))
 
 
-def _golden_max(beta, margin):
-    """Golden-section search over ``s`` for each positive beta: ``(value, q_b, x_b, x_d)``.
+#: Right end of every bracket in ``s``: past it the excess is under ``2^-55``.
+_S_MAX = 56.0 * math.log(2.0)
 
-    It compares excesses, which stay precise where the value nears 1.  Nothing
-    outside the bracket beats its best by a quarter ulp of 1: as ``u <= min(A, 1)``
-    the excess is at most ``2 / (A - 1)``, under ``2^-55`` for ``s >= 56 ln 2``, and
-    at most ``2r``, under ``2^-54`` for ``beta s <= log(1 + margin) - 55 ln 2``; for
-    ``s <= -56 ln 2`` that ``2r`` is within ``4A = 2^-54`` of what ``u = A`` reads at
-    ``-56 ln 2``.  Each step keeps ``1/phi`` of the bracket, until the widest is under
-    ``eps`` and ``A = e^s`` moves by less than its rounding (Kiefer, *Sequential
-    minimax search for a maximum*, 1953).
+#: Newton steps a root solve may take before it raises: the halvings that
+#: shrink the widest bracket, ``2 _S_MAX``, to float resolution.
+_NEWTON_CAP = math.ceil(math.log2(2.0 * _S_MAX / np.finfo(float).eps))
+
+
+def _chi_one(s, beta, log_m):
+    """``log(r / (1 + beta + beta e^-s))`` and its slope: increasing and concave.
+
+    Its sign is that of ``phi(s) = r - 1 - beta - beta e^-s``, the stationarity
+    condition of the corner ``u = 1``.
     """
-    s_max = 56.0 * math.log(2.0)
-    hi = np.full(beta.shape, s_max)
-    lo = np.clip((math.log1p(margin) - 55.0 * math.log(2.0)) / beta, -s_max, s_max)
-    c, d = hi - (hi - lo) / _GOLDEN, lo + (hi - lo) / _GOLDEN
-    fc, fd = _best_x_b(c, beta, margin)[0], _best_x_b(d, beta, margin)[0]
-    for _ in range(math.ceil(math.log(2.0 * s_max / np.finfo(float).eps, _GOLDEN))):
-        left = fc >= fd
-        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
-        p = np.where(left, hi - (hi - lo) / _GOLDEN, lo + (hi - lo) / _GOLDEN)
-        fp = _best_x_b(p, beta, margin)[0]
-        c, d = np.where(left, p, d), np.where(left, c, p)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    excess, q_b, x_b, x_d = _best_x_b(np.where(fc >= fd, c, d), beta, margin)
-    return 1.0 + excess, q_b, x_b, x_d
+    e = beta * np.exp(-s)
+    return beta * s - log_m - np.log1p(beta + e), beta + e / (1.0 + beta + e)
+
+
+def _chi_a(s, beta, log_m):
+    """``log(e^((beta - 1) s) (beta - (1 - beta) A) / (1 + margin))`` and its
+    slope: decreasing and concave where the logarithm is defined.
+
+    Its sign is that of ``psi(s) = e^((beta - 1) s) (beta (1 + A) - A) / (1 + margin) - 1``,
+    the stationarity condition of the corner ``u = A``.
+    """
+    a = (1.0 - beta) * np.exp(s)
+    rest = beta - a
+    # log(rest), through log1p near 1 where beta - 1 is small and exact.
+    log_rest = np.where(rest > 0.5, np.log1p(beta - 1.0 - a), np.log(rest))
+    return (beta - 1.0) * s - log_m + log_rest, beta - 1.0 - a / rest
+
+
+def _newton(chi, start, far, beta, margin):
+    """Root of ``chi`` on each bracket from ``start``, where ``chi < 0``, to ``far``,
+    where ``chi >= 0``; ``start`` where the two ends do not bracket a root.
+
+    ``chi`` is monotone and concave, so from a point where it is negative each
+    Newton step lands between that point and the root: the iterates move toward
+    the root and never pass it.  In floats a solve stops once ``chi`` no longer
+    reads negative or a step moves ``s`` by at most 4 ulps; a step that rounding
+    throws out of the bracket is replaced by the bracket's midpoint.  A solve
+    that has not stopped after ``_NEWTON_CAP`` steps raises ``RuntimeError``
+    naming its beta and ``margin``, rather than return its last point.
+    """
+    log_m = math.log1p(margin)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bracketed = (chi(start, beta, log_m)[0] < 0.0) & (chi(far, beta, log_m)[0] >= 0.0)
+    root = start.copy()
+    x, far, beta = start[bracketed], far[bracketed], beta[bracketed]
+    low, done = x.copy(), np.zeros(x.shape, dtype=bool)
+    for _ in range(_NEWTON_CAP):
+        value, slope = chi(x, beta, log_m)
+        step = -value / slope
+        done |= ~(value < 0.0) | (np.abs(step) <= 4.0 * np.spacing(np.abs(x)))
+        if done.all():
+            root[bracketed] = x
+            return root
+        low = np.where(done, low, x)
+        ahead = x + step
+        inside = (ahead - low) * (far - ahead) > 0.0
+        x = np.where(done, x, np.where(inside, ahead, 0.5 * (low + far)))
+    raise RuntimeError(
+        f"worst-case root solve at beta = {float(beta[~done][0])!r}, epsilon = {margin!r} "
+        f"did not converge within {_NEWTON_CAP} Newton steps"
+    )
+
+
+def _candidates(beta, margin):
+    """Per positive beta, the five points in ``s`` among which the maximum lies.
+
+    The bracket is ``[lo, hi]``: ``hi = 56 ln 2``, and ``lo`` is where ``r`` falls
+    below ``2^-55`` (or ``-hi``).  Outside it no point beats the bracket's best by
+    a quarter ulp of 1: as ``u <= min(A, 1)`` the excess is at most ``2 / (A - 1)``,
+    under ``2^-55`` for ``s >= 56 ln 2``, and at most ``2r``, under ``2^-54`` left of
+    ``lo``; for ``s <= -56 ln 2`` that ``2r`` is within ``4A = 2^-54`` of what ``u = A``
+    reads at ``-56 ln 2``.  The columns are the interior point, the roots of
+    :func:`_chi_one` on ``[max(lo, 0), hi]`` and of :func:`_chi_a` on
+    ``[lo, min(hi, 0)]``, ``lo`` and ``hi``, each clipped into the bracket.
+    Each root solve starts where its ``chi`` is negative, at a closed-form bound
+    on the root: ``r = 1 + beta`` (``phi`` is below 0 there) for the corner
+    ``u = 1``, and for the corner ``u = A`` the smaller of the points where
+    ``e^((beta - 1) s) beta = 1 + margin`` and ``beta e^-s = 2 - beta + margin``
+    (``psi`` is below 0 at both).
+    """
+    log_m = math.log1p(margin)
+    hi = np.full(beta.shape, _S_MAX)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo = np.clip((log_m - 55.0 * math.log(2.0)) / beta, -_S_MAX, _S_MAX)
+        interior = 2.0 * np.log(beta) - np.log1p(-beta * beta)
+        start_one = (log_m + np.log1p(beta)) / beta
+        start_a = np.fmin(
+            (np.log(beta) - log_m) / (1.0 - beta), np.log(beta / (2.0 - beta + margin))
+        )
+    one = _newton(_chi_one, np.clip(start_one, np.maximum(lo, 0.0), hi), hi, beta, margin)
+    corner_a = _newton(_chi_a, np.clip(start_a, lo, hi), lo, beta, margin)
+    s = np.stack([interior, one, corner_a, lo, hi], axis=1)
+    return np.clip(s, lo[:, None], hi[:, None])
+
+
+def _worst(beta, margin):
+    """``(value, q_b, x_b, x_d)`` for each positive beta: the best of its candidates.
+
+    One :func:`_best_x_b` over the ``(betas, 5)`` candidates and an argmax per
+    row; the module docstring says why the candidates hold the maximum.
+    """
+    excess, q_b, x_b, x_d = _best_x_b(_candidates(beta, margin), beta[:, None], margin)
+    best = np.argmax(excess, axis=1)[:, None]
+    return tuple(
+        np.take_along_axis(v, best, axis=1)[:, 0].astype(float)
+        for v in (1.0 + excess, q_b, x_b, x_d)
+    )
 
 
 def _solve(betas, epsilon: float) -> list[WorstCaseSolution]:
-    """Solutions at every beta, from one search for all the positive ones."""
+    """Solutions at every beta, from one candidate evaluation for all the positive ones."""
     betas = np.array([model.check_beta(b) for b in betas], dtype=float)
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
-    found = zip(*(v.tolist() for v in _golden_max(betas[betas > 0.0], epsilon)))
+    found = zip(*(v.tolist() for v in _worst(betas[betas > 0.0], epsilon)))
     zero = ((3.0 + epsilon) / (1.0 + epsilon), (1.0 + epsilon) / (2.0 + epsilon), 0.5, 1.0)
     out = []
     for beta in betas.tolist():

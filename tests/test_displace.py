@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from votedist import displace, exact, model, verification
+from votedist import displace, exact, model, verification, worstcase
 from votedist.displace import (
     CanonicalForm,
     ValidityCertificate,
@@ -671,6 +671,20 @@ class TestSuitesCountFailures:
             SuiteResult("canonical_winner_form", 6, 6),
             SuiteResult("canonical_expected_form", 6, 6),
         ]
+
+    def test_winner_forms_are_checked_against_the_worst_case(self, monkeypatch):
+        # A two-point winner form cannot beat D*(beta); at seed 2 the largest
+        # form reaches 0.854 of it, so a D* read 20% low flags the suite.
+        real = worstcase._solve
+
+        def low(betas, epsilon):
+            return [dataclasses.replace(s, value=0.8 * s.value) for s in real(betas, epsilon)]
+
+        assert canonicalization_suites(50, 2)[0] == SuiteResult("canonical_winner_form", 50, 0)
+        monkeypatch.setattr(worstcase, "_solve", low)
+        winner, expected = canonicalization_suites(50, 2)
+        assert winner.name == "canonical_winner_form" and winner.failures > 0
+        assert expected == SuiteResult("canonical_expected_form", 50, 0)
 
 
 class TestConfiguredSampler:

@@ -47,6 +47,34 @@ def reference_positive_beta_values(odds, x_b, beta, margin):
     return vals, xd
 
 
+_GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def golden_max(beta, margin):
+    """Reference: golden-section search over ``s`` for each positive beta.
+
+    Returns ``(value, q_b, x_b, x_d)``.  It assumes the value is unimodal in
+    ``s`` and runs on the solver's bracket, ``[lo, 56 ln 2]``: each step keeps
+    ``1 / _GOLDEN_RATIO`` of it, until the widest is under ``eps`` and ``A = e^s``
+    moves by less than its rounding, after 85 steps (Kiefer, *Sequential minimax search
+    for a maximum*, 1953).
+    """
+    s_max = 56.0 * math.log(2.0)
+    hi = np.full(beta.shape, s_max)
+    lo = np.clip((math.log1p(margin) - 55.0 * math.log(2.0)) / beta, -s_max, s_max)
+    c, d = hi - (hi - lo) / _GOLDEN_RATIO, lo + (hi - lo) / _GOLDEN_RATIO
+    fc, fd = worstcase._best_x_b(c, beta, margin)[0], worstcase._best_x_b(d, beta, margin)[0]
+    for _ in range(math.ceil(math.log(2.0 * s_max / EPS, _GOLDEN_RATIO))):
+        left = fc >= fd
+        hi, lo = np.where(left, d, hi), np.where(left, lo, c)
+        p = np.where(left, hi - (hi - lo) / _GOLDEN_RATIO, lo + (hi - lo) / _GOLDEN_RATIO)
+        fp = worstcase._best_x_b(p, beta, margin)[0]
+        c, d = np.where(left, p, d), np.where(left, c, p)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+    excess, q_b, x_b, x_d = worstcase._best_x_b(np.where(fc >= fd, c, d), beta, margin)
+    return tuple(v.astype(float) for v in (1.0 + excess, q_b, x_b, x_d))
+
+
 class TestTwoPointDistortion:
     def test_tight_point(self):
         assert two_point_distortion(TIGHT_Q, 0.0, TIGHT_XD) == pytest.approx(
@@ -117,9 +145,9 @@ class TestSolve:
     def test_beta_one(self):
         sol = solve_worst_case(1.0)
         assert abs(sol.value - TIGHT_VALUE) <= 2.0 * np.spacing(TIGHT_VALUE)
-        assert sol.q_b == pytest.approx(TIGHT_Q, abs=1e-4)
+        assert abs(sol.q_b - TIGHT_Q) <= 1e-12
         assert sol.x_b == pytest.approx(0.0, abs=1e-6)
-        assert sol.x_d == pytest.approx(TIGHT_XD, abs=1e-4)
+        assert abs(sol.x_d - TIGHT_XD) <= 1e-12
         assert sol.attained
 
     def test_beta_zero_supremum(self):
@@ -133,8 +161,8 @@ class TestSolve:
         # witness q_b = 1/2, x_b = 1 - 1/sqrt 2, x_d = 1 + 1/sqrt 2.
         sol = solve_worst_case(1.0 / SQRT2)
         assert abs(sol.value - SQRT2) <= 2.0 * np.spacing(SQRT2)
-        assert sol.q_b == pytest.approx(0.5, abs=1e-6)
-        assert sol.x_b == pytest.approx(1.0 - 1.0 / SQRT2, abs=1e-6)
+        assert abs(sol.q_b - 0.5) <= 1e-12
+        assert abs(sol.x_b - (1.0 - 1.0 / SQRT2)) <= 1e-12
         assert sol.x_d == pytest.approx(1.0 + 1.0 / SQRT2, abs=1e-6)
 
     def test_clamped_regime_reaches_the_optimum(self):
@@ -167,6 +195,37 @@ class TestSolve:
         dstar = {s.beta: s.value for s in sweep_beta(sorted({beta for beta, _ in cases}))}
         for beta, e in cases:
             assert model.winner_distortion(e, beta) <= dstar[beta] + 1e-6
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.01, 1.0, 1e3, 1e6, 1e9, 1e300])
+    def test_matches_the_golden_search(self, epsilon):
+        # The candidates against 85 golden-section steps over the same bracket.
+        for betas in (np.linspace(0.0, 1.0, 401)[1:], np.linspace(0.0025, 1.0, 401),
+                      np.geomspace(1e-12, 1.0, 400)):
+            got = np.array([s.value for s in worstcase._solve(betas, epsilon)])
+            want = golden_max(betas, epsilon)[0]
+            assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want))
+
+    def test_newton_solves_take_few_steps(self, monkeypatch):
+        # Each solve checks its bracket with two evaluations, then makes one
+        # per step; counted, not timed, so the guard is machine-independent.
+        calls = {}
+        for name in ("_chi_one", "_chi_a"):
+            def counted(s, beta, log_m, _chi=getattr(worstcase, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _chi(s, beta, log_m)
+
+            monkeypatch.setattr(worstcase, name, counted)
+        worstcase._solve(np.linspace(0.0, 1.0, 401), 0.0)
+        assert sorted(calls) == ["_chi_a", "_chi_one"]
+        assert all(n - 2 <= 10 for n in calls.values()), calls
+
+    def test_newton_raises_at_its_step_cap(self, monkeypatch):
+        # Out of steps, a solve names its beta and epsilon instead of
+        # returning its last point.
+        assert worstcase._NEWTON_CAP == 59
+        monkeypatch.setattr(worstcase, "_NEWTON_CAP", 1)
+        with pytest.raises(RuntimeError, match=r"beta = 0\.3, epsilon = 0\.01 did not converge"):
+            solve_worst_case_margin(0.3, 0.01)
 
     def test_witness_is_canonical_fixed_point(self):
         sol = solve_worst_case(1.0)
@@ -373,9 +432,9 @@ class TestSweep:
         "beta, fmt, text",
         [
             ("1", "csv", "beta,dstar,q_b,x_b,x_d,attained\n"
-             "1,1.52240774993,0.29289322177,0,1.70710676396,true\n"),
-            ("1", "report", "beta      1\ndstar     1.52240774993\nq_b       0.29289322177\n"
-             "x_b       0\nx_d       1.70710676396\nattained  true\n"),
+             "1,1.52240774993,0.292893218813,0,1.70710678119,true\n"),
+            ("1", "report", "beta      1\ndstar     1.52240774993\nq_b       0.292893218813\n"
+             "x_b       0\nx_d       1.70710678119\nattained  true\n"),
             ("0", "csv", "beta,dstar,q_b,x_b,x_d,attained\n"
              "0,3,0.5,0.5,1,false\n"),
             ("0", "report", "beta      0\ndstar     3\nq_b       0.5\n"
@@ -386,9 +445,6 @@ class TestSweep:
         result = CliRunner().invoke(main, ["worstcase", "--beta", beta, "--format", fmt])
         assert result.exit_code == 0
         assert result.output == text
-
-
-_GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 class TestVoteThreshold:
