@@ -19,7 +19,7 @@ pairs = [(math.hypot(x, y), math.hypot(x - 1.0, y)) for x, y in points]
 m = MetricElection(pairs)
 
 BETA = 1.0
-reduction = reduce_to_line(m, BETA)
+reduction = reduce_to_line(m)
 working = swap_labels(m) if reduction.swapped else m
 
 print("planar voters (d_left, d_right) -> line position")

@@ -194,7 +194,7 @@ def cmd_reduce(election_file, mode, beta, out) -> None:
 def cmd_metric_reduce(election_file, beta, out) -> None:
     """Reduce a metric election to an equivalent-or-worse line election."""
     doc = _load(election_file, beta, "metric")
-    reduction = metric.reduce_to_line(doc.election, doc.beta)
+    reduction = metric.reduce_to_line(doc.election)
     meta = {**doc.metadata, "swapped": str(reduction.swapped).lower()}
     reduced = dataclasses.replace(doc, election=reduction.election, metadata=meta)
     _emit(documents.serialize_election(reduced), out)
@@ -270,8 +270,7 @@ def cmd_verify(seed, trials, alpha, beta, bound_count) -> None:
     # Every option is checked before the first suite runs; after that, an
     # exception from a suite is that suite's failure, not invalid input.
     worstcase.check_gate_inputs(alpha, beta, bound_count)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    model._check_count("trials", trials, 1)
     suites = (
         ("displacement_suites", lambda: verification.displacement_suites(trials, seed)),
         ("canonicalization_suites",

@@ -366,10 +366,11 @@ def canonicalize_expected_winner(e: LineElection, beta: float) -> CanonicalForm:
     """
     beta = model.check_beta(beta)
     sc_left, sc_right = model.social_costs(e)
-    if model.expected_winner(e, beta) != LEFT or not sc_right < sc_left:
+    if not sc_right < sc_left:
         return CanonicalForm(e, applied=False, steps=(), certificates=())
-
     chain = _Chain(e, lambda x: _measure_winner(x, beta), winner_preserving=True)
+    if chain.origin[0] != LEFT:
+        return CanonicalForm(e, applied=False, steps=(), certificates=())
 
     chain.apply("A_to_zero", {i: 0.0 for i in model._indices_in(e.positions, "A")})
     chain.apply("BC_pair", _bc_pairing(chain.current.positions))
@@ -405,10 +406,11 @@ def canonicalize_expected_distortion(e: LineElection, beta: float) -> CanonicalF
     """
     beta = model.check_beta(beta)
     sc_left, sc_right = model.social_costs(e)
-    if model.expected_winner(e, beta) != RIGHT or not sc_right < sc_left:
+    if not sc_right < sc_left:
         return CanonicalForm(e, applied=False, steps=(), certificates=())
-
     chain = _Chain(e, lambda x: _measure_expected(x, beta), winner_preserving=False)
+    if chain.origin[0] != RIGHT:
+        return CanonicalForm(e, applied=False, steps=(), certificates=())
 
     pos = e.positions
     chain.apply("A_to_B_map", {i: _a_to_b(pos[i]) for i in model._indices_in(pos, "A")})

@@ -196,8 +196,8 @@ def _product(p: np.ndarray) -> tuple[np.ndarray, int]:
     Rows hold the PMFs of groups of voters, all of one width ``2**j + 1``;
     each level multiplies rows 2i and 2i + 1 in one batch.  Runs of at least
     ``_BLOCK_MIN`` equal probabilities enter as one binomial row each, once
-    the level's width reaches theirs.  Offsets (each row's first index) are
-    kept from the first window or block on.
+    the level's width reaches theirs.  ``offsets`` holds each row's first
+    index.
     """
     from numpy import fft
 
@@ -208,7 +208,7 @@ def _product(p: np.ndarray) -> tuple[np.ndarray, int]:
     rows = np.empty((len(p), 2))
     rows[:, 0] = 1.0 - p
     rows[:, 1] = p
-    offsets = None
+    offsets = np.zeros(len(rows), np.intp)
     most = 1  # no row holds more voters
     while True:
         w = rows.shape[1]
@@ -218,8 +218,6 @@ def _product(p: np.ndarray) -> tuple[np.ndarray, int]:
             padded = np.zeros((len(joining), w))
             for i, (row, _, _) in enumerate(joining):
                 padded[i, : len(row)] = row
-            if offsets is None:
-                offsets = np.zeros(len(rows), np.intp)
             rows = np.concatenate([rows, padded])
             offsets = np.concatenate([offsets, [offset for _, offset, _ in joining]])
             most = max([most] + [m for _, _, m in joining])
@@ -234,8 +232,7 @@ def _product(p: np.ndarray) -> tuple[np.ndarray, int]:
             one = np.zeros((1, w))
             one[0, 0] = 1.0
             rows = np.concatenate([rows, one])
-            if offsets is not None:
-                offsets = np.append(offsets, 0)
+            offsets = np.append(offsets, 0)
         if w == 2:
             rows = _first_level(rows)
         else:
@@ -256,10 +253,7 @@ def _product(p: np.ndarray) -> tuple[np.ndarray, int]:
             del cyclic
         most *= 2
         width = min(2 * w - 1, _window(most))
-        if offsets is not None:
-            offsets = offsets[0::2] + offsets[1::2]
-        elif width < 2 * w - 1:
-            offsets = np.zeros(len(rows), np.intp)
+        offsets = offsets[0::2] + offsets[1::2]
         if width < 2 * w - 1:
             # Keep the window around each row's mean, inside the product.
             centre = np.add.reduce(rows * np.arange(2 * w - 1), axis=1)
@@ -269,7 +263,7 @@ def _product(p: np.ndarray) -> tuple[np.ndarray, int]:
             rows = rows[np.arange(len(rows))[:, None], start[:, None] + np.arange(width)]
             offsets += start
         np.maximum(rows, 0.0, out=rows)
-    return rows[0], 0 if offsets is None else int(offsets[0])
+    return rows[0], int(offsets[0])
 
 
 def _first_level(rows: np.ndarray) -> np.ndarray:

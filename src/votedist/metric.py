@@ -101,7 +101,7 @@ def swap_labels(m: MetricElection) -> MetricElection:
     return MetricElection._trusted(m.array[:, ::-1].copy())
 
 
-def reduce_to_line(m: MetricElection, beta: float) -> LineReduction:
+def reduce_to_line(m: MetricElection) -> LineReduction:
     """Line election preserving every voter's preference and participation.
 
     If the left candidate is optimal the labels are swapped first, so the
@@ -109,9 +109,10 @@ def reduce_to_line(m: MetricElection, beta: float) -> LineReduction:
     reports this).  The split threshold is the left candidate's distortion
     computed from the full social costs, which abstention does not affect.
     Each voter's position is :func:`distance_ratio` mapped as in the module
-    docstring, computed for all voters at once.
+    docstring, computed for all voters at once.  The map keeps each voter's
+    ratio ``d_left / d_right``, which fixes her participation at every beta,
+    so it takes no beta.
     """
-    beta = model.check_beta(beta)
     sc_left, sc_right = model.social_costs(m)
     swapped = sc_left < sc_right
     if swapped:

@@ -113,15 +113,18 @@ def check_beta(beta: float) -> float:
     return beta
 
 
-def _check_seed(seed: int) -> int:
-    """Validate a random seed: a non-negative integer, returned as an int."""
+def _check_count(name: str, value: int, least: int = 0) -> int:
+    """Validate an integer input (a seed, a count or a size) named ``name``:
+    an integer but not a bool, at least ``least``; return it as an int."""
     try:
-        value = operator.index(seed)
+        if isinstance(value, bool):
+            raise TypeError
+        index = operator.index(value)
     except TypeError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return value
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if index < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return index
 
 
 class _VoterArray:

@@ -42,7 +42,7 @@ class McConfig:
     confidence: float = 0.95
 
     def __post_init__(self):
-        model._check_seed(self.seed)
+        model._check_count("seed", self.seed)
         hoeffding_half_width(self.samples, self.confidence)  # raises on an invalid plan
 
 
@@ -59,10 +59,10 @@ class McEstimate:
 def hoeffding_half_width(samples: int, confidence: float) -> float:
     """Two-sided half-width for the mean of ``samples`` variables in [0, 1].
 
-    ``samples`` must be at least 1 and ``confidence`` lie in (0, 1).
+    ``samples`` must be an integer of at least 1 and ``confidence`` lie in
+    (0, 1).
     """
-    if not samples >= 1:
-        raise ValueError("samples must be >= 1")
+    samples = model._check_count("samples", samples, 1)
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))

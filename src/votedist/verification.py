@@ -80,7 +80,7 @@ _SPAN = (-2.0, 3.0)
 
 def random_election(rng: np.random.Generator, max_voters: int = 12) -> LineElection:
     """Unconstrained random election with 1..max_voters voters in ``_SPAN``."""
-    n = int(rng.integers(1, max_voters + 1))
+    n = int(rng.integers(1, model._check_count("max_voters", max_voters, 1) + 1))
     return LineElection(rng.uniform(*_SPAN, size=n))
 
 
@@ -186,7 +186,7 @@ def random_euclidean_election(
     rng: np.random.Generator, max_voters: int = 12
 ) -> MetricElection:
     """Random planar election; candidates 1 apart, voters scattered around."""
-    n = int(rng.integers(1, max_voters + 1))
+    n = int(rng.integers(1, model._check_count("max_voters", max_voters, 1) + 1))
     pts = np.column_stack(
         [rng.uniform(-1.0, 2.0, size=n), rng.uniform(-1.5, 1.5, size=n)]
     )
@@ -238,9 +238,8 @@ def _draw(rng: np.random.Generator, beta: float, winner: str, require: tuple, pi
 
 def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
     """Certify every move kind on ``trials`` random elections each."""
-    seed = model._check_seed(seed)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    seed = model._check_count("seed", seed)
+    trials = model._check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     win = displace.certify_winner_displacement
     dbar = displace.certify_expected_displacement
@@ -314,9 +313,8 @@ def canonicalization_suites(trials: int, seed: int) -> list[SuiteResult]:
     A form fails if its chain raises, if it was not applied, or if its shape
     (and, for the winner form, its distortion against D*) is wrong.
     """
-    seed = model._check_seed(seed)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    seed = model._check_count("seed", seed)
+    trials = model._check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     suites = (
         ("canonical_winner_form", LEFT,

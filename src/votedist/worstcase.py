@@ -347,6 +347,7 @@ def witness_election(solution: WorstCaseSolution, total: int = 400) -> LineElect
     expected votes, so the witness is always in the configuration the solver
     models.
     """
+    total = model._check_count("total", total, 1)
     m_b = math.ceil(solution.q_b * total)
     while m_b <= total:
         e = LineElection([solution.x_b] * m_b + [solution.x_d] * (total - m_b))
@@ -433,8 +434,9 @@ _MAX_GATE_THRESHOLD = 2e6
 
 def check_gate_inputs(alpha: float, beta: float, count: int) -> tuple[float, float]:
     """Check ``beta``, alpha's range, alpha's threshold against
-    ``_MAX_GATE_THRESHOLD`` and ``count >= 0``, in that order, raising
-    ``ValueError`` at the first fault; return ``beta`` and the threshold."""
+    ``_MAX_GATE_THRESHOLD`` and ``count``, an integer >= 0, in that order,
+    raising ``ValueError`` at the first fault; return ``beta`` and the
+    threshold."""
     beta = model.check_beta(beta)
     threshold = vote_count_threshold(alpha)
     if not threshold <= _MAX_GATE_THRESHOLD:
@@ -442,8 +444,7 @@ def check_gate_inputs(alpha: float, beta: float, count: int) -> tuple[float, flo
             f"alpha = {alpha} needs {threshold:.6g} expected votes per candidate; "
             f"gate elections are built for at most {_MAX_GATE_THRESHOLD:g}"
         )
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    model._check_count("count", count)
     return beta, threshold
 
 
@@ -456,7 +457,7 @@ def generate_gate_elections(
     multiplicities scaled so both expected vote counts exceed
     :func:`vote_count_threshold` and the right candidate is strictly optimal.
     """
-    seed = model._check_seed(seed)
+    seed = model._check_count("seed", seed)
     beta, threshold = check_gate_inputs(alpha, beta, count)
     rng = np.random.default_rng(seed)
     out: list[LineElection] = []

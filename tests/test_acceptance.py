@@ -164,7 +164,7 @@ def test_10_metric_reduction():
     for _ in range(500):
         beta = random_beta(rng)
         m = random_euclidean_election(rng, max_voters=12)
-        red = reduce_to_line(m, beta)
+        red = reduce_to_line(m)
         working = swap_labels(m) if red.swapped else m
         side, p = model.voter_arrays(*working.distances(), beta)
         for s, q, x in zip(side, p, red.election.positions):

@@ -85,14 +85,14 @@ class TestMetricReport:
 
 class TestReduceToLine:
     def test_equidistant_voter_goes_to_midpoint(self):
-        red = reduce_to_line(MetricElection([(1.0, 1.0), (0.4, 1.1)]), 1.0)
+        red = reduce_to_line(MetricElection([(1.0, 1.0), (0.4, 1.1)]))
         assert red.election.positions[0] == pytest.approx(0.5)
 
     def test_voter_at_left_stays_at_left(self):
         m = MetricElection([(0.0, 1.0), (1.3, 0.3), (1.2, 0.45)])
         sc_left, sc_right = model.social_costs(m)
         assert sc_right < sc_left
-        red = reduce_to_line(m, 1.0)
+        red = reduce_to_line(m)
         assert not red.swapped
         assert red.election.positions[0] == 0.0
 
@@ -102,27 +102,27 @@ class TestReduceToLine:
         m = MetricElection([(3.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.1, 1.05)])
         sc_left, sc_right = model.social_costs(m)
         assert sc_left / sc_right < 3.0 and sc_left < sc_right  # swap will fire
-        red = reduce_to_line(m, 1.0)
+        red = reduce_to_line(m)
         assert red.swapped
         # After the swap the voter's pair is (1, 3): ratio 1/3, position 1/4.
         assert red.election.positions[0] == pytest.approx(0.25)
 
     def test_voter_at_right_candidate_maps_to_one(self):
         m = MetricElection([(1.0, 0.0), (0.3, 0.8), (0.9, 0.2)])
-        red = reduce_to_line(m, 1.0)
+        red = reduce_to_line(m)
         assert not red.swapped
         assert red.election.positions[0] == 1.0
 
     def test_swap_reported_when_left_optimal(self):
         m = MetricElection([(0.1, 0.9), (0.2, 1.4)])
-        red = reduce_to_line(m, 1.0)
+        red = reduce_to_line(m)
         assert red.swapped
 
     def test_preserves_profiles_and_win_probabilities(self, rng):
         for _ in range(60):
             beta = random_beta(rng)
             m = random_euclidean_election(rng)
-            red = reduce_to_line(m, beta)
+            red = reduce_to_line(m)
             working = swap_labels(m) if red.swapped else m
             side, p = model.voter_arrays(*working.distances(), beta)
             line_side, line_p = model.voter_arrays(*red.election.distances(), beta)
@@ -136,7 +136,7 @@ class TestReduceToLine:
         for _ in range(60):
             beta = random_beta(rng)
             m = random_euclidean_election(rng)
-            red = reduce_to_line(m, beta)
+            red = reduce_to_line(m)
             working = swap_labels(m) if red.swapped else m
             report_m = expected_distortion(working, beta)
             report_l = exact.expected_distortion(red.election, beta)
@@ -237,16 +237,16 @@ class TestArrayStorage:
     @given(valid_pairs, st.floats(0.0, 1.0))
     def test_reduction_matches_the_per_voter_construction(self, pairs, beta):
         m = MetricElection(pairs)
-        red = reduce_to_line(m, beta)
+        red = reduce_to_line(m)
         assert (red.election.positions, red.swapped) == reference_reduction(m, beta)
 
     def test_reduction_of_planar_elections_is_bit_exact(self, rng):
         for _ in range(50):
             m = random_euclidean_election(rng, max_voters=40)
-            red = reduce_to_line(m, 1.0)
+            red = reduce_to_line(m)
             assert (red.election.positions, red.swapped) == reference_reduction(m, 1.0)
         at_right = MetricElection([(1.0, 0.0), (0.2, 0.9), (1.5, 0.6)])
-        assert reduce_to_line(at_right, 1.0).election.positions[0] == 1.0
+        assert reduce_to_line(at_right).election.positions[0] == 1.0
 
     @given(valid_pairs)
     def test_swap_labels_swaps_every_pair(self, pairs):
