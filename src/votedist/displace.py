@@ -19,12 +19,17 @@ are the constructive ones:
                              ``2x - 1`` average geometrically, preserving the
                              probability that both vote.
 
+A voter index must be an integer (not a bool) from 0 to ``len(e) - 1``, and
+a pair merge takes two different voters; anything else raises
+``ValueError`` naming ``i`` or ``j``.
+
 Every move can be certified numerically on a concrete election:
 ``certify_winner_displacement`` and ``certify_expected_displacement`` compare
 the relevant quantity before and after, computed exactly.  The two
-``canonicalize_*`` procedures crush an election into its extremal shape in
-at most one certified step per move kind, measuring each election once, and
-raise ``CertificateError`` on any certified regression (a bug, not a
+``canonicalize_*`` procedures crush an election into its extremal shape.
+Each is a fixed table of certified steps, at most 4 for the winner form and
+3 for the expected form, run by one loop that measures each election once
+and raises ``CertificateError`` on any certified regression (a bug, not a
 property of the input).  Each region collapses to the limit of its pairwise
 merges.  The C-to-D crossings are found in closed form: a crossing keeps the
 voter's ratio ``x/(1-x)`` and scales its cost pair by ``1/(2x-1)``, so the
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import exact, model
 from .model import LEFT, RIGHT, TIE, LineElection
@@ -126,9 +131,16 @@ def _measure_expected(e: LineElection, beta: float) -> tuple[str, float]:
     return report.expected_winner, report.expected_distortion
 
 
-def _certificate(before: tuple, after: tuple, preserving: bool) -> ValidityCertificate:
+def _certificate(
+    before: tuple, after: tuple, preserving: bool, failure: str | None = None
+) -> ValidityCertificate:
+    """The certificate of two ``(winner, metric)`` measurements; with a
+    ``failure`` message, a regression raises ``CertificateError`` instead."""
     (w_before, m_before), (w_after, m_after) = before, after
-    return ValidityCertificate(w_before, w_after, m_before, m_after, preserving)
+    cert = ValidityCertificate(w_before, w_after, m_before, m_after, preserving)
+    if failure is not None and not cert.passed:
+        raise CertificateError(f"{failure}: {cert}")
+    return cert
 
 
 def certify_winner_displacement(
@@ -148,17 +160,29 @@ def certify_expected_displacement(
     return _certificate(*(_measure_expected(x, beta) for x in (before, after)), False)
 
 
-def _require_region(e: LineElection, i: int, wanted: str) -> float:
-    x = e.positions[i]
-    got = model.region_of(x)
-    if got != wanted:
-        raise ValueError(f"voter {i} at {x} is in region {got}, expected {wanted}")
-    return x
+def _voter(e: LineElection, name: str, index: int, region: str | None = None) -> tuple[int, float]:
+    """The argument ``name``, a voter index of ``e``, as an int, and the
+    voter's position, which must lie in ``region`` when one is given."""
+    index = model._check_count(name, index)
+    if index >= len(e):
+        raise ValueError(f"{name} must be < {len(e)}, got {index}")
+    x = e.positions[index]
+    if region is not None and (got := model.region_of(x)) != region:
+        raise ValueError(f"voter {index} at {x} is in region {got}, expected {region}")
+    return index, x
+
+
+def _two_voters(e: LineElection, i: int, j: int, region: str | None = None) -> tuple:
+    """:func:`_voter` of ``i`` and of ``j``, which must be two voters."""
+    (i, xi), (j, xj) = _voter(e, "i", i, region), _voter(e, "j", j, region)
+    if i == j:
+        raise ValueError(f"j must differ from i, got {j} for both")
+    return (i, xi), (j, xj)
 
 
 def move_a_to_zero(e: LineElection, i: int) -> LineElection:
     """Move voter ``i`` from region A onto the left candidate."""
-    _require_region(e, i, "A")
+    i, _ = _voter(e, "i", i, "A")
     return e.replace({i: 0.0})
 
 
@@ -170,8 +194,7 @@ def move_bc_pair(e: LineElection, i: int, j: int) -> LineElection:
     otherwise until the C voter sits at 1.  Either way both social costs are
     untouched, and the left candidate's expected-vote lead cannot shrink.
     """
-    xi = _require_region(e, i, "B")
-    xj = _require_region(e, j, "C")
+    (i, xi), (j, xj) = _voter(e, "i", i, "B"), _voter(e, "j", j, "C")
     if xj == 0.5:
         raise ValueError(f"voter {j} is exactly indifferent; no pair move applies")
     return e.replace(dict(zip((i, j), _bc_pair(xi, xj))))
@@ -189,13 +212,11 @@ def merge_same_region(e: LineElection, i: int, j: int) -> LineElection:
 
     Canonicalization applies the k-voter limit of these merges, the mean.
     """
-    ri = model.region_of(e.positions[i])
-    rj = model.region_of(e.positions[j])
+    (i, xi), (j, xj) = _two_voters(e, i, j)
+    ri, rj = model.region_of(xi), model.region_of(xj)
     if ri != rj or ri not in ("B", "D"):
-        raise ValueError(
-            f"voters {i} and {j} must share region B or D, got {ri} and {rj}"
-        )
-    m = 0.5 * (e.positions[i] + e.positions[j])
+        raise ValueError(f"voters {i} and {j} must share region B or D, got {ri} and {rj}")
+    m = 0.5 * (xi + xj)
     return e.replace({i: m, j: m})
 
 
@@ -206,7 +227,8 @@ def map_a_to_b(e: LineElection, i: int) -> LineElection:
     the point ``-x / (1 - 2x)`` in B yields exactly the same probability for
     every ``beta``, while both social costs drop.
     """
-    return e.replace({i: _a_to_b(_require_region(e, i, "A"))})
+    i, x = _voter(e, "i", i, "A")
+    return e.replace({i: _a_to_b(x)})
 
 
 def _a_to_b(x: float) -> float:
@@ -230,7 +252,7 @@ def map_c_to_d(e: LineElection, j: int) -> LineElection:
     ratio but never past it: :func:`canonicalize_expected_distortion` crosses,
     in one step, exactly the voters whose ratio reaches the starting bar.
     """
-    x = _require_region(e, j, "C")
+    j, x = _voter(e, "j", j, "C")
     if x == 0.5:
         raise ValueError(f"voter {j} is exactly indifferent; no D image exists")
     return e.replace({j: _c_to_d(x)})
@@ -256,8 +278,7 @@ def merge_d_geometric(e: LineElection, i: int, j: int) -> LineElection:
     Canonicalization applies the k-voter limit of these merges, which keep
     the product of the odds factors: ``(1 + (prod (2 x - 1)) ** (1/k)) / 2``.
     """
-    xi = _require_region(e, i, "D")
-    xj = _require_region(e, j, "D")
+    (i, xi), (j, xj) = _two_voters(e, i, j, "D")
     t = 0.5 * (math.sqrt((2.0 * xi - 1.0) * (2.0 * xj - 1.0)) + 1.0)
     return e.replace({i: t, j: t})
 
@@ -309,49 +330,55 @@ def _bc_pairing(positions: tuple[float, ...]) -> dict[int, float]:
     return dict(sorted(moved.items()))
 
 
-class _Chain:
-    """Bookkeeping for a certified sequence of displacements.
+def _canonical_form(
+    e: LineElection, beta: float, leader: str, measure: Callable, preserving: bool, steps: Iterable
+) -> CanonicalForm:
+    """Run a table of ``(kind, step)`` pairs as one certified chain.
 
-    Each election is measured once by ``measure``, when reached; each step's
-    certificate pairs the last two measurements, and the end-to-end one the
-    first and the last.
+    Applies only when the right candidate is strictly optimal and ``leader``
+    is the expected winner of ``e``; otherwise ``e`` passes through with
+    ``applied=False``.  Each ``step`` maps the current election to the
+    positions it assigns, and an empty dict records no step.  Each election
+    is measured once, when reached: each step's certificate pairs the last
+    two measurements, and the end-to-end one the first and the last.
     """
-
-    def __init__(self, e: LineElection, measure: Callable, winner_preserving: bool):
-        self.current = e
-        self.measure = measure
-        self.winner_preserving = winner_preserving
-        self.steps: list[Displacement] = []
-        self.certificates: list[ValidityCertificate] = []
-        self.origin = self.last = measure(e)
-
-    def _certify(self, what: str, before: tuple) -> None:
-        """Certify the last measurement against ``before``."""
-        cert = _certificate(before, self.last, self.winner_preserving)
-        self.certificates.append(cert)
-        if not cert.passed:
-            raise CertificateError(f"{what}: {cert}")
-
-    def apply(self, kind: str, assignments: dict[int, float]) -> None:
-        """Record and certify one step; an empty ``assignments`` is no step."""
+    beta = model.check_beta(beta)
+    sc_left, sc_right = model.social_costs(e)
+    if not sc_right < sc_left or (origin := measure(e, beta))[0] != leader:
+        return CanonicalForm(e, applied=False, steps=(), certificates=())
+    last, done, certificates = origin, [], []
+    for kind, step in steps:
+        assignments = step(e)
         if not assignments:
-            return
-        nxt = self.current.replace(assignments)
-        self.steps.append(
-            Displacement(kind, tuple(assignments), tuple(assignments.values()))
-        )
-        before, self.last = self.last, self.measure(nxt)
-        self._certify(f"displacement {kind} of {len(assignments)} voters regressed", before)
-        self.current = nxt
+            continue
+        e = e.replace(assignments)
+        done.append(Displacement(kind, tuple(assignments), tuple(assignments.values())))
+        before, last = last, measure(e, beta)
+        failure = f"displacement {kind} of {len(assignments)} voters regressed"
+        certificates.append(_certificate(before, last, preserving, failure))
+    certificates.append(_certificate(origin, last, preserving, "end-to-end certificate failed"))
+    return CanonicalForm(e, True, tuple(done), tuple(certificates))
 
-    def finish(self) -> CanonicalForm:
-        self._certify("end-to-end certificate failed", self.origin)
-        return CanonicalForm(
-            election=self.current,
-            applied=True,
-            steps=tuple(self.steps),
-            certificates=tuple(self.certificates),
-        )
+
+# The steps read the helpers when called, so that a patched helper is used.
+_WINNER_STEPS = (
+    ("A_to_zero", lambda e: {i: 0.0 for i in model._indices_in(e.positions, "A")}),
+    ("BC_pair", lambda e: _bc_pairing(e.positions)),
+    # [0, 1/2] is region B plus the midpoint, where the pair moves leave C voters.
+    ("same_region_merge", lambda e: _collapse(
+        e.positions, [i for i, x in enumerate(e.positions) if 0.0 <= x <= 0.5], _midpoint_limit
+    )),
+    ("same_region_merge",
+     lambda e: _collapse(e.positions, model._indices_in(e.positions, "D"), _midpoint_limit)),
+)
+
+_EXPECTED_STEPS = (
+    ("A_to_B_map",
+     lambda e: {i: _a_to_b(e.positions[i]) for i in model._indices_in(e.positions, "A")}),
+    ("C_to_D_map", lambda e: {j: _c_to_d(e.positions[j]) for j in _crossers(e)}),
+    ("D_geometric_merge",
+     lambda e: _collapse(e.positions, model._indices_in(e.positions, "D"), _geometric_limit)),
+)
 
 
 def canonicalize_expected_winner(e: LineElection, beta: float) -> CanonicalForm:
@@ -364,23 +391,7 @@ def canonicalize_expected_winner(e: LineElection, beta: float) -> CanonicalForm:
     and in [1, inf) collapses to its mean: at most four steps, leaving two
     distinct positions, one in B (or at 1/2) and one in D.
     """
-    beta = model.check_beta(beta)
-    sc_left, sc_right = model.social_costs(e)
-    if not sc_right < sc_left:
-        return CanonicalForm(e, applied=False, steps=(), certificates=())
-    chain = _Chain(e, lambda x: _measure_winner(x, beta), winner_preserving=True)
-    if chain.origin[0] != LEFT:
-        return CanonicalForm(e, applied=False, steps=(), certificates=())
-
-    chain.apply("A_to_zero", {i: 0.0 for i in model._indices_in(e.positions, "A")})
-    chain.apply("BC_pair", _bc_pairing(chain.current.positions))
-    pos = chain.current.positions
-    # [0, 1/2] is region B plus the midpoint, where the pair moves leave C voters.
-    b_and_midpoint = [i for i, x in enumerate(pos) if 0.0 <= x <= 0.5]
-    for members in (b_and_midpoint, model._indices_in(pos, "D")):
-        merge = _collapse(chain.current.positions, members, _midpoint_limit)
-        chain.apply("same_region_merge", merge)
-    return chain.finish()
+    return _canonical_form(e, beta, LEFT, _measure_winner, True, _WINNER_STEPS)
 
 
 def canonicalize_expected_distortion(e: LineElection, beta: float) -> CanonicalForm:
@@ -404,19 +415,4 @@ def canonicalize_expected_distortion(e: LineElection, beta: float) -> CanonicalF
     below the final bar.  Voters exactly at 1/2 always stay put: they never
     vote and no crossing is defined for them.
     """
-    beta = model.check_beta(beta)
-    sc_left, sc_right = model.social_costs(e)
-    if not sc_right < sc_left:
-        return CanonicalForm(e, applied=False, steps=(), certificates=())
-    chain = _Chain(e, lambda x: _measure_expected(x, beta), winner_preserving=False)
-    if chain.origin[0] != RIGHT:
-        return CanonicalForm(e, applied=False, steps=(), certificates=())
-
-    pos = e.positions
-    chain.apply("A_to_B_map", {i: _a_to_b(pos[i]) for i in model._indices_in(pos, "A")})
-    pos = chain.current.positions
-    chain.apply("C_to_D_map", {j: _c_to_d(pos[j]) for j in _crossers(chain.current)})
-    pos = chain.current.positions
-    merge = _collapse(pos, model._indices_in(pos, "D"), _geometric_limit)
-    chain.apply("D_geometric_merge", merge)
-    return chain.finish()
+    return _canonical_form(e, beta, RIGHT, _measure_expected, False, _EXPECTED_STEPS)

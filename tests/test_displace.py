@@ -49,29 +49,28 @@ REFERENCE_MEETS = {
 }
 
 
-def reference_collapse(chain, member, kind, limit):
-    """The old ``_Chain.collapse``: merge the two extreme members again and
-    again until they come within 1e-12, then snap all members to the
-    midpoint of the extremes.  The merges run on a list of positions and the
-    election is built once, at the end, without recorded steps: the
-    reference is compared by its final positions alone."""
+def reference_collapse(member, kind, limit):
+    """The old ``_Chain.collapse``, as a step: merge the two extreme members
+    again and again until they come within 1e-12, then snap all members to
+    the midpoint of the extremes.  The merges run on a list of positions and
+    the step assigns each member its final position: the reference is
+    compared by its final positions alone."""
     meet = REFERENCE_MEETS[kind]
-    x = list(chain.current.positions)
-    for _ in range(100_000):
-        members = [i for i, v in enumerate(x) if member(v)]
-        if len(members) < 2:
-            break
-        lo = min(members, key=x.__getitem__)
-        hi = max(members, key=x.__getitem__)
-        if x[hi] - x[lo] <= 1e-12:
-            point = 0.5 * (x[lo] + x[hi])
-            for i in members:
-                x[i] = point
-            break
-        x[lo] = x[hi] = meet(x[lo], x[hi])
-    else:
+
+    def step(e):
+        x = list(e.positions)
+        for _ in range(100_000):
+            members = [i for i, v in enumerate(x) if member(v)]
+            if len(members) < 2:
+                return {}
+            lo = min(members, key=x.__getitem__)
+            hi = max(members, key=x.__getitem__)
+            if x[hi] - x[lo] <= 1e-12:
+                return dict.fromkeys(members, 0.5 * (x[lo] + x[hi]))
+            x[lo] = x[hi] = meet(x[lo], x[hi])
         raise AssertionError("reference merge loop did not converge")
-    chain.current = LineElection(x)
+
+    return kind, step
 
 
 def reference_bc_pair(e, i, j):
@@ -82,65 +81,69 @@ def reference_bc_pair(e, i, j):
     return {i: xi - 1.0 + xj, j: 1.0}
 
 
-class ReferenceChain(displace._Chain):
-    """``_Chain`` with the old ``collapse`` method, which applied the merge."""
+def reference_crossing(e, j):
+    """One C-to-D crossing of voter ``j``, taken when its ratio reaches the bar."""
+    x = e.positions[j]
+    if x / (1.0 - x) >= model._candidate_distortion(e, LEFT):
+        return {j: displace._c_to_d(x)}
+    return {}
 
-    def collapse(self, member, kind, limit):
-        members = [i for i, x in enumerate(self.current.positions) if member(x)]
-        xs = [self.current.positions[i] for i in members]
+
+def closed_form_collapse(member, kind, limit):
+    """The old chain's ``collapse`` step: the voters ``member`` accepts move
+    to the ``limit`` of their positions."""
+    def step(e):
+        members = [i for i, x in enumerate(e.positions) if member(x)]
+        xs = [e.positions[i] for i in members]
         if len(set(xs)) < 2:
-            return
+            return {}
         t = min(max(limit(xs), min(xs)), max(xs))  # rounding stays in the span
-        self.apply(kind, {i: t for i in members})
+        return dict.fromkeys(members, t)
+
+    return kind, step
 
 
-def reference_canonical_form(canonicalize, e, beta, certify=True):
+def reference_canonical_form(canonicalize, e, beta, certify=True, collapse=closed_form_collapse):
     """The chain ``canonicalize`` ran before each move kind became one step.
 
-    The per-voter A, B-C and C-to-D loops are copied verbatim: one certified
+    The per-voter A, B-C and C-to-D loops are copied verbatim as lists of
+    ``(kind, step)`` pairs, run by the canonical forms' loop: one certified
     step per A voter, per B-C pair and per C-to-D crossing, the crossings
-    re-reading the bar after each one.  ``e`` must be in the configuration
-    ``canonicalize`` reduces.  Without ``certify`` every election measures
-    alike, so the chain's certificates pass and say nothing.
+    re-reading the bar at each one.  ``collapse`` makes the region collapses'
+    steps.  ``e`` must be in the configuration ``canonicalize`` reduces.
+    Without ``certify`` every election measures alike, so the chain's
+    certificates pass and say nothing.
     """
-    unmeasured = lambda x: (None, 0.0)
-    _bc_pair = reference_bc_pair
+    pos = e.positions
+    a_voters = [i for i, x in enumerate(pos) if x < 0.0]
     if canonicalize is canonicalize_expected_winner:
-        measure = (lambda x: displace._measure_winner(x, beta)) if certify else unmeasured
-        chain = ReferenceChain(e, measure, winner_preserving=True)
+        leader, measure, preserving = LEFT, displace._measure_winner, True
+        steps = [("A_to_zero", lambda cur, i=i: {i: 0.0}) for i in a_voters]
+        pos = [0.0 if x < 0.0 else x for x in pos]  # where the A moves leave the voters
 
-        for i, x in enumerate(chain.current.positions):
-            if x < 0.0:
-                chain.apply("A_to_zero", {i: 0.0})
-
-        c_voters = [i for i, x in enumerate(chain.current.positions) if 0.5 < x < 1.0]
-        c_voters.sort(key=lambda i: -chain.current.positions[i])
-        b_voters = [i for i, x in enumerate(chain.current.positions) if 0.0 <= x < 0.5]
-        b_voters.sort(key=lambda i: chain.current.positions[i])
+        c_voters = [i for i, x in enumerate(pos) if 0.5 < x < 1.0]
+        c_voters.sort(key=lambda i: -pos[i])
+        b_voters = [i for i, x in enumerate(pos) if 0.0 <= x < 0.5]
+        b_voters.sort(key=lambda i: pos[i])
         for k, j in enumerate(c_voters):
             i = b_voters[k % len(b_voters)]
-            chain.apply("BC_pair", _bc_pair(chain.current, i, j))
+            steps.append(("BC_pair", functools.partial(reference_bc_pair, i=i, j=j)))
 
-        chain.collapse(lambda x: 0.0 <= x <= 0.5, "same_region_merge", displace._midpoint_limit)
-        chain.collapse(lambda x: x >= 1.0, "same_region_merge", displace._midpoint_limit)
-        return chain.finish()
+        for member in (lambda x: 0.0 <= x <= 0.5, lambda x: x >= 1.0):
+            steps.append(collapse(member, "same_region_merge", displace._midpoint_limit))
+    else:
+        leader, measure, preserving = RIGHT, displace._measure_expected, False
+        steps = [("A_to_B_map", lambda cur, i=i: {i: displace._a_to_b(cur.positions[i])})
+                 for i in a_voters]
 
-    measure = (lambda x: displace._measure_expected(x, beta)) if certify else unmeasured
-    chain = ReferenceChain(e, measure, winner_preserving=False)
+        c_voters = [j for j, x in enumerate(pos) if 0.5 < x < 1.0]
+        c_voters.sort(key=lambda j: pos[j])
+        steps += [("C_to_D_map", functools.partial(reference_crossing, j=j)) for j in c_voters]
 
-    for i, x in enumerate(chain.current.positions):
-        if x < 0.0:
-            chain.apply("A_to_B_map", {i: displace._a_to_b(x)})
-
-    c_voters = [j for j, x in enumerate(chain.current.positions) if 0.5 < x < 1.0]
-    c_voters.sort(key=lambda j: chain.current.positions[j])
-    for j in c_voters:
-        x = chain.current.positions[j]
-        if x / (1.0 - x) >= model._candidate_distortion(chain.current, LEFT):
-            chain.apply("C_to_D_map", {j: displace._c_to_d(x)})
-
-    chain.collapse(lambda x: x >= 1.0, "D_geometric_merge", displace._geometric_limit)
-    return chain.finish()
+        steps.append(collapse(lambda x: x >= 1.0, "D_geometric_merge", displace._geometric_limit))
+    if not certify:
+        measure = lambda x, beta: (leader, 0.0)
+    return displace._canonical_form(e, beta, leader, measure, preserving, steps)
 
 
 # The sequential sampler that drew each candidate with one generator call
@@ -351,6 +354,12 @@ class TestMoveAToZero:
         with pytest.raises(ValueError):
             move_a_to_zero(LineElection([0.1, 1.2]), 0)
 
+    def test_index_out_of_range(self):
+        # A negative index no longer counts from the end.
+        for i, message in ((3, "i must be < 3, got 3"), (-1, "i must be >= 0, got -1")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                move_a_to_zero(LineElection([0.2, 2.0, -0.5]), i)
+
 
 class TestMoveBCPair:
     def test_close_up_case(self):
@@ -381,6 +390,10 @@ class TestMoveBCPair:
         with pytest.raises(ValueError):
             move_bc_pair(LineElection([0.7, 0.1]), 0, 1)
 
+    def test_index_out_of_range(self):
+        with pytest.raises(ValueError, match="^j must be < 2, got 2$"):
+            move_bc_pair(LineElection([0.1, 0.7]), 0, 2)
+
 
 class TestMergeSameRegion:
     def test_midpoint(self):
@@ -396,6 +409,15 @@ class TestMergeSameRegion:
             merge_same_region(LineElection([0.1, 1.4]), 0, 1)
         with pytest.raises(ValueError):
             merge_same_region(LineElection([-0.5, -0.1]), 0, 1)
+
+    @pytest.mark.parametrize(
+        "i, j, message",
+        [(0, 0, "j must differ from i, got 0 for both"), (0, -2, "j must be >= 0, got -2"),
+         (2, 0, "i must be < 2, got 2")],
+    )
+    def test_rejects_one_voter_twice_and_out_of_range(self, i, j, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            merge_same_region(LineElection([0.1, 0.3]), i, j)
 
 
 class TestParticipationPreservingMaps:
@@ -418,6 +440,12 @@ class TestParticipationPreservingMaps:
     def test_c_to_d_rejects_midpoint(self):
         with pytest.raises(ValueError):
             map_c_to_d(LineElection([0.5]), 0)
+
+    def test_index_out_of_range(self):
+        with pytest.raises(ValueError, match="^i must be < 1, got 1$"):
+            map_a_to_b(LineElection([-1.0]), 1)
+        with pytest.raises(ValueError, match="^j must be < 1, got 1$"):
+            map_c_to_d(LineElection([0.75]), 1)
 
     @given(st.floats(min_value=-50.0, max_value=-1e-6), st.floats(min_value=0.0, max_value=1.0))
     def test_a_to_b_preserves_participation_and_preference(self, x, beta):
@@ -467,6 +495,12 @@ class TestMergeDGeometric:
     def test_region_checked(self):
         with pytest.raises(ValueError):
             merge_d_geometric(LineElection([0.9, 1.5]), 0, 1)
+
+    def test_rejects_one_voter_twice_and_out_of_range(self):
+        with pytest.raises(ValueError, match="^j must differ from i, got 1 for both$"):
+            merge_d_geometric(LineElection([1.5, 3.0]), 1, 1)
+        with pytest.raises(ValueError, match="^j must be < 2, got 2$"):
+            merge_d_geometric(LineElection([1.5, 3.0]), 0, 2)
 
 
 class TestCertificates:
@@ -888,9 +922,9 @@ class TestClosedFormCollapse:
         worst = 0.0
         for canonicalize, e, beta, form in suite_forms(seed):
             assert len(form.steps) <= 4
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(ReferenceChain, "collapse", reference_collapse)
-                reference = reference_canonical_form(canonicalize, e, beta, certify=False)
+            reference = reference_canonical_form(
+                canonicalize, e, beta, certify=False, collapse=reference_collapse
+            )
             for x, y in zip(form.election.positions, reference.election.positions):
                 worst = max(worst, abs(x - y))
         assert worst <= 1e-12

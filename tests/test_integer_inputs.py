@@ -1,4 +1,4 @@
-"""Every integer input (a seed, a count or a size) follows one rule.
+"""Every integer input (a seed, a count, a size or a voter index) follows one rule.
 
 An integer input must be an integer but not a bool, and at least its least
 value; otherwise ``ValueError`` is raised with a message that starts with
@@ -9,7 +9,8 @@ that passes the value in that input's place.
 import numpy as np
 import pytest
 
-from votedist import cli, model, montecarlo, verification, worstcase
+from votedist import cli, displace, model, montecarlo, verification, worstcase
+from votedist.model import LineElection
 
 INTEGER_INPUTS = [
     ("seed", 0, lambda v: montecarlo.McConfig(10, v)),
@@ -26,6 +27,17 @@ INTEGER_INPUTS = [
     ("max_voters", 1, lambda v: verification.random_election(np.random.default_rng(1), v)),
     ("max_voters", 1,
      lambda v: verification.random_euclidean_election(np.random.default_rng(1), v)),
+    # Voter indices of the displacement moves: True would read as voter 1
+    # and -1 as the last voter.
+    ("i", 0, lambda v: displace.move_a_to_zero(LineElection([-0.2, -0.5]), v)),
+    ("i", 0, lambda v: displace.move_bc_pair(LineElection([0.1, 0.2, 0.7]), v, 2)),
+    ("j", 0, lambda v: displace.move_bc_pair(LineElection([0.1, 0.7, 0.8]), 0, v)),
+    ("i", 0, lambda v: displace.merge_same_region(LineElection([0.1, 0.2, 0.3]), v, 2)),
+    ("j", 0, lambda v: displace.merge_same_region(LineElection([0.1, 0.2, 0.3]), 0, v)),
+    ("i", 0, lambda v: displace.map_a_to_b(LineElection([-0.2, -0.5]), v)),
+    ("j", 0, lambda v: displace.map_c_to_d(LineElection([0.7, 0.8]), v)),
+    ("i", 0, lambda v: displace.merge_d_geometric(LineElection([1.5, 2.0, 3.0]), v, 2)),
+    ("j", 0, lambda v: displace.merge_d_geometric(LineElection([1.5, 2.0, 3.0]), 0, v)),
 ]
 
 CASES = [
