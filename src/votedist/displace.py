@@ -10,8 +10,8 @@ are the constructive ones:
 * ``move_bc_pair``       -- a B voter and a C voter shift by equal and
                              opposite amounts until the C voter reaches 1/2
                              or 1;
-* ``merge_same_region``  -- two voters in the same region (B or D) meet at
-                             their midpoint;
+* ``merge_same_region``  -- two voters in [0, 1/2] (region B or the
+                             midpoint) or two in D meet at their midpoint;
 * ``map_a_to_b``         -- an A voter crosses to the mirror point in B with
                              the exact same participation probability;
 * ``map_c_to_d``         -- the analogous C-to-D crossing;
@@ -208,14 +208,20 @@ def _bc_pair(xi: float, xj: float) -> tuple[float, float]:
 
 
 def merge_same_region(e: LineElection, i: int, j: int) -> LineElection:
-    """Move two voters of the same region (B or D) to their midpoint.
+    """Move two voters of [0, 1/2] or two of region D to their midpoint.
 
+    [0, 1/2] is region B and the midpoint, where the pair moves leave C
+    voters.  On either span both distances are linear in the position, so
+    both social costs are kept.  The left candidate's lead cannot shrink: on
+    [0, 1/2] its participation ``(1 - 2x)^beta`` is concave and the right
+    candidate's is 0, and in D the right candidate's ``(2x - 1)^-beta`` is
+    convex.
     Canonicalization applies the k-voter limit of these merges, the mean.
     """
     (i, xi), (j, xj) = _two_voters(e, i, j)
-    ri, rj = model.region_of(xi), model.region_of(xj)
-    if ri != rj or ri not in ("B", "D"):
-        raise ValueError(f"voters {i} and {j} must share region B or D, got {ri} and {rj}")
+    low, high = min(xi, xj), max(xi, xj)
+    if not (0.0 <= low and high <= 0.5 or low >= 1.0):
+        raise ValueError(f"voters {i} and {j} must share [0, 1/2] or region D, got {xi} and {xj}")
     m = 0.5 * (xi + xj)
     return e.replace({i: m, j: m})
 
@@ -364,7 +370,7 @@ def _canonical_form(
 _WINNER_STEPS = (
     ("A_to_zero", lambda e: {i: 0.0 for i in model._indices_in(e.positions, "A")}),
     ("BC_pair", lambda e: _bc_pairing(e.positions)),
-    # [0, 1/2] is region B plus the midpoint, where the pair moves leave C voters.
+    # [0, 1/2], where merge_same_region applies: region B and the midpoint.
     ("same_region_merge", lambda e: _collapse(
         e.positions, [i for i, x in enumerate(e.positions) if 0.0 <= x <= 0.5], _midpoint_limit
     )),

@@ -89,6 +89,8 @@ class LineReduction(NamedTuple):
 def distance_ratio(pair: tuple[float, float]) -> float:
     """Ratio d_left / d_right; inf for voters co-located with the right candidate."""
     d_left, d_right = pair
+    d_left = model._check_real("d_left", d_left, 0.0, math.inf, hi_open=True)
+    d_right = model._check_real("d_right", d_right, 0.0, math.inf, hi_open=True)
     if d_right == 0.0:
         if d_left == 0.0:
             raise ValueError("both distances are zero")

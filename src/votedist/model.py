@@ -41,6 +41,7 @@ to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -107,10 +108,22 @@ WINNER_TIE_EPS = 4.0
 
 def check_beta(beta: float) -> float:
     """Validate the participation parameter and return it as a float."""
-    beta = float(beta)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    return beta
+    return _check_real("beta", beta, 0.0, 1.0)
+
+
+def _check_real(name, value, lo=-math.inf, hi=math.inf, *, lo_open=False, hi_open=False) -> float:
+    """Validate a real input ``name``: no bool or NaN, in the float range and the interval."""
+    if value.__class__ is not float:
+        try:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError
+            value = float(value)
+        except (TypeError, OverflowError):
+            raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    if (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi):
+        return value  # NaN fails both comparisons
+    lo, hi = (f"{v:g}".replace("e+", "e") for v in (lo, hi))
+    raise ValueError(f"{name} must lie in {'[('[lo_open]}{lo}, {hi}{'])'[hi_open]}, got {value}")
 
 
 def _check_count(name: str, value: int, least: int = 0) -> int:
@@ -305,8 +318,8 @@ def participation_probability(d_near: float, d_far: float, beta: float) -> float
         get 0 for every ``beta``, including 0.
     """
     beta = check_beta(beta)
-    if not (0 <= d_near < math.inf and 0 <= d_far < math.inf):
-        raise ValueError("distances must be nonnegative and finite")
+    d_near = _check_real("d_near", d_near, 0.0, math.inf, hi_open=True)
+    d_far = _check_real("d_far", d_far, 0.0, math.inf, hi_open=True)
     if d_near == 0 and d_far == 0:
         raise ValueError("distances must not both be zero")
     if d_near == d_far:
@@ -321,8 +334,7 @@ def profile(x: float, beta: float) -> VoterProfile:
 
     The scalar reference for :func:`voter_arrays`, which the engines use.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"position must be finite, got {x!r}")
+    x = _check_real("x", x, lo_open=True, hi_open=True)
     d_left = abs(x)
     d_right = abs(x - 1.0)
     if x == 0.5:
@@ -380,8 +392,7 @@ def region_of(x: float) -> str:
     the half-open convention A = (-inf, 0), B = [0, 1/2), C = [1/2, 1),
     D = [1, inf).
     """
-    if not math.isfinite(x):
-        raise ValueError(f"position must be finite, got {x!r}")
+    x = _check_real("x", x, lo_open=True, hi_open=True)
     for region, (lo, hi) in _REGIONS.items():
         if lo <= x < hi:
             return region
@@ -484,8 +495,8 @@ def distortion_pair(sc_left: float, sc_right: float) -> tuple[str, float, float]
     infinite distortion for the other candidate.  An exact cost tie reports
     ``left`` as optimal (both distortions are 1, so the label is cosmetic).
     """
-    if not (0 <= sc_left < math.inf and 0 <= sc_right < math.inf):
-        raise ValueError("social costs must be nonnegative and finite")
+    sc_left = _check_real("sc_left", sc_left, 0.0, math.inf, hi_open=True)
+    sc_right = _check_real("sc_right", sc_right, 0.0, math.inf, hi_open=True)
     if sc_left == 0.0 and sc_right == 0.0:
         return LEFT, 1.0, 1.0
     optimal = LEFT if sc_left <= sc_right else RIGHT

@@ -63,8 +63,7 @@ def hoeffding_half_width(samples: int, confidence: float) -> float:
     (0, 1).
     """
     samples = model._check_count("samples", samples, 1)
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
+    confidence = model._check_real("confidence", confidence, 0.0, 1.0, lo_open=True, hi_open=True)
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
 
 

@@ -276,10 +276,10 @@ def _winner_forms_ok(forms: list[displace.CanonicalForm], betas: list[float]) ->
 
     A winner form is a two-point election that left leads and right costs
     less, so its left distortion is at most the worst case.  D* comes from one
-    :func:`worstcase._solve` over the suite's betas; the slack is relative.
+    :func:`worstcase.sweep_beta` over the suite's betas; the slack is relative.
     """
     ok = []
-    for form, worst in zip(forms, worstcase._solve(betas, 0.0)):
+    for form, worst in zip(forms, worstcase.sweep_beta(betas)):
         positions = form.election.positions
         ok.append(
             len(set(positions)) <= 2
@@ -294,15 +294,22 @@ def _expected_forms_ok(forms: list[displace.CanonicalForm], betas: list[float]) 
     """Per form: no A voter, one D position, and no valid C-to-D crossing.
 
     Interior-C voters may remain only when crossing them would lower the
-    expected distortion, i.e. their cost ratio sits below the final bar.
+    expected distortion.  Each one is crossed with :func:`displace.map_c_to_d`,
+    independently of the canonicalizer's ``displace._crossers``: a crossing
+    keeps the win probabilities, so it lowers the expected distortion exactly
+    when it lowers the left candidate's distortion.
     """
     ok = []
     for form in forms:
-        positions = form.election.positions
+        e, positions = form.election, form.election.positions
+        bar = model._candidate_distortion(e, LEFT)
         ok.append(
             not model._indices_in(positions, "A")
             and len({positions[i] for i in model._indices_in(positions, "D")}) <= 1
-            and not displace._crossers(form.election)
+            and all(
+                model._candidate_distortion(displace.map_c_to_d(e, j), LEFT) < bar
+                for j in model._indices_in(positions, "C")
+            )
         )
     return ok
 

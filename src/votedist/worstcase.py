@@ -102,12 +102,9 @@ def two_point_distortion(q_b: float, x_b: float, x_d: float) -> float:
 
     The electorate is normalized to total mass 1.
     """
-    if not 0.0 <= q_b <= 1.0:
-        raise ValueError(f"q_b must lie in [0, 1], got {q_b}")
-    if not 0.0 <= x_b <= 0.5:
-        raise ValueError(f"x_b must lie in [0, 1/2], got {x_b}")
-    if not 1.0 <= x_d < math.inf:
-        raise ValueError(f"x_d must be >= 1 and finite, got {x_d}")
+    q_b = model._check_real("q_b", q_b, 0.0, 1.0)
+    x_b = model._check_real("x_b", x_b, 0.0, 0.5)
+    x_d = model._check_real("x_d", x_d, 1.0, math.inf, hi_open=True)
     num = q_b * x_b + (1.0 - q_b) * x_d
     den = q_b * (1.0 - x_b) + (1.0 - q_b) * (x_d - 1.0)
     if den <= 0.0:
@@ -123,17 +120,13 @@ def binding_xd(q_b: float, x_b: float, beta: float, margin: float = 0.0) -> floa
     1 where the constraint is already slack there.  Returns ``inf`` at
     ``x_b = 1/2`` with ``q_b < 1``: midpoint voters never vote, so no finite
     ``x_d`` restores the lead.  ``margin`` strengthens the required lead to a
-    factor ``1 + margin`` (finite, ``>= 0``).
+    factor ``1 + margin`` (finite, ``>= 0``).  ``beta`` lies in (0, 1]: at 0
+    the constraint does not involve ``x_d``.
     """
-    beta = model.check_beta(beta)
-    if beta == 0.0:
-        raise ValueError("at beta = 0 the vote-lead constraint does not involve x_d")
-    if not 0.0 < q_b <= 1.0:
-        raise ValueError(f"q_b must lie in (0, 1], got {q_b}")
-    if not 0.0 <= x_b <= 0.5:
-        raise ValueError(f"x_b must lie in [0, 1/2], got {x_b}")
-    if not 0.0 <= margin < math.inf:
-        raise ValueError(f"margin must be finite and >= 0, got {margin}")
+    beta = model._check_real("beta", beta, 0.0, 1.0, lo_open=True)
+    q_b = model._check_real("q_b", q_b, 0.0, 1.0, lo_open=True)
+    x_b = model._check_real("x_b", x_b, 0.0, 0.5)
+    margin = model._check_real("margin", margin, 0.0, math.inf, hi_open=True)
     if q_b == 1.0:
         return 1.0
     left_rate = (1.0 - 2.0 * x_b) ** beta * q_b
@@ -297,8 +290,7 @@ def _worst(beta, margin):
 def _solve(betas, epsilon: float) -> list[WorstCaseSolution]:
     """Solutions at every beta, from one candidate evaluation for all the positive ones."""
     betas = np.array([model.check_beta(b) for b in betas], dtype=float)
-    if not 0.0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    epsilon = model._check_real("epsilon", epsilon, 0.0, math.inf, hi_open=True)
     found = zip(*(v.tolist() for v in _worst(betas[betas > 0.0], epsilon)))
     zero = ((3.0 + epsilon) / (1.0 + epsilon), (1.0 + epsilon) / (2.0 + epsilon), 0.5, 1.0)
     out = []
@@ -362,13 +354,11 @@ def vote_count_threshold(alpha: float) -> float:
 
     Evaluates ``(alpha + 1)^3 / (alpha^2 (alpha - sqrt(alpha + 1))^2)``.
     Undefined at ``alpha = (1 + sqrt(5)) / 2`` where the second denominator
-    factor vanishes.  Alpha must lie in ``[1e-100, 1e50]``, or
-    ``ValueError`` is raised (also for nan): there every power above is a
-    normal float, and outside it the threshold would be below 1e-50 or
-    above 1e200, of no use to an audit.
+    factor vanishes.  Alpha must lie in ``[1e-100, 1e50]``: there every power
+    above is a normal float, and outside it the threshold would be below
+    1e-50 or above 1e200, of no use to an audit.
     """
-    if not 1e-100 <= alpha <= 1e50:
-        raise ValueError(f"alpha must lie in [1e-100, 1e50], got {alpha}")
+    alpha = model._check_real("alpha", alpha, 1e-100, 1e50)
     gap = alpha - math.sqrt(alpha + 1.0)
     if gap == 0.0:
         raise ValueError(f"threshold undefined at alpha = {_GOLDEN} (division by zero)")

@@ -400,6 +400,14 @@ class TestMergeSameRegion:
         e = merge_same_region(LineElection([0.1, 0.3]), 0, 1)
         assert e.positions == (0.2, 0.2)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_b_voter_and_midpoint(self, beta):
+        # The winner form's first merge takes region B with the midpoint.
+        before = LineElection([0.1, 0.5])
+        after = merge_same_region(before, 0, 1)
+        assert after.positions == (0.3, 0.3)
+        assert certify_winner_displacement(before, after, beta).passed
+
     def test_equal_positions_noop(self):
         e = merge_same_region(LineElection([1.4, 1.4]), 0, 1)
         assert e.positions == (1.4, 1.4)

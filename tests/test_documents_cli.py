@@ -393,7 +393,7 @@ class TestCli:
             main, ["worstcase", "--beta", "1", "--epsilon", epsilon]
         )
         assert result.exit_code == 1
-        assert result.stderr.startswith("error: epsilon must be finite and >= 0")
+        assert result.stderr.startswith("error: epsilon must lie in [0, inf), got ")
 
     def test_sweep_endpoints(self):
         result = self.runner.invoke(main, ["sweep", "--count", "2"])

@@ -9,13 +9,22 @@ import math
 
 import pytest
 
-from votedist import model, montecarlo, worstcase
+from votedist import metric, model, montecarlo, worstcase
 from votedist.model import LineElection
+
+
+def distance_ratio(d_left, d_right):
+    """:func:`metric.distance_ratio` of the pair ``(d_left, d_right)``."""
+    return metric.distance_ratio((d_left, d_right))
+
 
 VALID_CALLS = [
     (model.check_beta, (0.5,)),
     (model.participation_probability, (0.2, 0.9, 0.5)),
+    (model.profile, (0.3, 0.5)),
+    (model.region_of, (0.3,)),
     (model.distortion_pair, (2.0, 1.0)),
+    (distance_ratio, (2.0, 1.0)),
     (worstcase.two_point_distortion, (0.5, 0.1, 2.0)),
     (worstcase.binding_xd, (0.5, 0.1, 0.5, 0.1)),
     (worstcase.vote_count_threshold, (0.1,)),

@@ -42,8 +42,11 @@ FAULTS = [
     ("collapse_to_mid_range", "_midpoint_limit", lambda xs: 0.5 * (min(xs) + max(xs)),
      {"canonical_winner_form"}),
     ("low_bar", "_crossers", scaled_bar(0.9), {"C_to_D_map", "canonical_expected_form"}),
-    # The strict bar leaves a valid form that is not maximal; the form's
-    # check reads the same faulty ``_crossers``.
+    # A bar set too high leaves a valid form that is not maximal.  The form's
+    # check crosses each C voter left behind with the public ``map_c_to_d``,
+    # so it sees the 1.1 bar; the strict bar leaves no such voter in these
+    # trials.  ``C_to_D_map`` draws its voters from the faulty ``_crossers``.
+    ("high_bar", "_crossers", scaled_bar(1.1), {"canonical_expected_form"}),
     ("strict_bar", "_crossers", scaled_bar(1.0 + 1e-6), BLIND),
 ]
 
