@@ -224,8 +224,8 @@ def cmd_sweep(start, stop, count, out) -> None:
     """CSV of the worst-case distortion curve over a range of beta."""
     model.check_beta(start)
     model.check_beta(stop)
-    if count < 2 or stop <= start:
-        raise ValueError("need count >= 2 and stop > start")
+    model._check_real("stop", stop, start, 1.0, lo_open=True)
+    model._check_count("count", count, 2)
     betas = [start + (stop - start) * k / (count - 1) for k in range(count)]
     _emit(worstcase.sweep_csv(worstcase.sweep_beta(betas)), out)
 
@@ -243,11 +243,11 @@ def cmd_sweep(start, stop, count, out) -> None:
 def cmd_curve(betas, zmin, zmax, points, out) -> None:
     """CSV of the participation probability along the line, per beta."""
     betas = [model.check_beta(b) for b in betas]
-    if points < 2 or zmax <= zmin:
-        raise ValueError("need points >= 2 and zmax > zmin")
+    model._check_count("points", points, 2)
     # A nan or infinite end, or a span that overflows, fails this test.
     if not zmax - zmin < float("inf"):
         raise ValueError(f"--zmin, --zmax and their span must be finite, got {zmin}, {zmax}")
+    model._check_real("zmax", zmax, zmin, float("inf"), lo_open=True, hi_open=True)
     lines = ["z,beta,probability"]
     for b in betas:
         for k in range(points):

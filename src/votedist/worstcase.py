@@ -15,7 +15,8 @@ has a closed form (:func:`_best_x_b`): ``u = 1 - 2 x_b`` is
 ``u* = min(r / (1 + w), A, 1)`` with ``A = e^s``, the odds
 ``r = e^(beta s) / (1 + margin)`` and ``w = sqrt(1 + 1/A)``.  That leaves the
 value ``V(s)`` of one variable, and its maximum is one of five candidates
-(:func:`_candidates`), evaluated for every beta at once (:func:`_worst`):
+(:func:`_candidates`), picked for every beta at once in float64 and evaluated
+in long double (:func:`_worst`):
 
 * the interior stationary point ``s = log(beta^2 / (1 - beta^2))``: while
   ``u* = r / (1 + w)`` the excess over 1 is ``2r / (A (1 + w)^2 - r)``, and
@@ -140,7 +141,7 @@ def binding_xd(q_b: float, x_b: float, beta: float, margin: float = 0.0) -> floa
     return max(1.0, xd)
 
 
-def _best_x_b(s, beta, margin):
+def _best_x_b(s, beta, margin, dtype=np.longdouble):
     """``(excess, q_b, x_b, x_d)`` at the best ``x_b`` for each ``s = log A`` in ``s``.
 
     With ``A = ((1 + margin)(1 - q_b) / q_b)^(1/beta)`` the odds ``(1 - q_b) / q_b``
@@ -153,20 +154,22 @@ def _best_x_b(s, beta, margin):
     under the float spacing next to 1/2) or undefined (``s = -inf``) gives way to the
     limit ``q_b -> 1``: excess 0 at ``q_b = 1``, ``x_b = 1/2``, ``x_d = 1``.
 
-    Everything but ``x_b`` is computed, and returned, in long double.  On x86
-    that carries 11 more bits than a float, so the rounding of ``r``, ``A`` and
-    the quotient stays far below a float's spacing, and rounding ``1 + excess``
-    once gives the float nearest the objective at the returned witness.  Where
-    long double is a plain double, the value can be an ulp or two off.
+    Everything but ``x_b`` is computed, and returned, in ``dtype``.  The
+    default, long double, carries 11 more bits than a float on x86, so the
+    rounding of ``r``, ``A`` and the quotient stays far below a float's
+    spacing, and rounding ``1 + excess`` once gives the float nearest the
+    objective at the returned witness.  Where long double is a plain double,
+    the value can be an ulp or two off.  :func:`_worst` passes ``np.float64``
+    only to choose among candidates.
     """
-    s = np.asarray(s, dtype=np.longdouble)
-    r = np.exp(beta * s - np.log1p(np.longdouble(margin)))
+    s = np.asarray(s, dtype=dtype)
+    r = np.exp(beta * s - np.log1p(dtype(margin)))
     a = np.exp(s)
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.minimum(np.minimum(r / (1.0 + np.sqrt(1.0 + 1.0 / a)), a), 1.0)
         x_b = (0.5 * (1.0 - u)).astype(float)
-        x_b = np.where(1.0 - 2.0 * x_b.astype(np.longdouble) < u, np.nextafter(x_b, 0.0), x_b)
-        u = 1.0 - 2.0 * x_b.astype(np.longdouble)
+        x_b = np.where(1.0 - 2.0 * x_b.astype(dtype) < u, np.nextafter(x_b, 0.0), x_b)
+        u = 1.0 - 2.0 * x_b.astype(dtype)
         x_d = np.maximum(1.0, 0.5 * (1.0 + a / u))
         excess = 2.0 * u * (r - u) / (u * (1.0 + u) + r * np.maximum(a - u, 0.0))
     limit = ~(excess >= 0.0)
@@ -219,22 +222,24 @@ def _newton(chi, start, far, beta, margin):
     naming its beta and ``margin``, rather than return its last point.
     """
     log_m = math.log1p(margin)
+    # chi evaluates a log on both sides of a np.where, so a branch it throws
+    # away can divide by zero; what it keeps is the same either way.
     with np.errstate(divide="ignore", invalid="ignore"):
         bracketed = (chi(start, beta, log_m)[0] < 0.0) & (chi(far, beta, log_m)[0] >= 0.0)
-    root = start.copy()
-    x, far, beta = start[bracketed], far[bracketed], beta[bracketed]
-    low, done = x.copy(), np.zeros(x.shape, dtype=bool)
-    for _ in range(_NEWTON_CAP):
-        value, slope = chi(x, beta, log_m)
-        step = -value / slope
-        done |= ~(value < 0.0) | (np.abs(step) <= 4.0 * np.spacing(np.abs(x)))
-        if done.all():
-            root[bracketed] = x
-            return root
-        low = np.where(done, low, x)
-        ahead = x + step
-        inside = (ahead - low) * (far - ahead) > 0.0
-        x = np.where(done, x, np.where(inside, ahead, 0.5 * (low + far)))
+        root = start.copy()
+        x, far, beta = start[bracketed], far[bracketed], beta[bracketed]
+        low, done = x.copy(), np.zeros(x.shape, dtype=bool)
+        for _ in range(_NEWTON_CAP):
+            value, slope = chi(x, beta, log_m)
+            step = -value / slope
+            done |= ~(value < 0.0) | (np.abs(step) <= 4.0 * np.spacing(np.abs(x)))
+            if done.all():
+                root[bracketed] = x
+                return root
+            low = np.where(done, low, x)
+            ahead = x + step
+            inside = (ahead - low) * (far - ahead) > 0.0
+            x = np.where(done, x, np.where(inside, ahead, 0.5 * (low + far)))
     raise RuntimeError(
         f"worst-case root solve at beta = {float(beta[~done][0])!r}, epsilon = {margin!r} "
         f"did not converge within {_NEWTON_CAP} Newton steps"
@@ -273,22 +278,43 @@ def _candidates(beta, margin):
     return np.clip(s, lo[:, None], hi[:, None])
 
 
+#: Gap, relative to ``1 + excess``, under which :func:`_worst` does not trust
+#: its float64 pass to order two candidates.
+_PICK_TOL = 1e-9
+
+
 def _worst(beta, margin):
     """``(value, q_b, x_b, x_d)`` for each positive beta: the best of its candidates.
 
-    One :func:`_best_x_b` over the ``(betas, 5)`` candidates and an argmax per
-    row; the module docstring says why the candidates hold the maximum.
+    The module docstring says why the ``(betas, 5)`` candidates hold the
+    maximum.  A float64 :func:`_best_x_b` over all of them picks each row's
+    best, and a long double one evaluates only the picks: long double ``exp``
+    costs tens of times float64's.  In float64, ``r`` and ``A`` carry at most
+    ``|beta s| + log(1 + margin) + 2`` ulps, under ``2^-42`` on the bracket,
+    and the excess moves by a few times ``1 + excess`` as much; on the grids
+    of the tests the two passes differ by at most ``4e-16 (1 + excess)``.  A
+    row whose runner-up at another ``s`` comes within ``_PICK_TOL (1 + top)``
+    of its top is picked by an argmax over all five in long double instead.
+    Both passes map an excess below 0 or undefined to 0, so elsewhere they
+    agree on the pick, and the result is that of the five-candidate long
+    double argmax, bit for bit.
     """
-    excess, q_b, x_b, x_d = _best_x_b(_candidates(beta, margin), beta[:, None], margin)
+    s = _candidates(beta, margin)
+    beta = beta[:, None]
+    excess = _best_x_b(s, beta, margin, np.float64)[0]
     best = np.argmax(excess, axis=1)[:, None]
-    return tuple(
-        np.take_along_axis(v, best, axis=1)[:, 0].astype(float)
-        for v in (1.0 + excess, q_b, x_b, x_d)
-    )
+    top, pick = (np.take_along_axis(v, best, axis=1) for v in (excess, s))
+    runner_up = np.where(s == pick, -np.inf, excess).max(axis=1, keepdims=True)
+    close = (top - runner_up <= _PICK_TOL * (1.0 + top))[:, 0]
+    if close.any():
+        tied = np.argmax(_best_x_b(s[close], beta[close], margin)[0], axis=1)[:, None]
+        pick[close] = np.take_along_axis(s[close], tied, axis=1)
+    excess, q_b, x_b, x_d = _best_x_b(pick, beta, margin)
+    return tuple(v[:, 0].astype(float) for v in (1.0 + excess, q_b, x_b, x_d))
 
 
 def _solve(betas, epsilon: float) -> list[WorstCaseSolution]:
-    """Solutions at every beta, from one candidate evaluation for all the positive ones."""
+    """Solutions at every beta, from one :func:`_worst` call for all the positive ones."""
     betas = np.array([model.check_beta(b) for b in betas], dtype=float)
     epsilon = model._check_real("epsilon", epsilon, 0.0, math.inf, hi_open=True)
     found = zip(*(v.tolist() for v in _worst(betas[betas > 0.0], epsilon)))

@@ -602,8 +602,10 @@ NO_VOTERS = '{"schema": 1, "kind": "line", "beta": 1.0, "voters": []}'
 LIST_METADATA = '{"schema": 1, "kind": "line", "beta": 1.0, "voters": [1.5], "metadata": ["a"]}'
 SOCIAL_COSTS = "error: the social costs exceed the float range\n"
 CURVE_RANGE = "error: --zmin, --zmax and their span must be finite, got "
-SWEEP_GRID = "error: need count >= 2 and stop > start\n"
-CURVE_GRID = "error: need points >= 2 and zmax > zmin\n"
+SWEEP_COUNT = "error: count must be >= 2, got 1\n"
+SWEEP_GRID = "error: stop must lie in (0.5, 1], got 0.5\n"
+CURVE_POINTS = "error: points must be >= 2, got 1\n"
+CURVE_GRID = "error: zmax must lie in (1, inf), got 1.0\n"
 NEGATIVE_SEED = "error: Invalid value for '--seed': -1 is not in the range x>=0.\n"
 
 # Invalid input to any command: the group's error boundary prints one
@@ -613,9 +615,9 @@ CONTRACT_CASES = [
     (["curve", "--zmin", "nan"], CURVE_RANGE + "nan, 2.0\n"),
     (["curve", "--zmax", "inf"], CURVE_RANGE + "-1.0, inf\n"),
     (["curve", "--zmin", "-1e308", "--zmax", "1e308"], CURVE_RANGE + "-1e+308, 1e+308\n"),
-    (["curve", "--points", "1"], CURVE_GRID),
+    (["curve", "--points", "1"], CURVE_POINTS),
     (["curve", "--zmin", "1", "--zmax", "1"], CURVE_GRID),
-    (["sweep", "--count", "1"], SWEEP_GRID),
+    (["sweep", "--count", "1"], SWEEP_COUNT),
     (["sweep", "--start", "0.5", "--stop", "0.5"], SWEEP_GRID),
     (["verify", "--seed", "1", "--trials", "1", "--alpha", "nan"], ALPHA_RANGE + "nan\n"),
     (["verify", "--seed", "1", "--trials", "1", "--alpha", "inf"], ALPHA_RANGE + "inf\n"),
@@ -709,6 +711,29 @@ def test_invalid_input_is_one_error_line_in_a_real_process(tmp_path):
     for args, (code, out, err) in zip(cases, json.loads(proc.stdout), strict=True):
         assert (code, out) == (1, ""), args
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# Betas at which ``beta - 1`` rounds to -1: the worst-case solver takes a log
+# there on a side of a np.where it then throws away.  Valid input prints its
+# CSV, exits 0 and writes nothing on stderr, under the default filters.
+TINY_BETA_CASES = [
+    ["worstcase", "--beta", "1.176057970449735e-16"],
+    ["worstcase", "--beta", "4.04575665005868e-17", "--epsilon", "0.5"],
+    ["sweep", "--start", "0", "--stop", "2.35211594089947e-16", "--count", "3"],
+]
+
+
+def test_tiny_betas_write_nothing_on_stderr():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CASES, json.dumps(TINY_BETA_CASES)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    for args, (code, out, err) in zip(TINY_BETA_CASES, json.loads(proc.stdout), strict=True):
+        assert (code, err) == (0, ""), (args, err)
+        assert out.startswith("beta,dstar,q_b,x_b,x_d,attained\n"), args
 
 
 # Click's usage errors go through the same boundary: exit 1 and one line that

@@ -237,6 +237,84 @@ class TestSolve:
         assert model.winner_distortion(witness, 1.0) <= sol.value + 1e-3
 
 
+def five_candidate_worst(beta, margin):
+    """Reference: per beta, the argmax over all five candidates in long double.
+
+    Returns ``(value, q_b, x_b, x_d)``, each as floats.
+    """
+    found = worstcase._best_x_b(worstcase._candidates(beta, margin), beta[:, None], margin)
+    best = np.argmax(found[0], axis=1)[:, None]
+    return tuple(
+        np.take_along_axis(v, best, axis=1)[:, 0].astype(float)
+        for v in (1.0 + found[0], *found[1:])
+    )
+
+
+def solved_fields(solutions):
+    """``(value, q_b, x_b, x_d)`` of each solution, as an ``(n, 4)`` float array."""
+    return np.array([(s.value, s.q_b, s.x_b, s.x_d) for s in solutions])
+
+
+@pytest.fixture
+def best_x_b_calls(monkeypatch):
+    """The shape and dtype of every later ``_best_x_b`` call, in order."""
+    calls = []
+
+    def counted(s, beta, margin, dtype=np.longdouble, _f=worstcase._best_x_b):
+        calls.append((np.shape(s), np.dtype(dtype)))
+        return _f(s, beta, margin, dtype)
+
+    monkeypatch.setattr(worstcase, "_best_x_b", counted)
+    return calls
+
+
+class TestCandidatePick:
+    """A float64 pass picks each beta's candidate; long double evaluates the pick."""
+
+    @pytest.mark.parametrize("margin", [0.0, 1e-9, 0.01, 0.5, 3.0, 1e6, 1e300])
+    def test_matches_the_five_candidate_argmax_bit_for_bit(self, rng, margin):
+        u = rng.uniform(size=2000)
+        for betas in (np.linspace(0.0, 1.0, 401), np.linspace(0.0, 1.0, 10001),
+                      np.geomspace(1e-300, 1.0, 3000), u**8, 1.0 - u**8):
+            betas = betas[betas > 0.0]
+            got = solved_fields(worstcase._solve(betas, margin))
+            want = np.stack(five_candidate_worst(betas, margin), axis=1)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_rows_too_close_to_call_go_back_to_all_five(self, monkeypatch, best_x_b_calls):
+        # Row 0's best two candidates are one ulp apart in s, so its float64
+        # excesses cannot order them; row 1 is left as the solver builds it.
+        betas = np.array([0.3, 0.7])
+        s = worstcase._candidates(betas, 0.0)
+        top = s[0, np.argmax(worstcase._best_x_b(s[0], 0.3, 0.0)[0])]
+        s[0, :2] = top, np.nextafter(top, np.inf)
+        monkeypatch.setattr(worstcase, "_candidates", lambda beta, margin: s.copy())
+        best_x_b_calls.clear()
+        got = np.stack(worstcase._worst(betas, 0.0), axis=1)
+        assert best_x_b_calls == [((2, 5), np.dtype(np.float64)),
+                                  ((1, 5), np.dtype(np.longdouble)),
+                                  ((2, 1), np.dtype(np.longdouble))]
+        want = np.stack(five_candidate_worst(betas, 0.0), axis=1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_the_401_grid_needs_no_fallback(self, best_x_b_calls):
+        # Long double runs once, on one candidate per beta.
+        sweep_beta(np.linspace(0.0, 1.0, 401))
+        assert best_x_b_calls == [((400, 5), np.dtype(np.float64)),
+                                  ((400, 1), np.dtype(np.longdouble))]
+
+    @pytest.mark.parametrize(
+        "beta, epsilon", [(1.176057970449735e-16, 0.0), (4.04575665005868e-17, 0.5)]
+    )
+    def test_betas_where_beta_minus_one_rounds_to_minus_one_warn_nothing(self, beta, epsilon):
+        # The corner ``u = A`` takes a log on both sides of a np.where; the
+        # side thrown away divides by zero at these betas.  Warnings are
+        # errors under the test configuration.
+        assert solve_worst_case_margin(beta, epsilon).value == pytest.approx(
+            (3.0 + epsilon) / (1.0 + epsilon), rel=1e-12
+        )
+
+
 class TestSeparableObjective:
     """The closed-form best x_b against the unfactored objective on x_b grids.
 
