@@ -211,7 +211,7 @@ def cmd_metric_reduce(election_file, beta, out) -> None:
 def cmd_worstcase(beta, epsilon, fmt, out) -> None:
     """Worst-case distortion of the expected winner at one beta."""
     solution = worstcase.solve_worst_case_margin(beta, epsilon)
-    row = SimpleNamespace(dstar=solution.value, **vars(solution))
+    row = SimpleNamespace(dstar=solution.value, **solution._asdict())
     _emit(_report_lines(row, fmt, ("beta", "dstar", "q_b", "x_b", "x_d", "attained")), out)
 
 

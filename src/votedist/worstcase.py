@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -82,8 +82,7 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _GATE_ATTEMPTS = 10_000
 
 
-@dataclass(frozen=True)
-class WorstCaseSolution:
+class WorstCaseSolution(NamedTuple):
     """Maximizer of the two-point program at one beta.
 
     ``attained=False`` marks the limit ``x_b -> 1/2``, reported as ``x_b = 1/2``
@@ -314,16 +313,16 @@ def _worst(beta, margin):
 
 
 def _solve(betas, epsilon: float) -> list[WorstCaseSolution]:
-    """Solutions at every beta, from one :func:`_worst` call for all the positive ones."""
+    """Solutions at every beta: one :func:`_worst` call for beta > 0, the closed form at 0."""
     betas = np.array([model.check_beta(b) for b in betas], dtype=float)
     epsilon = model._check_real("epsilon", epsilon, 0.0, math.inf, hi_open=True)
-    found = zip(*(v.tolist() for v in _worst(betas[betas > 0.0], epsilon)))
     zero = ((3.0 + epsilon) / (1.0 + epsilon), (1.0 + epsilon) / (2.0 + epsilon), 0.5, 1.0)
-    out = []
-    for beta in betas.tolist():
-        value, q_b, x_b, x_d = next(found) if beta > 0.0 else zero
-        out.append(WorstCaseSolution(beta, q_b, x_b, x_d, value, attained=x_b < 0.5))
-    return out
+    value, q_b, x_b, x_d = columns = [np.full(betas.shape, v) for v in zero]
+    positive = betas > 0.0
+    for column, found in zip(columns, _worst(betas[positive], epsilon)):
+        column[positive] = found
+    rows = (v.tolist() for v in (betas, q_b, x_b, x_d, value, x_b < 0.5))
+    return list(map(WorstCaseSolution._make, zip(*rows)))
 
 
 def solve_worst_case_margin(beta: float, epsilon: float) -> WorstCaseSolution:
@@ -343,19 +342,18 @@ def solve_worst_case(beta: float) -> WorstCaseSolution:
 
 
 def sweep_beta(betas: Sequence[float]) -> list[WorstCaseSolution]:
-    """One worst-case solution per beta, in the given order, from one search."""
+    """One worst-case solution per beta, in the given order, all solved at once."""
     return _solve(betas, 0.0)
 
 
 def sweep_csv(solutions: Sequence[WorstCaseSolution]) -> str:
-    """Render solutions as CSV with the stable schema and 12 significant digits."""
-    lines = ["beta,dstar,q_b,x_b,x_d,attained"]
-    for s in solutions:
-        lines.append(
-            f"{s.beta:.12g},{s.value:.12g},{s.q_b:.12g},{s.x_b:.12g},"
-            f"{s.x_d:.12g},{str(s.attained).lower()}"
-        )
-    return "\n".join(lines) + "\n"
+    """Render solutions as CSV with the stable schema: one ``%.12g`` format per row."""
+    rows = [
+        "%.12g,%.12g,%.12g,%.12g,%.12g,%s"
+        % (beta, value, q_b, x_b, x_d, "true" if attained else "false")
+        for beta, q_b, x_b, x_d, value, attained in solutions
+    ]
+    return "\n".join(["beta,dstar,q_b,x_b,x_d,attained", *rows]) + "\n"
 
 
 def witness_election(solution: WorstCaseSolution, total: int = 400) -> LineElection:

@@ -724,7 +724,7 @@ class TestSuitesCountFailures:
         real = worstcase._solve
 
         def low(betas, epsilon):
-            return [dataclasses.replace(s, value=0.8 * s.value) for s in real(betas, epsilon)]
+            return [s._replace(value=0.8 * s.value) for s in real(betas, epsilon)]
 
         assert canonicalization_suites(50, 2)[0] == SuiteResult("canonical_winner_form", 50, 0)
         monkeypatch.setattr(worstcase, "_solve", low)

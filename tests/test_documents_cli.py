@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
-from votedist import displace
+from votedist import displace, worstcase
 from votedist.cli import main
 from votedist.documents import (
     DocumentError,
@@ -26,6 +27,17 @@ from votedist.model import LineElection
 from conftest import two_block_election
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# SHA-256 of the stdout of ``votedist sweep --count 401``.
+SWEEP_401_SHA256 = "e1e3b8ba446884c23254023fa335a72228e6a4f8733c2a0fb811eed911ea42a8"
+
+
+def process_env():
+    """The environment of a child Python process: this package, default warnings."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
 
 ALPHA_RANGE = "error: alpha must lie in [1e-100, 1e50], got "
 
@@ -402,6 +414,20 @@ class TestCli:
         assert float(lines[1].split(",")[1]) >= 2.99
         assert abs(float(lines[2].split(",")[1]) - 1.5224) < 1e-3
 
+    def test_sweep_output_is_pinned_in_a_real_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from votedist.cli import main; main()",
+             "sweep", "--count", "401"],
+            env=process_env(), capture_output=True, timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == SWEEP_401_SHA256
+
+    def test_worstcase_solution_fields_are_pinned(self):
+        assert list(worstcase.solve_worst_case(1.0)._asdict()) == [
+            "beta", "q_b", "x_b", "x_d", "value", "attained"
+        ]
+
     def test_curve_midpoint_never_votes(self):
         result = self.runner.invoke(
             main,
@@ -701,11 +727,9 @@ def test_invalid_input_is_one_error_line_in_a_real_process(tmp_path):
         "malformed": write(tmp_path, "malformed.json", "{nope}"),
     }
     cases = [[arg.format(**paths) for arg in args] for args in PROCESS_CASES]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", RUN_CASES, json.dumps(cases)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=process_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     for args, (code, out, err) in zip(cases, json.loads(proc.stdout), strict=True):
@@ -724,11 +748,9 @@ TINY_BETA_CASES = [
 
 
 def test_tiny_betas_write_nothing_on_stderr():
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", RUN_CASES, json.dumps(TINY_BETA_CASES)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=process_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     for args, (code, out, err) in zip(TINY_BETA_CASES, json.loads(proc.stdout), strict=True):

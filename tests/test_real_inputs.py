@@ -55,6 +55,14 @@ REAL_INPUTS = [
     ("confidence", 1.0, montecarlo.hoeffding_half_width,
      lambda v: montecarlo.hoeffding_half_width(10, v)),
     ("confidence", 0.0, montecarlo.McConfig, lambda v: montecarlo.McConfig(10, 1, v)),
+    # Functions that take beta beside their own inputs pass it to check_beta.
+    ("beta", 1.5, model.participation_probability,
+     lambda v: model.participation_probability(0.2, 0.9, v)),
+    ("beta", 1.5, model.profile, lambda v: model.profile(0.3, v)),
+    ("beta", 1.5, worstcase.solve_worst_case_margin,
+     lambda v: worstcase.solve_worst_case_margin(v, 0.1)),
+    ("beta", 1.5, worstcase.verify_distortion_bound,
+     lambda v: worstcase.verify_distortion_bound(0.1, v, [model.LineElection([1.5])])),
 ]
 
 BAD_VALUES = (True, np.True_, "0.5", None, math.nan)

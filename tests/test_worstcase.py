@@ -255,6 +255,17 @@ def solved_fields(solutions):
     return np.array([(s.value, s.q_b, s.x_b, s.x_d) for s in solutions])
 
 
+def field_by_field_csv(solutions):
+    """Reference for :func:`sweep_csv`: five ``:.12g`` f-string fields per row."""
+    lines = ["beta,dstar,q_b,x_b,x_d,attained"]
+    for s in solutions:
+        lines.append(
+            f"{s.beta:.12g},{s.value:.12g},{s.q_b:.12g},{s.x_b:.12g},"
+            f"{s.x_d:.12g},{str(s.attained).lower()}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def best_x_b_calls(monkeypatch):
     """The shape and dtype of every later ``_best_x_b`` call, in order."""
@@ -505,6 +516,29 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].startswith("0,") and lines[1].endswith(",false")
         assert lines[2].startswith("1,") and lines[2].endswith(",true")
+
+    def test_csv_matches_the_field_by_field_renderer(self, rng):
+        u = rng.uniform(size=2000)
+        for betas in (np.linspace(0.0, 1.0, 401), np.linspace(0.0, 1.0, 10001),
+                      np.geomspace(1e-300, 1.0, 3000), 1.0 - u**8):
+            rows = sweep_beta(betas)
+            assert sweep_csv(rows) == field_by_field_csv(rows)
+
+    @pytest.mark.parametrize("margin", [0.0, 1e-9, 0.5, 1e6, 1e300])
+    def test_csv_matches_the_field_by_field_renderer_at_margins(self, margin):
+        rows = worstcase._solve(np.linspace(0.0, 1.0, 401), margin)
+        assert sweep_csv(rows) == field_by_field_csv(rows)
+
+    def test_csv_matches_the_field_by_field_renderer_on_edge_values(self):
+        # %.12g and :.12g agree on signed zeros, subnormals, overflow-scale
+        # values, infinities, NaN and the switch to exponent notation.
+        edges = [0.0, -0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan, 1e-5, 1e12,
+                 999999999999.5, 0.1]
+        rows = [
+            worstcase.WorstCaseSolution(*np.roll(edges, k)[:5].tolist(), k % 2 == 0)
+            for k in range(len(edges))
+        ]
+        assert sweep_csv(rows) == field_by_field_csv(rows)
 
     @pytest.mark.parametrize(
         "beta, fmt, text",
