@@ -31,8 +31,11 @@ turns the distance arrays into numpy arrays of preferred sides and
 participation probabilities.  Up to ``SCALAR_LIMIT`` voters numpy's per-call
 cost would exceed the arithmetic, so distances, sides and totals are
 computed in Python floats, and only the power that gives each participation
-probability is one numpy call.  The operations are the same, so both paths
-give the same floats bit for bit.
+probability is one numpy call, none at beta 0 or 1.  The operations are the
+same, so both paths give the same floats bit for bit.  Such an election
+measures itself once: it keeps its distance lists, its social costs and its
+sides at the last beta, and a copy made by ``replace`` keeps the distance
+lists of the voters it does not move.
 
 Everything here is an immutable value or a pure function; all types are safe
 to share across threads.
@@ -146,7 +149,10 @@ class _VoterArray:
     Subclasses give the shape of one voter's row (``_ROW``), check the array
     (``_check``) and name their tuple view of it (``_VIEW``), built on first
     access; equality, hashing and ``repr`` match a frozen dataclass with that
-    one field.  Distances and social costs are computed once per election.
+    one field.  Distances, their lists and social costs are computed once per
+    election, and kept in the instance ``__dict__``, as are the sides that
+    :func:`_sides` last computed; a caller that measured them already may
+    put them there.
     """
 
     def __init__(self, values: Iterable):
@@ -248,16 +254,27 @@ class LineElection(_VoterArray):
     def replace(self, assignments: dict[int, float]) -> "LineElection":
         """Copy of the election with the given voters moved to new positions.
 
-        Only the moved voters are validated; the others were checked when
-        this election was built.
+        Each key is a voter index, an integer (not a bool) from 0 to
+        ``len(self) - 1``.  Only the moved voters are validated; the others
+        were checked when this election was built.  When this election's
+        distance lists are computed, the copy takes them over and recomputes
+        only the moved voters' entries.
         """
-        x = self.array.copy()
+        x, moved = self.array.copy(), {}
         for i, v in assignments.items():
-            v = float(v)
+            i, v = _check_count("voter", i), float(v)
+            if i >= len(x):
+                raise ValueError(f"voter must be < {len(x)}, got {i}")
             if not math.isfinite(v):
                 raise ValueError(f"voter {i} has non-finite position {v!r}")
-            x[i] = v
-        return LineElection._trusted(x)
+            x[i] = moved[i] = v
+        e = LineElection._trusted(x)
+        if "_distance_lists" in self.__dict__:
+            d_left, d_right = map(list, self._distance_lists)
+            for i, v in moved.items():
+                d_left[i], d_right[i] = abs(v), abs(v - 1.0)
+            e.__dict__["_distance_lists"] = d_left, d_right
+        return e
 
 
 def _line_distances(x: list[float]) -> tuple[list[float], list[float]]:
@@ -418,12 +435,19 @@ def _sides(
 
     Picks the evaluation path: lists of Python floats from
     :func:`_scalar_sides` for an election of at most ``SCALAR_LIMIT`` voters,
-    arrays from :func:`voter_arrays` above it.
+    arrays from :func:`voter_arrays` above it.  The list path keeps the sides
+    of the last beta in the election, as the pair ``(beta, sides)``, which a
+    second call at that beta returns; the lists are shared, and no caller
+    may change them.
     """
     if len(e) > SCALAR_LIMIT:
         side, p = voter_arrays(*e.distances(), beta)
         return p[side < 0], p[side > 0]
-    return _scalar_sides(*e._distance_lists, check_beta(beta))
+    beta = check_beta(beta)
+    memo = e.__dict__.get("_sides_at")
+    if memo is None or memo[0] != beta:
+        memo = e.__dict__["_sides_at"] = beta, _scalar_sides(*e._distance_lists, beta)
+    return memo[1]
 
 
 def _scalar_sides(
@@ -431,25 +455,24 @@ def _scalar_sides(
 ) -> tuple[list[float], list[float]]:
     """:func:`_sides` on the lists of the voters' distances, for a checked beta.
 
-    Repeats each rounded operation of :func:`voter_arrays` and calls numpy
-    for the power alone, so both give the same floats in the same voter
-    order, and raise the same errors.
+    Repeats each rounded operation of :func:`voter_arrays` in one pass over
+    the voters, so both give the same floats in the same voter order, and
+    raise the same errors.  Only the power calls numpy, once, and not at
+    beta 0 or 1: numpy's ``** 1.0`` returns its input exactly.
     """
-    prefers_right, ratios = [], []
+    left, right = [], []
     for dl, dr in zip(d_left, d_right):
         total = dl + dr
         if not (dl >= 0.0 and dr >= 0.0 and total > 0.0):
             raise ValueError("distances must be nonnegative and not both zero")
         if dl != dr:
-            prefers_right.append(dl > dr)
-            ratios.append(abs(dl - dr) / total)
+            (right if dl > dr else left).append(abs(dl - dr) / total)
     if beta == 0.0:
-        p = [1.0] * len(ratios)
-    else:
-        p = (np.array(ratios) ** beta).tolist()
-    left = [q for q, r in zip(p, prefers_right) if not r]
-    right = [q for q, r in zip(p, prefers_right) if r]
-    return left, right
+        return [1.0] * len(left), [1.0] * len(right)
+    if beta == 1.0:
+        return left, right
+    p = (np.array(left + right) ** beta).tolist()
+    return p[: len(left)], p[len(left) :]
 
 
 def social_costs(e: LineElection | MetricElection) -> tuple[float, float]:

@@ -15,7 +15,8 @@ one array of uniforms places its voters in their regions' spans, each voter
 strictly below its span's upper end.  So every candidate occupies
 the regions ``require`` asks for by construction, and the sampler draws
 until the exact rule (``fsum`` costs and the tie-aware expected winner)
-accepts one; only that candidate is built as an election.  A ``winner``
+accepts one.  Only that candidate is built as an election, and it keeps the
+distance lists, costs and sides the rule measured.  A ``winner``
 other than left or right, or a ``require`` with an unknown region or a
 count the configuration cannot draw, is rejected before the first draw.
 
@@ -148,7 +149,8 @@ def random_leading_election(
     span's upper end: a scaled uniform can round onto that end, which lies
     outside the region for the C span (1.0) and the right-leading B span
     (0.5).  So each candidate has the region sizes drawn and meets
-    ``require``, and :func:`_accepts` decides the rest.
+    ``require``, and :func:`_accepts` decides the rest and builds the
+    election, which keeps what the rule measured at ``beta``.
 
     Sizes uniform on the raised box are sizes uniform on the whole box
     conditioned on meeting ``require``, and the positions do not depend on
@@ -163,23 +165,32 @@ def random_leading_election(
         u = iter(rng.random(sum(sizes)).tolist())
         x = [v if (v := lo + width * next(u)) < top else top
              for (lo, width, top), n in zip(spans, sizes) for _ in range(n)]
-        if _accepts(x, beta, winner):
-            return LineElection(x)
+        if accepted := _accepts(x, beta, winner):
+            return accepted
     raise RuntimeError(f"no {winner}-leading election in {_MAX_TRIES} draws")
 
 
-def _accepts(x: list[float], beta: float, winner: str) -> bool:
+def _accepts(x: list[float], beta: float, winner: str) -> LineElection | None:
     """The sampler's accept rule on positions ``x``, for a checked ``beta``.
 
     Right is strictly optimal and ``winner`` is the expected winner, each
     read from the same floats and by the same operations as ``social_costs``
     and ``expected_winner`` of ``LineElection(x)`` at up to
-    ``model.SCALAR_LIMIT`` voters.
+    ``model.SCALAR_LIMIT`` voters.  Returns that election if the rule
+    accepts, else ``None``.  The election keeps what the rule measured: its
+    distance lists, its social costs and its sides at ``beta``, in the slots
+    where ``model`` caches them.
     """
-    d_left, d_right = model._line_distances(x)
-    if not math.fsum(d_right) < math.fsum(d_left):
-        return False
-    return model._winner(*model._votes(*model._scalar_sides(d_left, d_right, beta))) == winner
+    distances = model._line_distances(x)
+    costs = math.fsum(distances[0]), math.fsum(distances[1])
+    if not costs[1] < costs[0]:
+        return None
+    sides = model._scalar_sides(*distances, beta)
+    if model._winner(*model._votes(*sides)) != winner:
+        return None
+    e = LineElection(x)
+    e.__dict__.update(_distance_lists=distances, _social_costs=costs, _sides_at=(beta, sides))
+    return e
 
 
 def random_euclidean_election(

@@ -19,3 +19,8 @@ def two_block_election(eps: float, total: int = 100) -> LineElection:
     m_right = round((0.5 + eps) * total)
     m_left = total - m_right
     return LineElection([0.0] * m_left + [0.5 + eps] * m_right)
+
+
+def hexed_lists(lists):
+    """Each list of floats as the hex strings of its entries, to compare bit for bit."""
+    return [[v.hex() for v in values] for values in lists]

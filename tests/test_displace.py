@@ -33,6 +33,8 @@ from votedist.verification import (
     random_leading_election,
 )
 
+from conftest import hexed_lists
+
 
 def participation(x, beta):
     return model.profile(x, beta).participation
@@ -647,6 +649,22 @@ class TestCanonicalizationSuites:
         # decide whether the chain applies.
         assert calls == {"expected_distortion": 156, "winner_distortion": 0, "_sides": 353}
 
+    def test_displacement_suites_measure_each_election_once(self, monkeypatch):
+        calls = {"_line_distances": 0, "_scalar_sides": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(model, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(model, name, counted)
+        displacement_suites(200, 1)
+        # Every distance list comes from a sampler candidate: an accepted
+        # election keeps the ones the accept rule made, and a move carries
+        # them over (6,402 when neither did).  The sides are computed once
+        # per candidate whose costs pass and once per moved election
+        # (5,128 when the election measured each again).
+        assert calls == {"_line_distances": 3974, "_scalar_sides": 3928}
+
 
 def regressed(e, *picked):
     """A winner-preserving move that always regresses on a left-leading
@@ -823,6 +841,25 @@ class TestConfiguredSampler:
             verification.random_leading_election(rng, 0.5, winner, require)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("winner", [LEFT, RIGHT])
+    def test_accepted_elections_keep_what_the_rule_measured(self, winner):
+        # The distance lists, social costs and sides at each beta that the
+        # sampler leaves in its election are a fresh election's, bit for bit;
+        # a second beta reads no stale sides.
+        rng = np.random.default_rng(28)
+        for require in SUITE_REQUIRES:
+            for beta in (0.0, 1.0, 0.3, random_beta(rng)):
+                e = verification.random_leading_election(rng, beta, winner, require)
+                assert {"_distance_lists", "_social_costs", "_sides_at"} <= set(vars(e))
+                fresh = LineElection(e.array.copy())
+                assert hexed_lists(e._distance_lists) == hexed_lists(fresh._distance_lists)
+                assert [c.hex() for c in model.social_costs(e)] == [
+                    c.hex() for c in model.social_costs(fresh)
+                ]
+                for b in (beta, 0.7, beta, 1.0, 0.0, beta):
+                    fresh = LineElection(e.array.copy())
+                    assert hexed_lists(model._sides(e, b)) == hexed_lists(model._sides(fresh, b))
+
     def test_exhaustion_raises_after_max_tries(self, monkeypatch):
         monkeypatch.setattr(verification, "_accepts", lambda *args: False)
         with pytest.raises(RuntimeError, match="no left-leading election in 4000 draws"):
@@ -848,7 +885,9 @@ class TestConfiguredSampler:
     @example([-0.5, 1.25], 1.0)  # the costs tie exactly, right leads the votes
     def test_accept_rule_is_the_exact_rule(self, x, beta):
         for winner in (LEFT, RIGHT):
-            assert verification._accepts(x, beta, winner) == exact_rule_accepts(x, beta, winner)
+            # The rule returns the accepted election, or None.
+            accepted = verification._accepts(x, beta, winner)
+            assert bool(accepted) == exact_rule_accepts(x, beta, winner)
 
 
 class TestCanonicalizeExpectedDistortion:

@@ -1,11 +1,12 @@
 import copy
 import math
 import pickle
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from votedist import exact, model
@@ -28,7 +29,7 @@ from votedist.model import (
     winner_distortion,
 )
 
-from conftest import two_block_election
+from conftest import hexed_lists, two_block_election
 
 finite_positions = st.floats(
     min_value=-50, max_value=50, allow_nan=False, allow_infinity=False
@@ -429,6 +430,132 @@ class TestReplace:
         e = LineElection([0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="voter 2 has non-finite position"):
             e.replace({0: 0.4, 2: bad})
+
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            (True, "voter must be an integer, got True"),
+            (None, "voter must be an integer, got None"),
+            (1.0, "voter must be an integer, got 1.0"),
+            ("1", "voter must be an integer, got '1'"),
+            (-1, "voter must be >= 0, got -1"),
+            (3, "voter must be < 3, got 3"),
+            (5, "voter must be < 3, got 5"),
+        ],
+    )
+    def test_rejects_a_key_that_is_not_a_voter(self, key, message):
+        # A list index True is voter 1 and an array index True is every
+        # voter, so such a key would also split the carried distance lists
+        # from the array.
+        plain, measured = LineElection([0.1, 0.2, 0.3]), LineElection([0.1, 0.2, 0.3])
+        measured._distance_lists  # so that a copy would carry them
+        for e in (plain, measured):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                e.replace({0: 0.4, key: 2.0})
+
+    def test_numpy_integer_keys_name_voters(self):
+        moved = LineElection([0.1, 0.2, 0.3]).replace({np.int64(1): 2.0, np.uint8(2): 0.5})
+        assert moved.positions == (0.1, 2.0, 0.5)
+
+    @pytest.mark.parametrize("v", [-0.0, 0.0, 0.5, 1.0, 2.0**53, -(2.0**53), 0.1])
+    def test_carried_lists_are_a_fresh_elections(self, v):
+        e = LineElection([-1.5, 0.25, 0.5, 0.75, 3.0])
+        assert "_distance_lists" not in vars(e.replace({0: v}))
+        kept = hexed_lists(e._distance_lists)
+        for moves in ({0: v}, {1: v, 4: v}, dict.fromkeys(range(len(e)), v)):
+            moved = e.replace(moves)
+            again = moved.replace({2: v})
+            for election in (moved, again):
+                assert "_distance_lists" in vars(election)
+                fresh = LineElection(election.array.copy())
+                assert hexed_lists(election._distance_lists) == hexed_lists(
+                    fresh._distance_lists
+                )
+                assert hexed_lists([social_costs(election)]) == hexed_lists([social_costs(fresh)])
+                for beta in (0.0, 1.0, 0.3):
+                    sides = model._sides(election, beta)
+                    assert hexed_lists(sides) == hexed_lists(model._sides(fresh, beta))
+        assert hexed_lists(e._distance_lists) == kept
+
+    @given(
+        st.lists(finite_positions, min_size=1, max_size=8),
+        st.dictionaries(st.integers(0, 7), finite_positions, max_size=4),
+    )
+    def test_any_move_carries_a_fresh_elections_lists(self, positions, moves):
+        e = LineElection(positions)
+        e._distance_lists
+        moved = e.replace({i: x for i, x in moves.items() if i < len(positions)})
+        fresh = LineElection(moved.array.copy())
+        assert hexed_lists(moved._distance_lists) == hexed_lists(fresh._distance_lists)
+
+
+def two_pass_scalar_sides(d_left, d_right, beta):
+    """``model._scalar_sides`` as it was, with a second pass that splits the
+    voters by side, copied verbatim as the reference of the one-pass loop."""
+    prefers_right, ratios = [], []
+    for dl, dr in zip(d_left, d_right):
+        total = dl + dr
+        if not (dl >= 0.0 and dr >= 0.0 and total > 0.0):
+            raise ValueError("distances must be nonnegative and not both zero")
+        if dl != dr:
+            prefers_right.append(dl > dr)
+            ratios.append(abs(dl - dr) / total)
+    if beta == 0.0:
+        p = [1.0] * len(ratios)
+    else:
+        p = (np.array(ratios) ** beta).tolist()
+    left = [q for q, r in zip(p, prefers_right) if not r]
+    right = [q for q, r in zip(p, prefers_right) if r]
+    return left, right
+
+
+class TestScalarSides:
+    """The one-pass list path gives the two-pass reference's floats."""
+
+    @settings(deadline=None)
+    # Metric pairs off the triangle inequality too: only the sides are read.
+    @given(st.one_of(array_positions.map(LineElection),
+                     distance_pairs.map(lambda d: MetricElection._trusted(np.array(d)))),
+           edge_betas)
+    @example(LineElection([0.5, -1.0, 0.5, 2.0, 0.25]), 0.0)
+    @example(LineElection([0.5, -1.0, 0.5, 2.0, 0.25]), 1.0)
+    @example(MetricElection([(1.0, 1.0), (0.2, 1.1), (3.0, 2.5), (0.5, 0.5)]), 0.6)
+    def test_matches_the_two_pass_reference(self, e, beta):
+        lists = e._distance_lists
+        assert hexed_lists(model._scalar_sides(*lists, beta)) == hexed_lists(
+            two_pass_scalar_sides(*lists, beta)
+        )
+
+    def test_random_lists_with_indifferent_voters(self):
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            n = int(rng.integers(1, model.SCALAR_LIMIT + 1))
+            d_left = rng.uniform(0.0, 3.0, n)
+            d_right = np.where(rng.random(n) < 0.3, d_left, rng.uniform(0.0, 3.0, n))
+            for beta in (0.0, 1.0, float(rng.uniform(0.0, 1.0))):
+                args = d_left.tolist(), d_right.tolist(), beta
+                want = two_pass_scalar_sides(*args)
+                assert hexed_lists(model._scalar_sides(*args)) == hexed_lists(want)
+
+    @pytest.mark.parametrize(
+        "pair", [(-1.0, 2.0), (2.0, -1.0), (0.0, 0.0), (math.nan, 1.0), (1.0, math.nan)]
+    )
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_invalid_distance_raises_as_the_reference(self, pair, beta):
+        d_left, d_right = [0.4, pair[0], 0.3], [0.8, pair[1], 0.3]
+        for sides in (model._scalar_sides, two_pass_scalar_sides):
+            with pytest.raises(ValueError, match="^distances must be nonnegative and not both"):
+                sides(d_left, d_right, beta)
+
+    @pytest.mark.parametrize(
+        "e", [LineElection([-1.0, 0.25, 0.5, 3.0]), MetricElection([(0.5, 0.75), (2.0, 1.0)])]
+    )
+    def test_a_second_beta_reads_no_stale_sides(self, e):
+        for beta in (0.3, 1.0, 0.3, 0.0, 0.0, 0.7, 1.0):
+            fresh = type(e)(e.array.copy())
+            assert hexed_lists(model._sides(e, beta)) == hexed_lists(model._sides(fresh, beta))
+            assert vars(e)["_sides_at"][0] == beta
 
 
 @dataclass(frozen=True)
