@@ -71,7 +71,7 @@ def _load(path: str, beta: float | None, kind: str | None = None) -> ElectionDoc
         command = click.get_current_context().info_name
         raise DocumentError(f"{command} supports {kind} elections only")
     if beta is not None:
-        doc = dataclasses.replace(doc, beta=model.check_beta(beta))
+        doc = dataclasses.replace(doc, beta=beta)
     return doc
 
 

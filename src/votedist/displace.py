@@ -100,7 +100,7 @@ class ValidityCertificate:
     def passed(self) -> bool:
         if self.winner_preserving and self.winner_after != self.winner_before:
             return False
-        return self.metric_after >= self.metric_before - CERTIFICATE_TOL
+        return model._within(-self.metric_after, -self.metric_before, CERTIFICATE_TOL)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .metric import MetricElection
-from .model import LineElection
+from .model import LineElection, check_beta
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -56,7 +56,8 @@ _ELECTIONS = {"line": LineElection, "metric": MetricElection}
 class ElectionDocument:
     """Parsed election file: beta, a line or metric election, and metadata.
 
-    ``kind`` is read from the election's class.
+    ``kind`` is read from the election's class.  ``beta`` is checked and kept
+    as a float, and metadata maps strings to strings, so every document round-trips.
     """
 
     beta: float
@@ -68,6 +69,12 @@ class ElectionDocument:
             raise TypeError(
                 f"election: expected a line or metric election, got {self.election!r}"
             )
+        object.__setattr__(self, "beta", check_beta(self.beta))
+        if not isinstance(self.metadata, dict):
+            raise DocumentError("metadata: expected an object")
+        for key, value in self.metadata.items():
+            if not isinstance(key, str) or not isinstance(value, str):
+                raise DocumentError(f"metadata[{key!r}]: keys and values must be strings")
 
     @property
     def kind(self) -> str:
@@ -172,14 +179,7 @@ def parse_election(text: str) -> ElectionDocument:
         raise DocumentError("voters: expected a non-empty list")
     election = _parse_voters(kind, voters)
 
-    metadata = raw.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise DocumentError("metadata: expected an object")
-    for key, value in metadata.items():
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise DocumentError(f"metadata[{key!r}]: keys and values must be strings")
-
-    return ElectionDocument(beta, election, dict(metadata))
+    return ElectionDocument(beta, election, raw.get("metadata", {}))
 
 
 def serialize_election(doc: ElectionDocument) -> str:

@@ -52,14 +52,15 @@ class MetricElection(model._VoterArray):
     def _check(a: np.ndarray) -> None:
         # min propagates NaN, so three reductions cover every check; only
         # when one fails are the voters scanned, in order, for the first.
-        if a.min() >= 0.0 and a.max() < math.inf and a.sum(1).min() >= 1.0 - TRIANGLE_TOL:
+        finite = a.min() >= 0.0 and a.max() < math.inf
+        if finite and model._within(-a.sum(1).min(), -1.0, TRIANGLE_TOL):
             return
         for i, (d_left, d_right) in enumerate(a.tolist()):
             if not (math.isfinite(d_left) and math.isfinite(d_right)):
                 raise ValueError(f"voter {i} has non-finite distances")
             if d_left < 0 or d_right < 0:
                 raise ValueError(f"voter {i} has negative distances")
-            if d_left + d_right < 1.0 - TRIANGLE_TOL:
+            if not model._within(-(d_left + d_right), -1.0, TRIANGLE_TOL):
                 raise ValueError(
                     f"voter {i} violates the triangle inequality: "
                     f"{d_left} + {d_right} < 1"

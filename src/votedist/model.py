@@ -143,6 +143,15 @@ def _check_count(name: str, value: int, least: int = 0) -> int:
     return index
 
 
+def _within(value, limit, tol):
+    """``value <= limit + tol``, on floats or arrays: how every verdict applies its tolerance.
+
+    ``a >= b - t`` reads ``_within(-a, -b, t)``, and ``a < b`` (``b > -inf``)
+    reads ``_within(a, math.nextafter(b, -math.inf), 0.0)``; both are exact.
+    """
+    return value <= limit + tol
+
+
 class _VoterArray:
     """One read-only float64 array of voters (``array``), with value semantics.
 
@@ -494,7 +503,7 @@ def _votes(left, right) -> tuple[float, float]:
 
 def _winner(votes_left: float, votes_right: float) -> str:
     tol = max(WINNER_TIE_TOL, WINNER_TIE_EPS * _EPS * (votes_left + votes_right))
-    if abs(votes_left - votes_right) <= tol:
+    if _within(abs(votes_left - votes_right), 0.0, tol):
         return TIE
     return LEFT if votes_left > votes_right else RIGHT
 
@@ -531,6 +540,10 @@ def distortion_pair(sc_left: float, sc_right: float) -> tuple[str, float, float]
     return optimal, sc_left / sc_opt, sc_right / sc_opt
 
 
+#: How far from 1 the win probabilities handed to :func:`_report` may sum.
+_SUM_TOL = 1e-9
+
+
 def _report(
     e: LineElection | MetricElection,
     votes: tuple[float, float],
@@ -545,7 +558,8 @@ def _report(
     the same expected vote counts the report lists.
     """
     p_left, p_right = float(win_probs[0]), float(win_probs[1])
-    if not (p_left >= 0 and p_right >= 0 and abs(p_left + p_right - 1.0) <= 1e-9):
+    sums_to_one = _within(abs(p_left + p_right - 1.0), 0.0, _SUM_TOL)
+    if not (p_left >= 0 and p_right >= 0 and sums_to_one):
         raise ValueError(f"win probabilities must sum to 1, got {win_probs!r}")
     sc_left, sc_right = social_costs(e)
     optimal, dist_left, dist_right = distortion_pair(sc_left, sc_right)

@@ -292,11 +292,11 @@ def _winner_forms_ok(forms: list[displace.CanonicalForm], betas: list[float]) ->
     ok = []
     for form, worst in zip(forms, worstcase.sweep_beta(betas)):
         positions = form.election.positions
+        limit = worst.value * (1.0 + _DSTAR_ULPS * model._EPS)
         ok.append(
             len(set(positions)) <= 2
             and all(0.0 <= x <= 0.5 or x >= 1.0 for x in positions)
-            and model._candidate_distortion(form.election, LEFT)
-            <= worst.value * (1.0 + _DSTAR_ULPS * model._EPS)
+            and model._within(model._candidate_distortion(form.election, LEFT), limit, 0.0)
         )
     return ok
 
@@ -313,13 +313,14 @@ def _expected_forms_ok(forms: list[displace.CanonicalForm], betas: list[float]) 
     ok = []
     for form in forms:
         e, positions = form.election, form.election.positions
-        bar = model._candidate_distortion(e, LEFT)
+        below_bar = math.nextafter(model._candidate_distortion(e, LEFT), -math.inf)
+        crossings = (displace.map_c_to_d(e, j) for j in model._indices_in(positions, "C"))
         ok.append(
             not model._indices_in(positions, "A")
             and len({positions[i] for i in model._indices_in(positions, "D")}) <= 1
             and all(
-                model._candidate_distortion(displace.map_c_to_d(e, j), LEFT) < bar
-                for j in model._indices_in(positions, "C")
+                model._within(model._candidate_distortion(c, LEFT), below_bar, 0.0)
+                for c in crossings
             )
         )
     return ok

@@ -304,7 +304,7 @@ def _worst(beta, margin):
     best = np.argmax(excess, axis=1)[:, None]
     top, pick = (np.take_along_axis(v, best, axis=1) for v in (excess, s))
     runner_up = np.where(s == pick, -np.inf, excess).max(axis=1, keepdims=True)
-    close = (top - runner_up <= _PICK_TOL * (1.0 + top))[:, 0]
+    close = model._within(top - runner_up, 0.0, _PICK_TOL * (1.0 + top))[:, 0]
     if close.any():
         tied = np.argmax(_best_x_b(s[close], beta[close], margin)[0], axis=1)[:, None]
         pick[close] = np.take_along_axis(s[close], tied, axis=1)
@@ -389,23 +389,38 @@ def vote_count_threshold(alpha: float) -> float:
     return (alpha + 1.0) ** 3 / (alpha**2 * gap**2)
 
 
+#: Absolute slack of the bound check, for the rounding of an expected distortion.
+_BOUND_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     """Outcome of auditing the expected-distortion bound on one election.
 
-    ``status`` is ``pass``, ``fail`` or ``skipped`` (a precondition failed,
-    named in ``reason``).  ``method`` is ``exact`` for every checked
-    election, ``dbar`` its exact expected distortion and ``slack`` bound
-    minus ``dbar``, negative only for ``fail``; all three are None when
-    skipped.
+    It stores what it measured: ``dbar``, the exact expected distortion, the
+    ``bound``, and the failed precondition as ``reason`` (``dbar`` is then
+    None).  ``status`` (``pass`` if ``dbar <= bound + _BOUND_TOL``, else
+    ``fail``, or ``skipped``), ``slack = bound - dbar`` and ``method``
+    (``exact``) derive from them; the last two are None when skipped.
     """
 
-    status: str
-    method: Optional[str]
     dbar: Optional[float]
     bound: float
-    slack: Optional[float]
     reason: Optional[str] = None
+
+    @property
+    def status(self) -> str:
+        if self.reason is not None:
+            return "skipped"
+        return "pass" if model._within(self.dbar, self.bound, _BOUND_TOL) else "fail"
+
+    @property
+    def slack(self) -> Optional[float]:
+        return None if self.reason is not None else self.bound - self.dbar
+
+    @property
+    def method(self) -> Optional[str]:
+        return None if self.reason is not None else "exact"
 
 
 def verify_distortion_bound(
@@ -428,15 +443,11 @@ def verify_distortion_bound(
     for e in elections:
         report = exact.expected_distortion(e, beta)
         if min(report.expected_votes_left, report.expected_votes_right) < threshold:
-            reason = f"expected votes below threshold {threshold:.6g}"
-            check = BoundCheck("skipped", None, None, bound, None, reason=reason)
+            check = BoundCheck(None, bound, f"expected votes below threshold {threshold:.6g}")
         elif not report.sc_right < report.sc_left:
-            reason = "right candidate is not strictly optimal"
-            check = BoundCheck("skipped", None, None, bound, None, reason=reason)
+            check = BoundCheck(None, bound, "right candidate is not strictly optimal")
         else:
-            dbar = report.expected_distortion
-            status = "pass" if dbar <= bound + 1e-12 else "fail"
-            check = BoundCheck(status, "exact", dbar, bound, bound - dbar)
+            check = BoundCheck(report.expected_distortion, bound)
         checks.append(check)
     return checks
 

@@ -320,6 +320,28 @@ class TestArrayDocuments:
         with pytest.raises(TypeError, match="expected a line or metric election"):
             ElectionDocument(1.0, (0.5, 1.0))
 
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ({"a": 1}, "metadata['a']: keys and values must be strings"),
+            ({1: "a"}, "metadata[1]: keys and values must be strings"),
+            ({"a": "b", "c": None}, "metadata['c']: keys and values must be strings"),
+            ([("a", "b")], "metadata: expected an object"),
+        ],
+        ids=["int-value", "int-key", "none-value", "not-a-dict"],
+    )
+    def test_document_checks_its_metadata(self, meta, message):
+        # Only documents that parse can be built, so serializing one round-trips.
+        with pytest.raises(DocumentError) as err:
+            ElectionDocument(0.5, LineElection([0.2]), meta)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("beta", [1, np.float64(0.5), np.float32(0.25)])
+    def test_beta_is_stored_as_a_float(self, beta):
+        doc = ElectionDocument(beta, LineElection([0.2]))
+        assert type(doc.beta) is float and doc.beta == beta
+        assert parse_election(serialize_election(doc)) == doc
+
 
 class TestCli:
     def setup_method(self):

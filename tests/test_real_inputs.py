@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import votedist
-from votedist import metric, model, montecarlo, verification, worstcase
+from votedist import documents, metric, model, montecarlo, verification, worstcase
 
 REAL_INPUTS = [
     ("beta", 1.5, model.check_beta, model.check_beta),
@@ -63,6 +63,8 @@ REAL_INPUTS = [
      lambda v: worstcase.solve_worst_case_margin(v, 0.1)),
     ("beta", 1.5, worstcase.verify_distortion_bound,
      lambda v: worstcase.verify_distortion_bound(0.1, v, [model.LineElection([1.5])])),
+    ("beta", 2.0, documents.ElectionDocument,
+     lambda v: documents.ElectionDocument(v, model.LineElection([0.2]))),
 ]
 
 BAD_VALUES = (True, np.True_, "0.5", None, math.nan)
