@@ -41,7 +41,7 @@ the starting bar crosses, and none below it can.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import exact, model
@@ -107,16 +107,20 @@ class ValidityCertificate:
 class CanonicalForm:
     """Result of a canonicalization.
 
-    ``applied`` is False when the election was not in the configuration the
-    procedure reduces (it is then returned unchanged).  ``certificates``
-    holds one entry per step plus a final end-to-end certificate comparing
-    input to output.
+    ``certificates`` holds one entry per step plus a final end-to-end
+    certificate comparing input to output.  ``applied`` follows from them:
+    it is False, and there are no certificates, when the election was not
+    in the configuration the procedure reduces (it is then returned
+    unchanged).
     """
 
     election: LineElection
-    applied: bool
+    applied: bool = field(init=False)
     steps: tuple[Displacement, ...]
     certificates: tuple[ValidityCertificate, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "applied", bool(self.certificates))
 
 
 def _measure_winner(e: LineElection, beta: float) -> tuple[str, float]:
@@ -351,7 +355,7 @@ def _canonical_form(
     beta = model.check_beta(beta)
     sc_left, sc_right = model.social_costs(e)
     if not sc_right < sc_left or (origin := measure(e, beta))[0] != leader:
-        return CanonicalForm(e, applied=False, steps=(), certificates=())
+        return CanonicalForm(e, (), ())
     last, done, certificates = origin, [], []
     for kind, step in steps:
         assignments = step(e)
@@ -363,7 +367,7 @@ def _canonical_form(
         failure = f"displacement {kind} of {len(assignments)} voters regressed"
         certificates.append(_certificate(before, last, preserving, failure))
     certificates.append(_certificate(origin, last, preserving, "end-to-end certificate failed"))
-    return CanonicalForm(e, True, tuple(done), tuple(certificates))
+    return CanonicalForm(e, tuple(done), tuple(certificates))
 
 
 # The steps read the helpers when called, so that a patched helper is used.

@@ -57,12 +57,15 @@ class ElectionDocument:
     """Parsed election file: beta, a line or metric election, and metadata.
 
     ``kind`` is read from the election's class.  ``beta`` is checked and kept
-    as a float, and metadata maps strings to strings, so every document round-trips.
+    as a float, and metadata maps strings to strings, so every document
+    round-trips.  The document keeps its own copy of the metadata, which
+    ``serialize_election`` checks again, and the hash covers ``beta`` and the
+    election only.
     """
 
     beta: float
     election: LineElection | MetricElection
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         if not isinstance(self.election, (LineElection, MetricElection)):
@@ -70,15 +73,21 @@ class ElectionDocument:
                 f"election: expected a line or metric election, got {self.election!r}"
             )
         object.__setattr__(self, "beta", check_beta(self.beta))
-        if not isinstance(self.metadata, dict):
-            raise DocumentError("metadata: expected an object")
-        for key, value in self.metadata.items():
-            if not isinstance(key, str) or not isinstance(value, str):
-                raise DocumentError(f"metadata[{key!r}]: keys and values must be strings")
+        object.__setattr__(self, "metadata", _checked_metadata(self.metadata))
 
     @property
     def kind(self) -> str:
         return "line" if isinstance(self.election, LineElection) else "metric"
+
+
+def _checked_metadata(metadata) -> dict:
+    """A copy of ``metadata``, which must map strings to strings."""
+    if not isinstance(metadata, dict):
+        raise DocumentError("metadata: expected an object")
+    for key, value in metadata.items():
+        if not isinstance(key, str) or not isinstance(value, str):
+            raise DocumentError(f"metadata[{key!r}]: keys and values must be strings")
+    return dict(metadata)
 
 
 _NUMBERS = {int, float}
@@ -191,5 +200,5 @@ def serialize_election(doc: ElectionDocument) -> str:
         "voters": doc.election.array.tolist(),
     }
     if doc.metadata:
-        payload["metadata"] = dict(doc.metadata)
+        payload["metadata"] = _checked_metadata(doc.metadata)
     return json.dumps(payload, indent=2) + "\n"

@@ -429,7 +429,8 @@ def expected_distortion(
 ) -> DistortionReport:
     """Full report with exact win probabilities and expected distortion."""
     left, right = model._sides(e, beta)  # once for both uses
-    return model._report(e, model._votes(left, right), _win_from_sides(left, right))
+    votes, win = model._votes(left, right), _win_from_sides(left, right)
+    return DistortionReport(*model.social_costs(e), *votes, *win)
 
 
 def enumerate_oracle(

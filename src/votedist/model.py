@@ -34,8 +34,7 @@ computed in Python floats, and only the power that gives each participation
 probability is one numpy call, none at beta 0 or 1.  The operations are the
 same, so both paths give the same floats bit for bit.  Such an election
 measures itself once: it keeps its distance lists, its social costs and its
-sides at the last beta, and a copy made by ``replace`` keeps the distance
-lists of the voters it does not move.
+sides at the last beta.
 
 Everything here is an immutable value or a pure function; all types are safe
 to share across threads.
@@ -47,7 +46,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -265,25 +264,18 @@ class LineElection(_VoterArray):
 
         Each key is a voter index, an integer (not a bool) from 0 to
         ``len(self) - 1``.  Only the moved voters are validated; the others
-        were checked when this election was built.  When this election's
-        distance lists are computed, the copy takes them over and recomputes
-        only the moved voters' entries.
+        were checked when this election was built.  The copy keeps nothing
+        this election measured, and measures itself like any other.
         """
-        x, moved = self.array.copy(), {}
+        x = self.array.copy()
         for i, v in assignments.items():
             i, v = _check_count("voter", i), float(v)
             if i >= len(x):
                 raise ValueError(f"voter must be < {len(x)}, got {i}")
             if not math.isfinite(v):
                 raise ValueError(f"voter {i} has non-finite position {v!r}")
-            x[i] = moved[i] = v
-        e = LineElection._trusted(x)
-        if "_distance_lists" in self.__dict__:
-            d_left, d_right = map(list, self._distance_lists)
-            for i, v in moved.items():
-                d_left[i], d_right[i] = abs(v), abs(v - 1.0)
-            e.__dict__["_distance_lists"] = d_left, d_right
-        return e
+            x[i] = v
+        return LineElection._trusted(x)
 
 
 def _line_distances(x: list[float]) -> tuple[list[float], list[float]]:
@@ -301,29 +293,6 @@ class VoterProfile:
 
     preferred: str
     participation: float
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    """Full evaluation of one election at one ``beta``.
-
-    Distortions are at least 1, with ``inf`` when the optimal candidate has
-    zero social cost and the other does not.  ``expected_winner`` is ``tie``
-    when the expected vote counts agree within the tie tolerance of
-    :func:`expected_winner`.
-    """
-
-    sc_left: float
-    sc_right: float
-    optimal: str
-    dist_left: float
-    dist_right: float
-    expected_votes_left: float
-    expected_votes_right: float
-    expected_winner: str
-    win_prob_left: float
-    win_prob_right: float
-    expected_distortion: float
 
 
 def participation_probability(d_near: float, d_far: float, beta: float) -> float:
@@ -385,11 +354,7 @@ def voter_arrays(d_left, d_right, beta: float) -> tuple[np.ndarray, np.ndarray]:
     d_left = np.asarray(d_left, dtype=float)
     d_right = np.asarray(d_right, dtype=float)
     total = d_left + d_right
-    # Plain ufunc reductions: np.all or ndarray.min would cost more than the
-    # rest of the call on a small election.
-    lowest = np.minimum.reduce
-    near = lowest(np.minimum(d_left, d_right), axis=None, initial=np.inf)
-    if not (near >= 0.0 and lowest(total, axis=None, initial=np.inf) > 0.0):
+    if not ((np.minimum(d_left, d_right) >= 0.0).all() and (total > 0.0).all()):
         raise ValueError("distances must be nonnegative and not both zero")
     diff = d_left - d_right
     side = np.sign(diff).astype(int)
@@ -540,51 +505,60 @@ def distortion_pair(sc_left: float, sc_right: float) -> tuple[str, float, float]
     return optimal, sc_left / sc_opt, sc_right / sc_opt
 
 
-#: How far from 1 the win probabilities handed to :func:`_report` may sum.
+#: How far from 1 the win probabilities of a :class:`DistortionReport` may sum.
 _SUM_TOL = 1e-9
 
 
-def _report(
-    e: LineElection | MetricElection,
-    votes: tuple[float, float],
-    win_probs: Sequence[float],
-) -> DistortionReport:
-    """The full report of ``e`` given its expected votes and win probabilities.
+@dataclass(frozen=True)
+class DistortionReport:
+    """Full evaluation of one election at one ``beta``.
 
-    ``win_probs`` is the pair (P(left wins), P(right wins)); it must sum to
-    1.  The expected distortion weights each candidate's distortion by its
-    win probability, with zero-probability candidates contributing nothing
-    even when their distortion is infinite.  The expected winner comes from
-    the same expected vote counts the report lists.
+    Built from the six numbers the engines measure: both social costs, both
+    expected vote counts and the win probabilities P(left wins) and
+    P(right wins), which must sum to 1.  The other five fields derive from
+    them.  Distortions (by :func:`distortion_pair`) are at least 1, with
+    ``inf`` when the optimal candidate has zero social cost and the other
+    does not.  ``expected_winner`` is ``tie`` when the expected vote counts
+    agree within the tie tolerance of :func:`expected_winner`.  The expected
+    distortion weights each distortion by its win probability; a candidate
+    that never wins adds nothing, even at an infinite distortion.
     """
-    p_left, p_right = float(win_probs[0]), float(win_probs[1])
-    sums_to_one = _within(abs(p_left + p_right - 1.0), 0.0, _SUM_TOL)
-    if not (p_left >= 0 and p_right >= 0 and sums_to_one):
-        raise ValueError(f"win probabilities must sum to 1, got {win_probs!r}")
-    sc_left, sc_right = social_costs(e)
-    optimal, dist_left, dist_right = distortion_pair(sc_left, sc_right)
-    ev_left, ev_right = votes
-    dbar = 0.0
-    if p_left > 0.0:
-        dbar += p_left * dist_left
-    if p_right > 0.0:
-        dbar += p_right * dist_right
-    # The win probabilities may sum to a hair below or above 1; a weighted
-    # mean of the two distortions lies between them.
-    dbar = min(max(dbar, min(dist_left, dist_right)), max(dist_left, dist_right))
-    return DistortionReport(
-        sc_left=sc_left,
-        sc_right=sc_right,
-        optimal=optimal,
-        dist_left=dist_left,
-        dist_right=dist_right,
-        expected_votes_left=ev_left,
-        expected_votes_right=ev_right,
-        expected_winner=_winner(ev_left, ev_right),
-        win_prob_left=p_left,
-        win_prob_right=p_right,
-        expected_distortion=dbar,
-    )
+
+    sc_left: float
+    sc_right: float
+    optimal: str = field(init=False)
+    dist_left: float = field(init=False)
+    dist_right: float = field(init=False)
+    expected_votes_left: float
+    expected_votes_right: float
+    expected_winner: str = field(init=False)
+    win_prob_left: float
+    win_prob_right: float
+    expected_distortion: float = field(init=False)
+
+    def __post_init__(self):
+        optimal, dist_left, dist_right = distortion_pair(self.sc_left, self.sc_right)
+        votes = self.expected_votes_left, self.expected_votes_right
+        for name, value in zip(("expected_votes_left", "expected_votes_right"), votes):
+            _check_real(name, value, 0.0, math.inf, hi_open=True)
+        # At least 0 but not at most 1: a PMF summed in floats may pass 1 by
+        # an ulp.  The sum rule bounds both.
+        p_left = _check_real("win_prob_left", self.win_prob_left, 0.0)
+        p_right = _check_real("win_prob_right", self.win_prob_right, 0.0)
+        if not _within(abs(p_left + p_right - 1.0), 0.0, _SUM_TOL):
+            raise ValueError(f"win probabilities must sum to 1, got {(p_left, p_right)!r}")
+        dbar = 0.0
+        if p_left > 0.0:
+            dbar += p_left * dist_left
+        if p_right > 0.0:
+            dbar += p_right * dist_right
+        # The win probabilities may sum to a hair below or above 1; a weighted
+        # mean of the two distortions lies between them.
+        dbar = min(max(dbar, min(dist_left, dist_right)), max(dist_left, dist_right))
+        for name, value in (("optimal", optimal), ("dist_left", dist_left),
+                            ("dist_right", dist_right), ("expected_winner", _winner(*votes)),
+                            ("expected_distortion", dbar)):
+            object.__setattr__(self, name, value)
 
 
 def winner_distortion(e: LineElection | MetricElection, beta: float) -> float:

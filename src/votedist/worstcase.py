@@ -397,16 +397,22 @@ _BOUND_TOL = 1e-12
 class BoundCheck:
     """Outcome of auditing the expected-distortion bound on one election.
 
-    It stores what it measured: ``dbar``, the exact expected distortion, the
-    ``bound``, and the failed precondition as ``reason`` (``dbar`` is then
-    None).  ``status`` (``pass`` if ``dbar <= bound + _BOUND_TOL``, else
-    ``fail``, or ``skipped``), ``slack = bound - dbar`` and ``method``
-    (``exact``) derive from them; the last two are None when skipped.
+    It stores what it measured: the ``bound`` (a real, kept as a float) and
+    exactly one of ``dbar``, the exact expected distortion, and ``reason``,
+    the failed precondition.  ``status`` (``pass`` if
+    ``dbar <= bound + _BOUND_TOL``, else ``fail``, or ``skipped``),
+    ``slack = bound - dbar`` and ``method`` (``exact``) derive from them;
+    the last two are None when skipped.
     """
 
     dbar: Optional[float]
     bound: float
     reason: Optional[str] = None
+
+    def __post_init__(self):
+        if (self.dbar is None) == (self.reason is None):
+            raise ValueError(f"a check holds exactly one of dbar and reason, got {self!r}")
+        object.__setattr__(self, "bound", model._check_real("bound", self.bound))
 
     @property
     def status(self) -> str:

@@ -538,7 +538,8 @@ class TestCanonicalizeExpectedWinner:
     def test_pass_through_when_not_configured(self):
         e = LineElection([1.5])  # right is the expected winner here
         form = canonicalize_expected_winner(e, 1.0)
-        assert form == CanonicalForm(e, False, (), ())
+        assert form == CanonicalForm(e, (), ())
+        assert not form.applied
 
     def test_already_two_point_is_fixed(self):
         e = LineElection([0.1, 0.1, 2.0, 2.0])
@@ -658,12 +659,13 @@ class TestCanonicalizationSuites:
 
             monkeypatch.setattr(model, name, counted)
         displacement_suites(200, 1)
-        # Every distance list comes from a sampler candidate: an accepted
-        # election keeps the ones the accept rule made, and a move carries
-        # them over (6,402 when neither did).  The sides are computed once
-        # per candidate whose costs pass and once per moved election
-        # (5,128 when the election measured each again).
-        assert calls == {"_line_distances": 3974, "_scalar_sides": 3928}
+        # An accepted sampler candidate keeps the distance lists the accept
+        # rule made, and each of the 1,200 moved elections makes its own
+        # (3,974 when a move carried its parent's over, 6,402 when neither
+        # was kept).  The sides are computed once per candidate whose costs
+        # pass and once per moved election (5,128 when the election
+        # measured each again).
+        assert calls == {"_line_distances": 5174, "_scalar_sides": 3928}
 
 
 def regressed(e, *picked):

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -335,6 +337,34 @@ class TestArrayDocuments:
         with pytest.raises(DocumentError) as err:
             ElectionDocument(0.5, LineElection([0.2]), meta)
         assert str(err.value) == message
+
+    def test_document_keeps_its_own_metadata(self):
+        meta = {"title": "a"}
+        doc = ElectionDocument(0.5, LineElection([0.2]), meta)
+        meta["title"], meta["n"] = "b", 1
+        assert doc.metadata == {"title": "a"}
+        assert parse_election(serialize_election(doc)) == doc
+
+    def test_mutated_metadata_fails_to_serialize(self):
+        doc = ElectionDocument(0.5, LineElection([0.2]), {"title": "a"})
+        doc.metadata["n"] = 1
+        with pytest.raises(DocumentError) as err:
+            serialize_election(doc)
+        assert str(err.value) == "metadata['n']: keys and values must be strings"
+
+    def test_equal_documents_hash_equal(self):
+        docs = [ElectionDocument(0.5, LineElection([0.2, 1.5]), {"title": t}) for t in "aa"]
+        assert docs[0] == docs[1] and hash(docs[0]) == hash(docs[1])
+        other = ElectionDocument(0.5, LineElection([0.2, 1.5]), {"title": "b"})
+        assert other != docs[0] and len({docs[0], docs[1], other}) == 2
+
+    @pytest.mark.parametrize("copy_of", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_round_trip_and_hash_equal(self, copy_of):
+        doc = ElectionDocument(0.5, MetricElection([(0.4, 0.8)]), {"title": "a"})
+        copied = copy_of(doc)
+        assert copied == doc and hash(copied) == hash(doc)
+        assert serialize_election(copied) == serialize_election(doc)
 
     @pytest.mark.parametrize("beta", [1, np.float64(0.5), np.float32(0.25)])
     def test_beta_is_stored_as_a_float(self, beta):

@@ -510,7 +510,9 @@ class TestExpectedDistortion:
         for e in elections:
             for beta in (0.0, 0.37, 1.0):
                 votes = model.expected_votes(e, beta)
-                composed = model._report(e, votes, win_probabilities(e, beta))
+                composed = model.DistortionReport(
+                    *model.social_costs(e), *votes, *win_probabilities(e, beta)
+                )
                 calls = []
 
                 def counted(*args, _f=model._sides):
@@ -538,8 +540,8 @@ class TestExpectedDistortion:
         report = expected_distortion(e, beta)
         side = {model.LEFT: model.RIGHT, model.RIGHT: model.LEFT}
         tied = report.sc_left == report.sc_right
-        swapped = dataclasses.replace(
-            report,
+        swapped = dict(
+            vars(report),
             sc_left=report.sc_right,
             sc_right=report.sc_left,
             optimal=report.optimal if tied else side[report.optimal],
@@ -552,10 +554,11 @@ class TestExpectedDistortion:
             win_prob_right=report.win_prob_left,
         )
 
-        def bits(r):
-            return [struct.pack("<d", v) if isinstance(v, float) else v for v in vars(r).values()]
+        def bits(values):  # all 11 fields, in their order
+            ordered = [values[f.name] for f in dataclasses.fields(model.DistortionReport)]
+            return [struct.pack("<d", v) if isinstance(v, float) else v for v in ordered]
 
-        assert bits(expected_distortion(mirror(e), beta)) == bits(swapped)
+        assert bits(vars(expected_distortion(mirror(e), beta))) == bits(swapped)
 
 
 class TestEnumerateOracle:
@@ -620,7 +623,7 @@ def array_path(e, beta):
     costs = tuple(math.fsum(d.tolist()) for d in e.distances())
     votes = model._votes(left, right)
     win = exact._win_from_sides(left, right)
-    return costs, votes, model._winner(*votes), win, model._report(e, votes, win)
+    return costs, votes, model._winner(*votes), win, model.DistortionReport(*costs, *votes, *win)
 
 
 def hexed(values):

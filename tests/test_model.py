@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import inspect
 import math
 import pickle
 import re
@@ -198,8 +200,13 @@ class TestVoterArrays:
         ],
     )
     def test_rejects_bad_input(self, d_left, d_right, beta):
-        with pytest.raises(ValueError):
+        message = "distances must be nonnegative and not both zero" if beta == 1.0 else "beta must"
+        with pytest.raises(ValueError, match=f"^{message}"):
             voter_arrays(d_left, d_right, beta)
+
+    def test_empty_input_passes(self):
+        side, p = voter_arrays([], [], 0.5)
+        assert (side.shape, p.shape) == ((0,), (0,))
 
 
 class TestOrderIndependence:
@@ -362,9 +369,40 @@ class TestDistortionReport:
 
     def test_rejects_unnormalized_probabilities(self):
         e = LineElection([1.5])
-        for win_probs in ((0.6, 0.6), (math.nan, 0.5), (0.5, math.nan)):
-            with pytest.raises(ValueError, match="win probabilities must sum to 1"):
-                model._report(e, expected_votes(e, 1.0), win_probs)
+        measured = (*social_costs(e), *expected_votes(e, 1.0))
+        for win_probs, message in (
+            ((0.6, 0.6), r"win probabilities must sum to 1, got \(0.6, 0.6\)"),
+            ((math.nan, 0.5), r"win_prob_left must lie in \[0, inf\], got nan"),
+            ((0.5, math.nan), r"win_prob_right must lie in \[0, inf\], got nan"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                model.DistortionReport(*measured, *win_probs)
+
+    def test_takes_the_six_measured_values_and_derives_five(self):
+        names = [f.name for f in dataclasses.fields(model.DistortionReport)]
+        assert names == [
+            "sc_left", "sc_right", "optimal", "dist_left", "dist_right",
+            "expected_votes_left", "expected_votes_right", "expected_winner",
+            "win_prob_left", "win_prob_right", "expected_distortion",
+        ]
+        assert list(inspect.signature(model.DistortionReport).parameters) == [
+            "sc_left", "sc_right", "expected_votes_left", "expected_votes_right",
+            "win_prob_left", "win_prob_right",
+        ]
+        report = model.DistortionReport(1.0, 3.0, 2.0, 1.0, 0.75, 0.25)
+        assert (report.optimal, report.dist_left, report.dist_right) == (LEFT, 1.0, 3.0)
+        assert (report.expected_winner, report.expected_distortion) == (LEFT, 1.5)
+
+    def test_win_probability_above_one_is_reported(self):
+        # The scalar PMF of this election sums to a hair above 1: the right
+        # candidate's win probability reads 1 + 2**-52 (the exact value is
+        # within 1e-18 of 1).  The report must build, so no range check of at
+        # most 1 may reject it.
+        e = LineElection([1.0009564974905343, 1.000951988904219, 1.0001579287884301,
+                          1.0002630311704748, 1.0002451052101407, 1.0006241833177185])
+        report = exact.expected_distortion(e, 1.0)
+        assert report.win_prob_right == 1.0000000000000002
+        assert report.expected_distortion == 1.0000000000000007
 
     def test_infinite_branch_with_zero_probability_ignored(self):
         # Every voter on the left candidate: the right branch is infinitely
@@ -445,14 +483,9 @@ class TestReplace:
         ],
     )
     def test_rejects_a_key_that_is_not_a_voter(self, key, message):
-        # A list index True is voter 1 and an array index True is every
-        # voter, so such a key would also split the carried distance lists
-        # from the array.
-        plain, measured = LineElection([0.1, 0.2, 0.3]), LineElection([0.1, 0.2, 0.3])
-        measured._distance_lists  # so that a copy would carry them
-        for e in (plain, measured):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                e.replace({0: 0.4, key: 2.0})
+        # A list index True is voter 1 and an array index True is every voter.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LineElection([0.1, 0.2, 0.3]).replace({0: 0.4, key: 2.0})
 
     def test_numpy_integer_keys_name_voters(self):
         moved = LineElection([0.1, 0.2, 0.3]).replace({np.int64(1): 2.0, np.uint8(2): 0.5})
@@ -460,14 +493,17 @@ class TestReplace:
 
     @pytest.mark.parametrize("v", [-0.0, 0.0, 0.5, 1.0, 2.0**53, -(2.0**53), 0.1])
     def test_carried_lists_are_a_fresh_elections(self, v):
+        # A moved election keeps nothing its parent measured, and measures
+        # itself as a fresh election of its positions does.
         e = LineElection([-1.5, 0.25, 0.5, 0.75, 3.0])
-        assert "_distance_lists" not in vars(e.replace({0: v}))
         kept = hexed_lists(e._distance_lists)
         for moves in ({0: v}, {1: v, 4: v}, dict.fromkeys(range(len(e)), v)):
             moved = e.replace(moves)
+            assert list(vars(moved)) == ["array"]
+            social_costs(moved)
             again = moved.replace({2: v})
+            assert list(vars(again)) == ["array"]
             for election in (moved, again):
-                assert "_distance_lists" in vars(election)
                 fresh = LineElection(election.array.copy())
                 assert hexed_lists(election._distance_lists) == hexed_lists(
                     fresh._distance_lists
@@ -477,17 +513,6 @@ class TestReplace:
                     sides = model._sides(election, beta)
                     assert hexed_lists(sides) == hexed_lists(model._sides(fresh, beta))
         assert hexed_lists(e._distance_lists) == kept
-
-    @given(
-        st.lists(finite_positions, min_size=1, max_size=8),
-        st.dictionaries(st.integers(0, 7), finite_positions, max_size=4),
-    )
-    def test_any_move_carries_a_fresh_elections_lists(self, positions, moves):
-        e = LineElection(positions)
-        e._distance_lists
-        moved = e.replace({i: x for i, x in moves.items() if i < len(positions)})
-        fresh = LineElection(moved.array.copy())
-        assert hexed_lists(moved._distance_lists) == hexed_lists(fresh._distance_lists)
 
 
 def two_pass_scalar_sides(d_left, d_right, beta):

@@ -65,6 +65,20 @@ REAL_INPUTS = [
      lambda v: worstcase.verify_distortion_bound(0.1, v, [model.LineElection([1.5])])),
     ("beta", 2.0, documents.ElectionDocument,
      lambda v: documents.ElectionDocument(v, model.LineElection([0.2]))),
+    # A report checks the six values it is built from.
+    ("sc_left", -1.0, model.DistortionReport,
+     lambda v: model.DistortionReport(v, 1.0, 1.0, 1.0, 0.5, 0.5)),
+    ("sc_right", -1.0, model.DistortionReport,
+     lambda v: model.DistortionReport(1.0, v, 1.0, 1.0, 0.5, 0.5)),
+    ("expected_votes_left", math.inf, model.DistortionReport,
+     lambda v: model.DistortionReport(1.0, 1.0, v, 1.0, 0.5, 0.5)),
+    ("expected_votes_right", -1.0, model.DistortionReport,
+     lambda v: model.DistortionReport(1.0, 1.0, 1.0, v, 0.5, 0.5)),
+    ("win_prob_left", -0.5, model.DistortionReport,
+     lambda v: model.DistortionReport(1.0, 1.0, 1.0, 1.0, v, 0.5)),
+    ("win_prob_right", -0.5, model.DistortionReport,
+     lambda v: model.DistortionReport(1.0, 1.0, 1.0, 1.0, 0.5, v)),
+    ("bound", 10**400, worstcase.BoundCheck, lambda v: worstcase.BoundCheck(1.0, v)),
 ]
 
 BAD_VALUES = (True, np.True_, "0.5", None, math.nan)

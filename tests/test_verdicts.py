@@ -17,6 +17,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,12 +110,16 @@ REPORT_ELECTION = LineElection([0.2, 0.9])
 def test_report_sum_rule(p_left, data):
     p_right = data.draw(st.one_of(around(1.0 - p_left + 1e-9), around(1.0 - p_left - 1e-9)))
     reference = p_left >= 0 and p_right >= 0 and abs(p_left + p_right - 1.0) <= 1e-9
-    votes = model.expected_votes(REPORT_ELECTION, 1.0)
+    measured = (*model.social_costs(REPORT_ELECTION), *model.expected_votes(REPORT_ELECTION, 1.0))
     try:
-        model._report(REPORT_ELECTION, votes, (p_left, p_right))
+        model.DistortionReport(*measured, p_left, p_right)
         accepted = True
     except ValueError as err:
-        assert "must sum to 1" in str(err)
+        # A negative or NaN probability fails its range by name, before the sum.
+        named = [name for name, p in (("win_prob_left", p_left), ("win_prob_right", p_right))
+                 if not p >= 0]
+        rule = f"{named[0]} must lie in" if named else "win probabilities must sum to 1"
+        assert str(err).startswith(rule)
         accepted = False
     assert accepted == reference
 
@@ -162,6 +167,10 @@ def test_pick_rule_on_arrays(rows):
 @given(reals(), st.data())
 def test_bound_rule(bound, data):
     dbar = data.draw(around(bound + 1e-12))
+    if math.isnan(bound):  # not a bound: the check refuses it
+        with pytest.raises(ValueError, match=r"^bound must lie in \[-inf, inf\], got nan$"):
+            BoundCheck(dbar, bound)
+        return
     assert (BoundCheck(dbar, bound).status == "pass") == (dbar <= bound + 1e-12)
 
 
@@ -178,6 +187,11 @@ class TestBoundCheck:
         check = BoundCheck(dbar, bound)
         assert (check.status, check.slack, check.method) == ("fail", bound - dbar, "exact")
         assert check.slack < -worstcase._BOUND_TOL
+
+    @pytest.mark.parametrize("dbar, reason", [(None, None), (1.25, "a reason")])
+    def test_holds_exactly_one_of_dbar_and_reason(self, dbar, reason):
+        with pytest.raises(ValueError, match="^a check holds exactly one of dbar and reason"):
+            BoundCheck(dbar, 1.5, reason)
 
     def test_both_skip_reasons(self):
         # At alpha 0.1 each candidate needs about 140 expected votes.  Two
