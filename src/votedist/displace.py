@@ -25,7 +25,9 @@ a pair merge takes two different voters; anything else raises
 
 Every move can be certified numerically on a concrete election:
 ``certify_winner_displacement`` and ``certify_expected_displacement`` compare
-the relevant quantity before and after, computed exactly.  The two
+the relevant quantity before and after, computed exactly; the audit
+certifies many small moves at once from one batch of reports, with the same
+rules and the same certificates.  The two
 ``canonicalize_*`` procedures crush an election into its extremal shape.
 Each is a fixed table of certified steps, at most 4 for the winner form and
 3 for the expected form, run by one loop that measures each election once
@@ -123,24 +125,37 @@ class CanonicalForm:
         object.__setattr__(self, "applied", bool(self.certificates))
 
 
-def _measure_winner(e: LineElection, beta: float) -> tuple[str, float]:
+def _winner_metric(winner: str, dist_left: float, dist_right: float) -> tuple[str, float]:
     """The expected winner and its distortion (``nan`` on a tie)."""
-    w = model.expected_winner(e, beta)
-    return w, (model._candidate_distortion(e, w) if w != TIE else math.nan)
+    return winner, (dist_left if winner == LEFT else dist_right if winner == RIGHT else math.nan)
+
+
+def _measure_winner(e: LineElection, beta: float) -> tuple[str, float]:
+    """:func:`_winner_metric` of ``e`` at ``beta``."""
+    winner = model.expected_winner(e, beta)
+    _, dist_left, dist_right = model.distortion_pair(*model.social_costs(e))
+    return _winner_metric(winner, dist_left, dist_right)
+
+
+def _expected_metric(report: model.DistortionReport) -> tuple[str, float]:
+    """The expected winner and the expected distortion of a report."""
+    return report.expected_winner, report.expected_distortion
 
 
 def _measure_expected(e: LineElection, beta: float) -> tuple[str, float]:
-    """The expected winner and the expected distortion, exact at any size."""
-    report = exact.expected_distortion(e, beta)
-    return report.expected_winner, report.expected_distortion
+    """:func:`_expected_metric` of ``e`` at ``beta``, exact at any size."""
+    return _expected_metric(exact.expected_distortion(e, beta))
 
 
 def _certificate(
     before: tuple, after: tuple, preserving: bool, failure: str | None = None
 ) -> ValidityCertificate:
     """The certificate of two ``(winner, metric)`` measurements; with a
-    ``failure`` message, a regression raises ``CertificateError`` instead."""
+    ``failure`` message, a regression raises ``CertificateError`` instead.
+    A winner-preserving move cannot be certified from a tie."""
     (w_before, m_before), (w_after, m_after) = before, after
+    if preserving and w_before == TIE:
+        raise ValueError("cannot certify winner preservation from a tied election")
     cert = ValidityCertificate(w_before, w_after, m_before, m_after, preserving)
     if failure is not None and not cert.passed:
         raise CertificateError(f"{failure}: {cert}")
@@ -151,10 +166,7 @@ def certify_winner_displacement(
     before: LineElection, after: LineElection, beta: float
 ) -> ValidityCertificate:
     """Certificate that a move kept the expected winner and its distortion."""
-    measured = _measure_winner(before, beta)
-    if measured[0] == TIE:
-        raise ValueError("cannot certify winner preservation from a tied election")
-    return _certificate(measured, _measure_winner(after, beta), True)
+    return _certificate(*(_measure_winner(x, beta) for x in (before, after)), True)
 
 
 def certify_expected_displacement(
@@ -162,6 +174,22 @@ def certify_expected_displacement(
 ) -> ValidityCertificate:
     """Certificate that a move did not decrease the expected distortion."""
     return _certificate(*(_measure_expected(x, beta) for x in (before, after)), False)
+
+
+def _certify_moves(
+    befores: list[LineElection], afters: list[LineElection], betas: list[float], preserving: bool
+) -> list[ValidityCertificate]:
+    """The certificates the public certifiers give each move ``befores[i]`` to
+    ``afters[i]`` at ``betas[i]``, from one batch of reports
+    (``exact._reports``), for elections of at most ``model.SCALAR_LIMIT``
+    voters.  ``preserving`` picks the winner certificate."""
+    reports = exact._reports([*befores, *afters], [*betas, *betas])
+    if preserving:
+        measured = [_winner_metric(r.expected_winner, r.dist_left, r.dist_right) for r in reports]
+    else:
+        measured = [_expected_metric(r) for r in reports]
+    k = len(befores)
+    return [_certificate(b, a, preserving) for b, a in zip(measured[:k], measured[k:])]
 
 
 def _voter(e: LineElection, name: str, index: int, region: str | None = None) -> tuple[int, float]:

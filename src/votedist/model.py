@@ -199,10 +199,7 @@ class _VoterArray:
             d_left, d_right = self._distance_lists
         else:
             d_left, d_right = (d.tolist() for d in self._distances)
-        try:
-            return math.fsum(d_left), math.fsum(d_right)
-        except OverflowError:
-            raise ValueError("the social costs exceed the float range") from None
+        return _fsum_costs(d_left, d_right)
 
     def __len__(self) -> int:
         return len(self.array)
@@ -276,6 +273,14 @@ class LineElection(_VoterArray):
                 raise ValueError(f"voter {i} has non-finite position {v!r}")
             x[i] = v
         return LineElection._trusted(x)
+
+
+def _fsum_costs(d_left: list[float], d_right: list[float]) -> tuple[float, float]:
+    """The social costs of the voters' distance lists, each rounded once."""
+    try:
+        return math.fsum(d_left), math.fsum(d_right)
+    except OverflowError:
+        raise ValueError("the social costs exceed the float range") from None
 
 
 def _line_distances(x: list[float]) -> tuple[list[float], list[float]]:

@@ -22,7 +22,11 @@ count the configuration cannot draw, is rejected before the first draw.
 
 Each move of :func:`displacement_suites` is drawn as ``(winner, require,
 pick)``, again while ``pick`` finds no voter the move may take: a C-to-D
-crossing needs one of ``displace._crossers``.
+crossing needs one of ``displace._crossers``.  A suite draws and moves all
+its trials first; moves and certificates draw nothing from the generator, so
+the stream is the one a trial-by-trial loop draws.  Then one batch measures
+every election before and after its move (``displace._certify_moves``), and
+each certificate is the one the public certifier gives.
 """
 
 from __future__ import annotations
@@ -248,32 +252,38 @@ def _draw(rng: np.random.Generator, beta: float, winner: str, require: tuple, pi
 
 
 def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
-    """Certify every move kind on ``trials`` random elections each."""
+    """Certify every move kind on ``trials`` random elections each.
+
+    Each move kind's trials are drawn and moved in turn, then certified in
+    one batch: its ``trials`` elections before and after the move are
+    measured in one array pass, with the public certifiers' results.
+    """
     seed = model._check_count("seed", seed)
     trials = model._check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
-    win = displace.certify_winner_displacement
-    dbar = displace.certify_expected_displacement
-    # Each move with its certificate and its draw: (winner, require, pick).
+    # Each move, whether its certificate is the winner-preserving one, and
+    # its draw: (winner, require, pick).
     moves = (
-        ("A_to_zero", displace.move_a_to_zero, win, (LEFT, ("A",), _one_of_each("A"))),
-        ("BC_pair", displace.move_bc_pair, win, (LEFT, ("B", "C"), _one_of_each("B", "C"))),
-        ("same_region_merge", displace.merge_same_region, win,
+        ("A_to_zero", displace.move_a_to_zero, True, (LEFT, ("A",), _one_of_each("A"))),
+        ("BC_pair", displace.move_bc_pair, True, (LEFT, ("B", "C"), _one_of_each("B", "C"))),
+        ("same_region_merge", displace.merge_same_region, True,
          (LEFT, ("B", "B"), _pick_b_or_d_pair)),
-        ("A_to_B_map", displace.map_a_to_b, dbar, (RIGHT, ("A",), _one_of_each("A"))),
-        ("C_to_D_map", displace.map_c_to_d, dbar, (RIGHT, ("C",), _pick_crossing)),
-        ("D_geometric_merge", displace.merge_d_geometric, dbar,
+        ("A_to_B_map", displace.map_a_to_b, False, (RIGHT, ("A",), _one_of_each("A"))),
+        ("C_to_D_map", displace.map_c_to_d, False, (RIGHT, ("C",), _pick_crossing)),
+        ("D_geometric_merge", displace.merge_d_geometric, False,
          (RIGHT, ("D", "D"), lambda rng, e: _two(rng, model._indices_in(e.positions, "D")))),
     )
     results = []
-    for name, move, certify, draw in moves:
-        failures = 0
+    for name, move, preserving, draw in moves:
+        befores, afters, betas = [], [], []
         for _ in range(trials):
             beta = random_beta(rng)
             before, picked = _draw(rng, beta, *draw)
-            if not certify(before, move(before, *picked), beta).passed:
-                failures += 1
-        results.append(SuiteResult(name, trials, failures))
+            befores.append(before)
+            afters.append(move(before, *picked))
+            betas.append(beta)
+        certificates = displace._certify_moves(befores, afters, betas, preserving)
+        results.append(SuiteResult(name, trials, sum(not c.passed for c in certificates)))
     return results
 
 

@@ -296,6 +296,11 @@ def certificate_fields(cert):
             cert.metric_after, cert.winner_preserving)
 
 
+def hexed_fields(cert):
+    """:func:`certificate_fields`, floats as hex strings, so a NaN metric compares equal."""
+    return [v.hex() if isinstance(v, float) else v for v in certificate_fields(cert)]
+
+
 # The moves ``displacement_suites`` applies, by their names in ``displace``.
 SUITE_MOVES = ("move_a_to_zero", "move_bc_pair", "merge_same_region",
                "map_a_to_b", "map_c_to_d", "merge_d_geometric")
@@ -314,6 +319,21 @@ def displacement_draws(trials, seed):
             mp.setattr(displace, name, recorded)
         displacement_suites(trials, seed)
     return draws
+
+
+def suite_certificates(trials, seed):
+    """Each move ``displacement_suites(trials, seed)`` certifies, as
+    ``(before, after, beta, preserving, certificate)``."""
+    moves = []
+    with pytest.MonkeyPatch.context() as mp:
+        def recorded(befores, afters, betas, preserving, _certify=displace._certify_moves):
+            certificates = _certify(befores, afters, betas, preserving)
+            moves.extend(zip(befores, afters, betas, [preserving] * len(betas), certificates))
+            return certificates
+
+        mp.setattr(displace, "_certify_moves", recorded)
+        displacement_suites(trials, seed)
+    return moves
 
 
 def audit_digests(chains=50):
@@ -413,6 +433,13 @@ class TestMergeSameRegion:
     def test_equal_positions_noop(self):
         e = merge_same_region(LineElection([1.4, 1.4]), 0, 1)
         assert e.positions == (1.4, 1.4)
+
+    @pytest.mark.parametrize(
+        "pair, merged", [((0.0, 0.3), (0.15, 0.15)), ((1.0, 1.4), (1.2, 1.2))]
+    )
+    def test_a_voter_on_a_candidate_merges(self, pair, merged):
+        # Both ends of the spans are inside them: 0 in [0, 1/2], 1 in region D.
+        assert merge_same_region(LineElection(pair), 0, 1).positions == merged
 
     def test_rejects_mixed_regions(self):
         with pytest.raises(ValueError):
@@ -528,6 +555,19 @@ class TestCertificates:
         tied = LineElection([0.25, 0.75])
         with pytest.raises(ValueError):
             certify_winner_displacement(tied, tied, 1.0)
+
+    def test_winner_certificate_from_a_tie_raises_by_name(self):
+        tied = LineElection([0.25, 0.75])
+        with pytest.raises(
+            ValueError, match="^cannot certify winner preservation from a tied election$"
+        ):
+            displace._certificate(displace._measure_winner(tied, 1.0), (LEFT, 1.0), True)
+
+    def test_bc_pairing_needs_a_b_voter(self):
+        # The chain never asks: a left-leading election with a C voter has
+        # a B voter too.  The helper on its own still says so.
+        with pytest.raises(ValueError, match="^no B voter available to pair against region C$"):
+            displace._bc_pairing((0.7, 1.5))
 
     def test_all_move_kinds_certify_on_random_elections(self):
         for result in displacement_suites(trials=120, seed=99):
@@ -650,6 +690,26 @@ class TestCanonicalizationSuites:
         # decide whether the chain applies.
         assert calls == {"expected_distortion": 156, "winner_distortion": 0, "_sides": 353}
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_batch_certificates_are_the_public_certifiers(self, seed):
+        moves = suite_certificates(200, seed)
+        assert len(moves) == 1200
+        for before, after, beta, preserving, cert in moves:
+            certify = certify_winner_displacement if preserving else certify_expected_displacement
+            fresh = [LineElection(e.array) for e in (before, after)]
+            assert hexed_fields(cert) == hexed_fields(certify(*fresh, beta))
+
+    def test_displacement_suites_certify_each_move_suite_in_one_batch(self, monkeypatch):
+        sizes = []
+
+        def counted(elections, betas, _reports=exact._reports):
+            sizes.append(len(elections))
+            return _reports(elections, betas)
+
+        monkeypatch.setattr(exact, "_reports", counted)
+        displacement_suites(200, 1)
+        assert sizes == [400] * 6
+
     def test_displacement_suites_measure_each_election_once(self, monkeypatch):
         calls = {"_line_distances": 0, "_scalar_sides": 0}
         for name in calls:
@@ -660,12 +720,12 @@ class TestCanonicalizationSuites:
             monkeypatch.setattr(model, name, counted)
         displacement_suites(200, 1)
         # An accepted sampler candidate keeps the distance lists the accept
-        # rule made, and each of the 1,200 moved elections makes its own
-        # (3,974 when a move carried its parent's over, 6,402 when neither
-        # was kept).  The sides are computed once per candidate whose costs
-        # pass and once per moved election (5,128 when the election
-        # measured each again).
-        assert calls == {"_line_distances": 5174, "_scalar_sides": 3928}
+        # rule made, and the sides are computed once per candidate whose
+        # costs pass.  The 1,200 moved elections are measured in the
+        # suites' batches, which call neither: 5,174 and 3,928 when each
+        # moved election made its own lists and sides (6,402 when no
+        # election kept its lists, 5,128 sides when each was measured again).
+        assert calls == {"_line_distances": 3974, "_scalar_sides": 2728}
 
 
 def regressed(e, *picked):

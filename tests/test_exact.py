@@ -98,6 +98,14 @@ class TestVotePMF:
             with pytest.raises(ValueError, match=f"probability {n // 2} out of range"):
                 vote_pmf(probs)
 
+    @pytest.mark.parametrize("bad, shown", [(1.005, "1.005"), (math.nan, "nan")])
+    def test_names_the_bad_value_as_a_float(self, bad, shown):
+        # A value just above 1 as well: the range's upper end is exactly 1.
+        for probs in ([bad], np.array([0.5, bad])):
+            i = len(probs) - 1
+            with pytest.raises(ValueError, match=f"^probability {i} out of range: {shown}$"):
+                vote_pmf(probs)
+
     def test_small_pmf_is_the_scalar_product_of_the_sorted_voters(self, rng):
         # Sure voters shift the PMF outside the product; factors of p = 0 and
         # p = 1 multiply exactly, so it reads the same bits either way.
@@ -293,14 +301,14 @@ class TestWindowsAndBlocks:
                     m * k, site
                 ).tobytes()
 
-    @pytest.mark.parametrize("m", [100, 2_500, 10**6])
+    @pytest.mark.parametrize("m", [exact._BLOCK_MIN, 2_500, 10**6])
     @pytest.mark.parametrize("p", [1e-3, 0.2, 0.5, 0.97])
     def test_block_matches_high_precision(self, m, p):
         # Each entry k carries a relative error of at most 3 (|k - mode| + sd
         # + 1) eps, from the ratios multiplied out from the mode.
         mpmath = pytest.importorskip("mpmath")
         row, offset, _ = exact._binomial_row(m, p)
-        assert len(row) == exact._window(m) or (offset == 0 and len(row) >= m + 1)
+        assert len(row) == exact._window(m)
         assert abs(math.fsum(row.tolist()) - 1.0) <= 2 * EPS
         top = min(offset + len(row), m + 1) - 1
         ks = np.unique(np.linspace(offset, top, 41).round().astype(int))
@@ -599,10 +607,10 @@ SPECIAL_PAIRS = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.5), (2.0**53, 2.0**
 
 
 @st.composite
-def small_elections(draw):
+def small_elections(draw, lines_only=False):
     """Line or metric elections of 1 to SCALAR_LIMIT voters, with duplicates."""
     n = draw(st.integers(1, model.SCALAR_LIMIT))
-    if draw(st.booleans()):
+    if lines_only or draw(st.booleans()):
         voter = st.sampled_from(SPECIAL_POSITIONS) | st.floats(-3.0, 4.0)
         kind = LineElection
     else:
@@ -677,6 +685,39 @@ class TestListPath:
             with pytest.raises(ValueError) as evaluated:
                 expected_distortion(e, 0.5)
             assert str(evaluated.value) == str(on_arrays.value)
+
+
+class TestBatchReports:
+    """``exact._reports`` measures many small line elections in one array
+    pass; each report is ``expected_distortion``'s, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                small_elections(lines_only=True),
+                st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_equals_expected_distortion_bit_for_bit(self, cases):
+        elections, betas = (list(column) for column in zip(*cases))
+        batch = exact._reports(elections, betas)
+        assert [hexed(vars(r).values()) for r in batch] == [
+            hexed(vars(expected_distortion(LineElection(e.array), beta)).values())
+            for e, beta in cases
+        ]
+
+    def test_rejects_an_election_above_the_scalar_limit(self):
+        # There is no fallback: a large election is evaluated one at a time.
+        large = LineElection([0.2, 1.5] * model.SCALAR_LIMIT)
+        with pytest.raises(
+            ValueError, match=rf"^a batch takes elections of at most {model.SCALAR_LIMIT} voters, "
+            rf"got {2 * model.SCALAR_LIMIT}$"
+        ):
+            exact._reports([LineElection([0.2]), large], [0.5, 0.5])
 
 
 # Evaluates a 20,000-voter planar election and prints every report field.

@@ -218,6 +218,8 @@ class TestArrayStorage:
             ([(1, 1), (0.2, 0.3), (-1, 5), (math.nan, 1)], "voter 1 violates the triangle"),
             ([(1, 1), (-0.1, 0.3), (0.2, 0.3)], "voter 1 has negative distances"),
             ([(1, 1), (math.inf, -1.0)], "voter 1 has non-finite distances"),
+            # Infinite but otherwise valid: only the finiteness check rejects it.
+            ([(1.0, math.inf)], "voter 0 has non-finite distances"),
             ([(1, 1), (1, 2, 3)], None),
         ],
     )

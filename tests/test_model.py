@@ -322,6 +322,10 @@ class TestExpectedVotesAndWinner:
         with pytest.raises(ValueError):
             winner_distortion(LineElection([0.25, 0.75]), 1.0)
 
+    def test_candidate_distortion_names_a_candidate(self):
+        with pytest.raises(ValueError, match="^candidate must be 'left' or 'right', got 'tie'$"):
+            model._candidate_distortion(LineElection([0.25, 1.5]), TIE)
+
 
 class TestDistortionPair:
     def test_both_zero(self):

@@ -115,6 +115,10 @@ class TestBindingXd:
     def test_midpoint_mass_is_hopeless(self):
         assert binding_xd(0.3, 0.5, 1.0) == math.inf
 
+    def test_overflow_is_infinite(self):
+        # base ** (1 / beta) = 9 ** 1000 overflows the float range.
+        assert binding_xd(0.1, 0.2, 1e-3) == math.inf
+
     def test_beta_zero_rejected(self):
         with pytest.raises(ValueError):
             binding_xd(0.5, 0.0, 0.0)
@@ -226,6 +230,16 @@ class TestSolve:
         monkeypatch.setattr(worstcase, "_NEWTON_CAP", 1)
         with pytest.raises(RuntimeError, match=r"beta = 0\.3, epsilon = 0\.01 did not converge"):
             solve_worst_case_margin(0.3, 0.01)
+
+    def test_witness_of_the_unattained_supremum_raises(self):
+        # At beta 0 the supremum puts its B mass at 1/2, where no voter
+        # votes, and its D mass at 1, where every voter does.
+        sol = solve_worst_case(0.0)
+        assert (sol.x_b, sol.attained) == (0.5, False)
+        with pytest.raises(
+            ValueError, match="^no rounding of the witness keeps the left candidate leading$"
+        ):
+            witness_election(sol, total=10)
 
     def test_witness_is_canonical_fixed_point(self):
         sol = solve_worst_case(1.0)
@@ -663,6 +677,11 @@ class TestBoundVerifier:
         assert checks[0].status == "pass"
         assert checks[0].method == "exact"
         assert checks[0].slack >= 0.0
+
+    def test_gate_generator_gives_up(self, monkeypatch):
+        monkeypatch.setattr(worstcase, "_GATE_ATTEMPTS", 1)
+        with pytest.raises(RuntimeError, match="^generated only 1 of 2 elections in 1 tries$"):
+            generate_gate_elections(0.1, 1.0, 2, 3)
 
     def test_negative_gate_count_rejected(self):
         with pytest.raises(ValueError, match="count must be >= 0"):
