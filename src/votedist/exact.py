@@ -448,15 +448,14 @@ def _reports(elections: list[LineElection], betas: list[float]) -> list[Distorti
 
     For elections of at most ``model.SCALAR_LIMIT`` voters, on one ``(k, n)``
     array of positions padded with voters at 1/2, who are indifferent.  Each
-    row repeats the rounded operations of the list path: the sides by
-    ``model._scalar_sides``'s rules, with one power call for every row at an
-    interior beta (a square root at 1/2, as numpy's ``** 0.5`` takes one),
-    ``fsum`` totals, and each side's PMF by the sequential product of its
-    sorted factors, where the padding's p = 0 is an exact identity.  The win
-    probabilities are taken by one :func:`_win_probs` per PMF length, on each
-    row cut to that length, so every reduction sums the entries it sums for
-    one election.  So each report equals :func:`expected_distortion`'s, bit
-    for bit, at a fraction of the per-election numpy calls.
+    row repeats the rounded operations of the list path: the sides of
+    ``model._batch_sides``, ``fsum`` totals, and each side's PMF by the
+    sequential product of its sorted factors, where the padding's p = 0 is
+    an exact identity.  The win probabilities are taken by one
+    :func:`_win_probs` per PMF length, on each row cut to that length, so
+    every reduction sums the entries it sums for one election.  So each
+    report equals :func:`expected_distortion`'s, bit for bit, at a fraction
+    of the per-election numpy calls.
     """
     betas = np.array([model.check_beta(beta) for beta in betas])
     sizes = np.array([len(e) for e in elections])
@@ -470,15 +469,7 @@ def _reports(elections: list[LineElection], betas: list[float]) -> list[Distorti
     real = np.arange(n) < sizes[:, None]
     x = np.full((k, n), 0.5)
     x[real] = np.concatenate([e.array for e in elections])
-    d_left, d_right = np.abs(x), np.abs(x - 1.0)
-    diff = d_left - d_right
-    p = np.abs(diff) / (d_left + d_right)
-    powered = (0.0 < betas) & (betas < 1.0) & (betas != 0.5)
-    p[powered] = p[powered] ** betas[powered, None]
-    p[betas == 0.5] = np.sqrt(p[betas == 0.5])
-    p[betas == 0.0] = 1.0
-    on_side = np.stack([diff < 0.0, diff > 0.0], axis=1)  # (k, 2, n): left, right
-    sides = np.where(on_side, p[:, None], 0.0)
+    d_left, d_right, on_side, sides = model._batch_sides(x, betas)
     costs = [
         model._fsum_costs(dl[:m], dr[:m])
         for dl, dr, m in zip(d_left.tolist(), d_right.tolist(), sizes.tolist())

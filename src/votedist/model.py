@@ -159,8 +159,7 @@ class _VoterArray:
     access; equality, hashing and ``repr`` match a frozen dataclass with that
     one field.  Distances, their lists and social costs are computed once per
     election, and kept in the instance ``__dict__``, as are the sides that
-    :func:`_sides` last computed; a caller that measured them already may
-    put them there.
+    :func:`_sides` last computed.
     """
 
     def __init__(self, values: Iterable):
@@ -452,6 +451,30 @@ def _scalar_sides(
         return left, right
     p = (np.array(left + right) ** beta).tolist()
     return p[: len(left)], p[len(left) :]
+
+
+def _batch_sides(
+    x: np.ndarray, betas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_scalar_sides` of each row of a ``(k, n)`` array of line
+    positions, row ``i`` at the checked ``betas[i]``, in one array pass.
+
+    Returns the distances to the left and the right candidate, which side
+    each voter is on (``(k, 2, n)``: left, right) and the sides, each
+    voter's participation in its side's row and 0 elsewhere.  Each rounded
+    operation is the list path's, with one power call for every row at an
+    interior beta: a square root at 1/2, as numpy's ``** 0.5`` takes one,
+    and none at 0 or 1.  A voter at 1/2 is indifferent, so it pads a row.
+    """
+    d_left, d_right = np.abs(x), np.abs(x - 1.0)
+    diff = d_left - d_right
+    p = np.abs(diff) / (d_left + d_right)
+    powered = (0.0 < betas) & (betas < 1.0) & (betas != 0.5)
+    p[powered] = p[powered] ** betas[powered, None]
+    p[betas == 0.5] = np.sqrt(p[betas == 0.5])
+    p[betas == 0.0] = 1.0
+    on_side = np.stack([diff < 0.0, diff > 0.0], axis=1)
+    return d_left, d_right, on_side, np.where(on_side, p[:, None], 0.0)
 
 
 def social_costs(e: LineElection | MetricElection) -> tuple[float, float]:

@@ -6,27 +6,31 @@ check the shape of each form, whose chain certified it end to end.  The same
 generators back the test suite and the ``verify`` command, so a shipped
 binary can re-run the whole audit from a single seed.
 
-One sampler, :func:`random_leading_election`, draws every configured
-election: the right candidate strictly optimal, a given ``winner`` leading
-on expected votes, and the regions in ``require`` occupied.  A candidate
-costs two generator calls: one bounded integer picks its region sizes from
-the box whose lower ends are raised to the counts ``require`` asks for, and
-one array of uniforms places its voters in their regions' spans, each voter
-strictly below its span's upper end.  So every candidate occupies
-the regions ``require`` asks for by construction, and the sampler draws
-until the exact rule (``fsum`` costs and the tie-aware expected winner)
-accepts one.  Only that candidate is built as an election, and it keeps the
-distance lists, costs and sides the rule measured.  A ``winner``
-other than left or right, or a ``require`` with an unknown region or a
-count the configuration cannot draw, is rejected before the first draw.
+One sampler, :func:`_sample`, draws every configured election, one per
+beta of a suite: the right candidate strictly optimal, a given ``winner``
+leading on expected votes, and the regions in ``require`` occupied;
+:func:`random_leading_election` is a sample of one.  It draws by rejection,
+in rounds: each trial still open gets a block of candidates, and a round
+draws and measures the candidates of every open trial in one array pass.
+A candidate's region sizes come from the box whose lower ends are raised to
+the counts ``require`` asks for, and its voters lie in their regions'
+spans, each strictly below its span's upper end, so every candidate
+occupies the regions ``require`` asks for by construction.  The exact rule
+(``fsum`` costs and the tie-aware expected winner) accepts each trial's
+first passing candidate; a float filter only skips candidates that
+certainly fail.  Only that candidate is built as an election.  A
+``winner`` other than left or right, or a ``require`` with an unknown
+region or a count the configuration cannot draw, is rejected before the
+first draw.
 
 Each move of :func:`displacement_suites` is drawn as ``(winner, require,
-pick)``, again while ``pick`` finds no voter the move may take: a C-to-D
-crossing needs one of ``displace._crossers``.  A suite draws and moves all
-its trials first; moves and certificates draw nothing from the generator, so
-the stream is the one a trial-by-trial loop draws.  Then one batch measures
-every election before and after its move (``displace._certify_moves``), and
-each certificate is the one the public certifier gives.
+pick)``: a suite draws its trials' betas, samples them, and picks each
+trial's voters; a trial where ``pick`` finds no voter the move may take (a
+C-to-D crossing needs one of ``displace._crossers``) is sampled again.
+Moves and certificates draw nothing from the generator.  Then one batch
+measures every election before and after its move
+(``displace._certify_moves``), and each certificate is the one the public
+certifier gives.
 """
 
 from __future__ import annotations
@@ -106,8 +110,11 @@ def _pick(rng: np.random.Generator, items: Sequence):
     return items[int(rng.integers(len(items)))]
 
 
-# Draws a sampler makes before it gives up.
+# Draws a sampler makes for one election before it gives up.
 _MAX_TRIES = 4000
+
+# Candidates a sampler round draws for each trial still open.
+_BLOCK = 4
 
 
 @functools.cache
@@ -145,56 +152,109 @@ def random_leading_election(
 
     ``winner`` is ``left`` or ``right``.  ``require`` lists region labels
     that must be occupied, with multiplicity (interior occupancy for C).
+    The election is :func:`_sample`'s for the one beta.
+    """
+    return _sample(rng, [beta], winner, require)[0]
 
-    Each candidate costs two generator calls.  The first is one bounded
-    integer, which picks the region sizes uniformly from :func:`_size_box`.
-    The second draws one uniform per voter, scaled into its region's span as
-    ``rng.uniform`` scales it and clamped to the largest float below the
-    span's upper end: a scaled uniform can round onto that end, which lies
-    outside the region for the C span (1.0) and the right-leading B span
-    (0.5).  So each candidate has the region sizes drawn and meets
-    ``require``, and :func:`_accepts` decides the rest and builds the
-    election, which keeps what the rule measured at ``beta``.
 
+def _sample(
+    rng: np.random.Generator, betas: Sequence[float], winner: str, require: tuple[str, ...] = ()
+) -> list[LineElection]:
+    """One :func:`random_leading_election` per beta, drawn in rounds.
+
+    A round gives each trial still open ``_BLOCK`` candidates, rows of one
+    array, and draws them in two generator calls.  The first is one bounded
+    integer per candidate, which picks its region sizes uniformly from
+    :func:`_size_box`.  The second draws a row of uniforms per candidate,
+    one per slot of the largest election the box holds: slot ``j`` lies in
+    region ``r`` by the candidate's cumulative region sizes, and its uniform
+    is scaled into the region's span as ``rng.uniform`` scales it and
+    clamped to the largest float below the span's upper end (a scaled
+    uniform can round onto that end, which lies outside the region for the
+    C span, 1.0, and the right-leading B span, 0.5).  Unused slots hold 1/2,
+    which is indifferent.  So each candidate has the region sizes drawn and
+    meets ``require``.
+
+    One ``model._batch_sides`` measures every candidate of the round, and
+    :func:`_may_pass` skips those that certainly fail.  Every other
+    candidate goes through :func:`_passes`, in its trial's draw order, and
+    the first one that passes is the trial's election.  A trial that sees
+    ``_MAX_TRIES`` candidates without one raises ``RuntimeError``.
+
+    Each trial's election is the first accepted one among its own i.i.d.
+    candidates at its beta, as a loop over one trial at a time would accept.
     Sizes uniform on the raised box are sizes uniform on the whole box
     conditioned on meeting ``require``, and the positions do not depend on
     the sizes, so raising the box leaves the law of the accepted elections
     as it is.
     """
-    beta = model.check_beta(beta)
+    betas = np.array([model.check_beta(beta) for beta in betas])
     box = _size_box(winner, tuple(require))
-    spans = [(lo, hi - lo, math.nextafter(hi, lo)) for lo, hi in _CONFIGURATIONS[winner][1]]
-    for _ in range(_MAX_TRIES):
-        sizes = _pick(rng, box)
-        u = iter(rng.random(sum(sizes)).tolist())
-        x = [v if (v := lo + width * next(u)) < top else top
-             for (lo, width, top), n in zip(spans, sizes) for _ in range(n)]
-        if accepted := _accepts(x, beta, winner):
-            return accepted
-    raise RuntimeError(f"no {winner}-leading election in {_MAX_TRIES} draws")
+    ends = np.cumsum(box, axis=1)
+    n = int(ends[:, -1].max())
+    # Per region A-D and for the unused slots: the span's low end, width and top.
+    spans = _CONFIGURATIONS[winner][1]
+    low = np.array([lo for lo, _ in spans] + [0.5])
+    width = np.array([hi - lo for lo, hi in spans] + [0.0])
+    top = np.array([math.nextafter(hi, lo) for lo, hi in spans] + [0.5])
+    elections: list = [None] * len(betas)
+    tries, open_trials = 0, np.arange(len(betas))
+    while len(open_trials):
+        if tries == _MAX_TRIES:
+            raise RuntimeError(f"no {winner}-leading election in {_MAX_TRIES} draws")
+        # Every open trial has seen ``tries`` candidates.
+        block = min(_BLOCK, _MAX_TRIES - tries)
+        tries += block
+        trial = np.repeat(open_trials, block)
+        row_ends = ends[rng.integers(len(box), size=len(trial))]
+        u = rng.random((len(trial), n))
+        region = (np.arange(n) >= row_ends[:, :, None]).sum(axis=1)
+        x = np.minimum(low[region] + width[region] * u, top[region])
+        d_left, d_right, _, sides = model._batch_sides(x, betas[trial])
+        kept = np.flatnonzero(_may_pass(d_left, d_right, sides, winner))
+        rows = zip(kept.tolist(), trial[kept].tolist(), row_ends[kept, -1].tolist(),
+                   d_left[kept].tolist(), d_right[kept].tolist(), sides[kept].tolist())
+        for row, t, size, dl, dr, (left, right) in rows:
+            if elections[t] is None and _passes(dl[:size], dr[:size], left, right, winner):
+                elections[t] = LineElection._trusted(x[row, :size].copy())
+        open_trials = np.array([t for t in open_trials.tolist() if elections[t] is None], dtype=int)
+    return elections
 
 
-def _accepts(x: list[float], beta: float, winner: str) -> LineElection | None:
-    """The sampler's accept rule on positions ``x``, for a checked ``beta``.
+def _may_pass(
+    d_left: np.ndarray, d_right: np.ndarray, sides: np.ndarray, winner: str
+) -> np.ndarray:
+    """Per row of ``model._batch_sides``, whether :func:`_passes` may accept it.
 
-    Right is strictly optimal and ``winner`` is the expected winner, each
-    read from the same floats and by the same operations as ``social_costs``
-    and ``expected_winner`` of ``LineElection(x)`` at up to
-    ``model.SCALAR_LIMIT`` voters.  Returns that election if the rule
-    accepts, else ``None``.  The election keeps what the rule measured: its
-    distance lists, its social costs and its sides at ``beta``, in the slots
-    where ``model`` caches them.
+    A float row sum of ``n`` nonnegative terms lies within ``(n - 1) eps / 2``
+    of the exact sum, relative to it, and ``fsum`` rounds the exact sum
+    once.  So a right cost that is not below the left one, or a ``winner``
+    who trails on expected votes, by more than ``n * eps`` times the two
+    sums fails the exact rule too.  The filter never accepts a row, and a
+    voter at 1/2 adds the same distance to both costs and no votes.
     """
-    distances = model._line_distances(x)
-    costs = math.fsum(distances[0]), math.fsum(distances[1])
-    if not costs[1] < costs[0]:
-        return None
-    sides = model._scalar_sides(*distances, beta)
-    if model._winner(*model._votes(*sides)) != winner:
-        return None
-    e = LineElection(x)
-    e.__dict__.update(_distance_lists=distances, _social_costs=costs, _sides_at=(beta, sides))
-    return e
+    slack = d_left.shape[1] * model._EPS
+    costs = np.stack([d_left.sum(axis=1), d_right.sum(axis=1)], axis=1)
+    votes = sides.sum(axis=2)
+    rival = 1 if winner == LEFT else 0
+    trail = votes[:, rival] - votes[:, 1 - rival]
+    return (model._within(costs[:, 1] - costs[:, 0], 0.0, slack * costs.sum(axis=1))
+            & model._within(trail, 0.0, slack * votes.sum(axis=1)))
+
+
+def _passes(
+    d_left: list[float], d_right: list[float], left: list[float], right: list[float], winner: str
+) -> bool:
+    """The sampler's accept rule on one measured candidate.
+
+    Takes the voters' distances to the left and the right candidate and the
+    participation of each side (zeros, for other voters, add nothing to a
+    sum).  Right is strictly optimal and ``winner`` is the expected winner,
+    each read from the same floats and by the same operations as
+    ``social_costs`` and ``expected_winner`` of the candidate's election.
+    """
+    costs = model._fsum_costs(d_left, d_right)
+    return costs[1] < costs[0] and model._winner(*model._votes(left, right)) == winner
 
 
 def random_euclidean_election(
@@ -218,9 +278,10 @@ def _one_of_each(*regions: str):
 
 
 def _two(rng: np.random.Generator, idx: list[int]) -> tuple[int, int]:
-    """Two distinct voters of ``idx``."""
-    i, j = rng.choice(idx, size=2, replace=False)
-    return int(i), int(j)
+    """Two distinct voters of ``idx``, uniform over the ordered pairs: the
+    second is drawn from the others, by skipping the first's index."""
+    i, j = int(rng.integers(len(idx))), int(rng.integers(len(idx) - 1))
+    return idx[i], idx[j + (j >= i)]
 
 
 def _pick_b_or_d_pair(rng: np.random.Generator, e: LineElection) -> tuple[int, int]:
@@ -237,26 +298,35 @@ def _pick_crossing(rng: np.random.Generator, e: LineElection) -> tuple[int] | No
     return (_pick(rng, valid),) if valid else None
 
 
-def _draw(rng: np.random.Generator, beta: float, winner: str, require: tuple, pick):
-    """A random election in a move's configuration and the voters it moves.
+def _draw(rng: np.random.Generator, betas: list[float], winner: str, require: tuple, pick):
+    """Random elections in a move's configuration, one per beta, and the
+    voters each move takes, as two lists.
 
-    Draws :func:`random_leading_election` of ``winner`` and ``require``
-    again while ``pick(rng, election)`` returns ``None``.
+    Samples every trial (:func:`_sample` of ``winner`` and ``require``),
+    then picks its voters, ``pick(rng, election)``, trial by trial; a trial
+    whose pick is ``None`` is sampled again at its beta in the next call.
     """
+    drawn: list = [None] * len(betas)
+    todo = list(range(len(betas)))
     for _ in range(_MAX_TRIES):
-        e = random_leading_election(rng, beta, winner, require)
-        picked = pick(rng, e)
-        if picked is not None:
-            return e, picked
+        for i, e in zip(todo, _sample(rng, [betas[i] for i in todo], winner, require)):
+            picked = pick(rng, e)
+            if picked is not None:
+                drawn[i] = e, picked
+        todo = [i for i in todo if drawn[i] is None]
+        if not todo:
+            elections, picks = zip(*drawn)
+            return list(elections), list(picks)
     raise RuntimeError(f"no {winner}-leading election in {_MAX_TRIES} draws had voters to move")
 
 
 def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
     """Certify every move kind on ``trials`` random elections each.
 
-    Each move kind's trials are drawn and moved in turn, then certified in
-    one batch: its ``trials`` elections before and after the move are
-    measured in one array pass, with the public certifiers' results.
+    Each move kind draws its trials' betas, samples and moves its trials,
+    then certifies them in one batch: its ``trials`` elections before and
+    after the move are measured in one array pass, with the public
+    certifiers' results.
     """
     seed = model._check_count("seed", seed)
     trials = model._check_count("trials", trials, 1)
@@ -275,13 +345,9 @@ def displacement_suites(trials: int, seed: int) -> list[SuiteResult]:
     )
     results = []
     for name, move, preserving, draw in moves:
-        befores, afters, betas = [], [], []
-        for _ in range(trials):
-            beta = random_beta(rng)
-            before, picked = _draw(rng, beta, *draw)
-            befores.append(before)
-            afters.append(move(before, *picked))
-            betas.append(beta)
+        betas = [random_beta(rng) for _ in range(trials)]
+        befores, picks = _draw(rng, betas, *draw)
+        afters = [move(before, *picked) for before, picked in zip(befores, picks)]
         certificates = displace._certify_moves(befores, afters, betas, preserving)
         results.append(SuiteResult(name, trials, sum(not c.passed for c in certificates)))
     return results
@@ -354,9 +420,8 @@ def canonicalization_suites(trials: int, seed: int) -> list[SuiteResult]:
     results = []
     for name, winner, canonicalize, forms_ok in suites:
         failures, forms, betas = 0, [], []
-        for _ in range(trials):
-            beta = random_beta(rng)
-            e = random_leading_election(rng, beta, winner)
+        drawn = [random_beta(rng) for _ in range(trials)]
+        for beta, e in zip(drawn, _sample(rng, drawn, winner)):
             try:
                 forms.append(canonicalize(e, beta))
                 betas.append(beta)

@@ -179,40 +179,54 @@ def reference_configured_election(rng, beta, winner, require):
     raise RuntimeError(f"no {winner}-leading election in {verification._MAX_TRIES} draws")
 
 
-def reference_raised_election(rng, beta, winner, require):
-    """The sampler's draw spelled out: one bounded integer over the box of
+def reference_block_sample(rng, betas, winner, require):
+    """The sampler's rounds spelled out.  Each round gives every trial still
+    open ``_BLOCK`` candidates (fewer when ``_MAX_TRIES`` runs out), in
+    trial order.  It draws one bounded integer per candidate over the box of
     region sizes whose lows are raised to ``require``'s counts, decoded
-    digit by digit with region D's size the fastest, then one uniform per
-    voter scaled into its region's span and clamped to the largest float
-    below the span's upper end."""
+    digit by digit with region D's size the fastest, then one row of
+    uniforms per candidate, a slot for each voter of the largest box entry;
+    a region's voters take the next slots, each scaled into the region's
+    span and clamped to the largest float below the span's upper end.  The
+    exact rule then takes each trial's candidates in order, and the first
+    one it accepts is the trial's election."""
     counts, spans = REFERENCE_CONFIGURATIONS[winner]
     lows = [max(lo, require.count(r)) for (lo, _), r in zip(counts, "ABCD")]
     radices = [hi - lo for lo, (_, hi) in zip(lows, counts)]
-    for _ in range(verification._MAX_TRIES):
-        k = int(rng.integers(math.prod(radices)))
-        sizes = [0, 0, 0, 0]
-        for r in (3, 2, 1, 0):
-            k, digit = divmod(k, radices[r])
-            sizes[r] = lows[r] + digit
-        u = np.split(rng.random(sum(sizes)), np.cumsum(sizes)[:-1])
-        x = np.concatenate([
-            np.minimum(lo + (hi - lo) * part, math.nextafter(hi, lo))
-            for (lo, hi), part in zip(spans, u)
-        ])
-        if exact_rule_accepts(x.tolist(), beta, winner):
-            return LineElection(x)
-    raise RuntimeError(f"no {winner}-leading election in {verification._MAX_TRIES} draws")
+    slots = sum(hi - 1 for _, hi in counts)
+    elections, tries = [None] * len(betas), 0
+    while None in elections:
+        if tries == verification._MAX_TRIES:
+            raise RuntimeError(f"no {winner}-leading election in {verification._MAX_TRIES} draws")
+        block = min(verification._BLOCK, verification._MAX_TRIES - tries)
+        tries += block
+        owners = [t for t, e in enumerate(elections) if e is None for _ in range(block)]
+        ks = rng.integers(math.prod(radices), size=len(owners))
+        u = rng.random((len(owners), slots))
+        for t, k, row in zip(owners, ks.tolist(), u.tolist()):
+            sizes = [0, 0, 0, 0]
+            for r in (3, 2, 1, 0):
+                k, digit = divmod(k, radices[r])
+                sizes[r] = lows[r] + digit
+            x, slot = [], iter(row)
+            for (lo, hi), size in zip(spans, sizes):
+                x += [min(lo + (hi - lo) * next(slot), math.nextafter(hi, lo)) for _ in range(size)]
+            if elections[t] is None and exact_rule_accepts(x, betas[t], winner):
+                elections[t] = LineElection(x)
+    return elections
 
 
 class TopUniforms:
     """A generator stub for the sampler: its uniforms are all the largest
-    float below 1, and its bounded integers count up modulo the bound."""
+    float below 1, and its bounded integers count up modulo the bound; it
+    keeps the last ones it drew."""
 
     k = -1
 
-    def integers(self, n):
-        self.k = (self.k + 1) % n
-        return self.k
+    def integers(self, n, size):
+        self.drawn = [(self.k + 1 + i) % n for i in range(size)]
+        self.k = self.drawn[-1]
+        return np.array(self.drawn)
 
     def random(self, size):
         return np.full(size, math.nextafter(1.0, 0.0))
@@ -272,14 +286,14 @@ def near_tie_positions(draw):
 
 
 def suite_elections(trials, seed):
-    """The elections ``canonicalization_suites(trials, seed)`` reduces."""
+    """The elections ``canonicalization_suites(trials, seed)`` reduces: each
+    suite draws its trials' betas, then samples them in one call."""
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        beta = random_beta(rng)
-        yield canonicalize_expected_winner, random_leading_election(rng, beta, LEFT), beta
-    for _ in range(trials):
-        beta = random_beta(rng)
-        yield canonicalize_expected_distortion, random_leading_election(rng, beta, RIGHT), beta
+    for canonicalize, winner in ((canonicalize_expected_winner, LEFT),
+                                 (canonicalize_expected_distortion, RIGHT)):
+        betas = [random_beta(rng) for _ in range(trials)]
+        for beta, e in zip(betas, verification._sample(rng, betas, winner)):
+            yield canonicalize, e, beta
 
 
 @functools.cache
@@ -340,11 +354,11 @@ def audit_digests(chains=50):
     """Digests of the sampler streams, the displacement draws and the
     canonicalization chains.
 
-    The streams are the elections both samplers draw, at one seed, for each
-    ``require``; the moves are the elections and picked voters of
-    ``displacement_suites(chains, 1)``; the chains are the steps, final
-    elections and certificates of the chains ``canonicalization_suites(chains,
-    seed)`` runs.
+    The streams are the elections ``random_leading_election`` draws, at one
+    seed, for each ``require`` and winner; the moves are the elections and
+    picked voters of ``displacement_suites(chains, 1)``; the chains are the
+    steps, final elections and certificates of the chains
+    ``canonicalization_suites(chains, seed)`` runs.
     """
     rng = np.random.default_rng(20261018)
     streams = hashlib.sha256()
@@ -649,11 +663,11 @@ class TestCanonicalizationSuites:
         # Any change to a sampler draw, a chain step or a certificate
         # changes a digest.
         assert audit_digests() == {
-            "streams": "2c591f45642f1b557cb926e3d246c740d177ed273063c127a019d8f2cea6310b",
-            "moves": "2200bc54eadcf2cc92f11588a8f9a7a3f0ae6ceebba5182ceb0538c3eef35b7f",
-            1: "3cb9180418acb59a7a81ffcf515d2a76e245025594284e57e800e3e9418e0800",
-            2: "860776a157c001e5568c298ce9f3921009e6cffe95e4bf32fe8a30d35c45536e",
-            9001: "f4e1c5bb0cf314598524f799338a9b5bacfb543ea1e5b5c8ba1196eb748659d4",
+            "streams": "922eb9fcb582c699b7c43c35ac675587dfecef1f20cde970ba13f7d985c807d1",
+            "moves": "e1ad7fda7552cad1d344a657435b41b24d13de599b2d4077c84ed27451ff5593",
+            1: "0e2b61ee630a96fbcb5e4dca6cd9fa530fd93cb8ad85de625e7ed4c9a88fdae7",
+            2: "08c7d46f49762d101edd1b83a919634cb43b3cefe4aa85add46e714c1944fbe2",
+            9001: "a464605cbf3d595cbba5206ab3e551f502324ec3f24d2ed120a77de07069cae8",
         }
 
     def test_chain_certificates_match_the_public_certifiers(self):
@@ -682,13 +696,13 @@ class TestCanonicalizationSuites:
 
             monkeypatch.setattr(module, name, counted)
         canonicalization_suites(50, 1)
-        # Each election of a chain is measured once: 50 origins and 106
-        # steps, at most three per chain.  182 when each A voter and each
-        # C-to-D crossing was a step of its own; 364 when every certificate
+        # Each election of a chain is measured once: 50 origins and 105
+        # steps, at most three per chain.  175 when each A voter and each
+        # C-to-D crossing was a step of its own; 350 when every certificate
         # measured both of its elections.  Both chains take one ``_sides`` per
         # election they measure; 453 when each origin was measured again to
         # decide whether the chain applies.
-        assert calls == {"expected_distortion": 156, "winner_distortion": 0, "_sides": 353}
+        assert calls == {"expected_distortion": 155, "winner_distortion": 0, "_sides": 353}
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_batch_certificates_are_the_public_certifiers(self, seed):
@@ -719,13 +733,13 @@ class TestCanonicalizationSuites:
 
             monkeypatch.setattr(model, name, counted)
         displacement_suites(200, 1)
-        # An accepted sampler candidate keeps the distance lists the accept
-        # rule made, and the sides are computed once per candidate whose
-        # costs pass.  The 1,200 moved elections are measured in the
-        # suites' batches, which call neither: 5,174 and 3,928 when each
-        # moved election made its own lists and sides (6,402 when no
-        # election kept its lists, 5,128 sides when each was measured again).
-        assert calls == {"_line_distances": 3974, "_scalar_sides": 2728}
+        # The sampler measures its candidates in array rounds, and the
+        # suites' batches measure the 1,200 elections they move; neither
+        # calls these.  Only the C-to-D pick measures its election's costs,
+        # once for each of the 231 elections it is offered.  3,974 and 2,728
+        # when each sampler candidate was measured in lists (5,174 and 3,928
+        # when each moved election made its own lists and sides too).
+        assert calls == {"_line_distances": 231, "_scalar_sides": 0}
 
 
 def regressed(e, *picked):
@@ -800,7 +814,7 @@ class TestSuitesCountFailures:
 
     def test_winner_forms_are_checked_against_the_worst_case(self, monkeypatch):
         # A two-point winner form cannot beat D*(beta); at seed 2 the largest
-        # form reaches 0.854 of it, so a D* read 20% low flags the suite.
+        # form reaches 0.937 of it, so a D* read 20% low flags the suite.
         real = worstcase._solve
 
         def low(betas, epsilon):
@@ -844,9 +858,17 @@ class TestConfiguredSampler:
                     beta = random_beta(rng)
                     assert random_beta(ref) == beta
                 e = verification.random_leading_election(rng, beta, winner, require)
-                expected = reference_raised_election(ref, beta, winner, require)
+                [expected] = reference_block_sample(ref, [beta], winner, require)
                 assert e.array.tobytes() == expected.array.tobytes()
                 assert rng.bit_generator.state == ref.bit_generator.state
+            # A sample of several betas draws its trials' rounds together.
+            betas = [random_beta(rng) for _ in range(7)]
+            assert betas == [random_beta(ref) for _ in range(7)]
+            require = SUITE_REQUIRES[seed % len(SUITE_REQUIRES)]
+            sampled = verification._sample(rng, betas, winner, require)
+            expected = reference_block_sample(ref, betas, winner, require)
+            assert [e.array.tobytes() for e in sampled] == [e.array.tobytes() for e in expected]
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("winner, require", RAISED, ids=[f"{w}-{''.join(r)}" for w, r in RAISED])
     def test_accepted_law_is_the_sequential_loops(self, winner, require):
@@ -856,6 +878,20 @@ class TestConfiguredSampler:
         rng, ref = np.random.default_rng(1), np.random.default_rng(2)
         new = [region_sizes(verification.random_leading_election(rng, b, winner, require))
                for b in betas]
+        old = [region_sizes(reference_configured_election(ref, b, winner, require))
+               for b in betas]
+        for r in range(4):
+            cells = range(7)
+            a = [sum(s[r] == c for s in new) for c in cells]
+            b = [sum(s[r] == c for s in old) for c in cells]
+            assert chi_square_homogeneity(a, b) > 1e-3, ("ABCD"[r], a, b)
+
+    @pytest.mark.parametrize("winner, require", RAISED, ids=[f"{w}-{''.join(r)}" for w, r in RAISED])
+    def test_one_sample_keeps_the_sequential_loops_law(self, winner, require):
+        # As above, with all 240 betas drawn in one ``_sample`` call.
+        betas = [random_beta(np.random.default_rng(99)) for _ in range(240)]
+        rng, ref = np.random.default_rng(1), np.random.default_rng(2)
+        new = [region_sizes(e) for e in verification._sample(rng, betas, winner, require)]
         old = [region_sizes(reference_configured_election(ref, b, winner, require))
                for b in betas]
         for r in range(4):
@@ -878,13 +914,16 @@ class TestConfiguredSampler:
     def test_voters_at_the_top_of_their_spans_stay_in_their_regions(self, winner):
         # Every uniform is the largest float below 1, which rounds onto the
         # upper end of the C span (1.0) and of the right-leading B span (0.5)
-        # when scaled; the candidates walk the size box in order.
+        # when scaled; the candidates walk the size box in order, and the
+        # election accepted has the region sizes of one of the last round's.
         for require in SUITE_REQUIRES:
-            rng = TopUniforms()
+            rng, ref = TopUniforms(), TopUniforms()
             box = verification._size_box(winner, require)
             for beta in (0.0, 0.5, 1.0):
                 e = verification.random_leading_election(rng, beta, winner, require)
-                assert region_sizes(e) == box[rng.k]
+                assert region_sizes(e) in [box[k] for k in rng.drawn]
+                [expected] = reference_block_sample(ref, [beta], winner, require)
+                assert e.array.tobytes() == expected.array.tobytes()
 
     @pytest.mark.parametrize(
         "winner, require, message",
@@ -904,26 +943,24 @@ class TestConfiguredSampler:
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("winner", [LEFT, RIGHT])
-    def test_accepted_elections_keep_what_the_rule_measured(self, winner):
-        # The distance lists, social costs and sides at each beta that the
-        # sampler leaves in its election are a fresh election's, bit for bit;
-        # a second beta reads no stale sides.
+    def test_sampled_elections_measure_as_fresh_ones(self, winner):
+        # The sampler builds each election on its row of the round's array;
+        # its costs and its sides at any beta are a fresh election's, bit
+        # for bit.
         rng = np.random.default_rng(28)
         for require in SUITE_REQUIRES:
-            for beta in (0.0, 1.0, 0.3, random_beta(rng)):
-                e = verification.random_leading_election(rng, beta, winner, require)
-                assert {"_distance_lists", "_social_costs", "_sides_at"} <= set(vars(e))
+            betas = [0.0, 1.0, 0.3, 0.5, random_beta(rng)]
+            for beta, e in zip(betas, verification._sample(rng, betas, winner, require)):
                 fresh = LineElection(e.array.copy())
-                assert hexed_lists(e._distance_lists) == hexed_lists(fresh._distance_lists)
+                assert e == fresh and not e.array.flags.writeable
                 assert [c.hex() for c in model.social_costs(e)] == [
                     c.hex() for c in model.social_costs(fresh)
                 ]
-                for b in (beta, 0.7, beta, 1.0, 0.0, beta):
-                    fresh = LineElection(e.array.copy())
+                for b in (beta, 0.7, 1.0, 0.0):
                     assert hexed_lists(model._sides(e, b)) == hexed_lists(model._sides(fresh, b))
 
     def test_exhaustion_raises_after_max_tries(self, monkeypatch):
-        monkeypatch.setattr(verification, "_accepts", lambda *args: False)
+        monkeypatch.setattr(verification, "_passes", lambda *args: False)
         with pytest.raises(RuntimeError, match="no left-leading election in 4000 draws"):
             verification.random_leading_election(np.random.default_rng(3), 0.5, LEFT, ())
 
@@ -946,10 +983,52 @@ class TestConfiguredSampler:
     @given(near_tie_positions(), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     @example([-0.5, 1.25], 1.0)  # the costs tie exactly, right leads the votes
     def test_accept_rule_is_the_exact_rule(self, x, beta):
+        d_left, d_right, _, [sides] = model._batch_sides(np.array([x]), np.array([beta]))
         for winner in (LEFT, RIGHT):
-            # The rule returns the accepted election, or None.
-            accepted = verification._accepts(x, beta, winner)
-            assert bool(accepted) == exact_rule_accepts(x, beta, winner)
+            accepted = verification._passes(
+                d_left[0].tolist(), d_right[0].tolist(), *sides.tolist(), winner
+            )
+            assert accepted == exact_rule_accepts(x, beta, winner)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_tie_positions(), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+           st.integers(0, 5))
+    def test_filter_keeps_every_row_the_rule_accepts(self, x, beta, padding):
+        # The row is padded with voters at 1/2, as the sampler pads it.
+        row = np.array([x + [0.5] * padding])
+        measured = model._batch_sides(row, np.array([beta]))
+        for winner in (LEFT, RIGHT):
+            if exact_rule_accepts(x, beta, winner):
+                assert verification._may_pass(*measured[:2], measured[3], winner)[0]
+
+    @pytest.mark.parametrize(
+        "x, beta, winner",
+        [
+            ([-0.5, 1.25], 1.0, RIGHT),  # the costs tie exactly; right leads the votes
+            # A mirrored pair, whose costs and votes tie exactly, and a voter
+            # a hair right of 1/2: right's cost and votes differ by 2**-49,
+            # inside the filter's slack, and the votes tie by the tie rule.
+            ([0.25, 0.75], 0.5, LEFT),
+            ([0.25, 0.75], 0.5, RIGHT),
+            ([0.25, 0.75, 0.5 + 2.0**-50], 1.0, RIGHT),
+        ],
+    )
+    def test_rows_whose_float_sums_tie_reach_the_exact_rule(self, x, beta, winner):
+        d_left, d_right, _, sides = model._batch_sides(np.array([x]), np.array([beta]))
+        assert verification._may_pass(d_left, d_right, sides, winner)[0]
+        assert not exact_rule_accepts(x, beta, winner)
+
+    def test_two_draws_each_ordered_pair_uniformly(self):
+        # 12,000 pairs of a 4-item list against ``rng.choice(..., size=2,
+        # replace=False)``: the same 12 ordered pairs, one law.
+        items = [10, 11, 12, 13]
+        rng, ref = np.random.default_rng(5), np.random.default_rng(6)
+        pairs = [(a, b) for a in items for b in items if a != b]
+        new = [verification._two(rng, items) for _ in range(12_000)]
+        old = [tuple(ref.choice(items, size=2, replace=False).tolist()) for _ in range(12_000)]
+        assert set(new) == set(pairs)
+        counts = [[draws.count(p) for p in pairs] for draws in (new, old)]
+        assert chi_square_homogeneity(*counts) > 1e-3, counts
 
 
 class TestCanonicalizeExpectedDistortion:
